@@ -8,6 +8,7 @@ from .engine import (
     SolutionTrace,
     consensus_metrics,
     inter_event_stats,
+    jump_set,
     lyapunov_series,
     simulate,
     zeno_indicator,
@@ -20,40 +21,23 @@ from .etm import (
     GarciaParams,
     GarciaScheme,
     PhiSolution,
-    SingleSystemHooks,
+    QuadraticTrigger,
+    SingleParams,
     SingleSystemScheme,
     ZenoGuaranteeError,
-    c_lower_bound,
-    eta_flow_derivative,
     gamma_sigma_from,
-    omega,
     phi_solve,
-    psi_berneburg,
-    psi_dolk,
-    psi_garcia,
-    psi_single,
     tau_miet,
-    trigger_decision,
 )
 from .graph import (
     BENCHMARK_EDGES,
     Graph,
     benchmark_topology,
-    is_connected,
     is_weight_balanced,
     laplacian,
 )
-from .hybrid import (
-    HybridState,
-    HybridTime,
-    JumpEvent,
-    apply_jump,
-    control_input,
-    distance_to_consensus,
-    flow_derivative,
-    measured_error,
-)
-from .presets import PRESETS, build_preset, preset_names, quadratic_single_scheme
-from .signals import ConstantSignal, NoiseSignal
+from .hybrid import HybridState, HybridTime, JumpEvent, apply_jump
+from .presets import PRESETS, build_preset, preset_names
+from .signals import NoiseSignal
 
 __version__ = "0.1.0"

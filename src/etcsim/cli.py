@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import re
 import sys
 from pathlib import Path
@@ -27,10 +26,12 @@ from .etm import (
     DolkScheme,
     GarciaParams,
     GarciaScheme,
+    SingleParams,
+    SingleSystemScheme,
     ZenoGuaranteeError,
 )
-from .graph import BENCHMARK_EDGES, Graph, benchmark_topology
-from .presets import PRESETS, build_preset, quadratic_single_scheme
+from .graph import Graph, benchmark_topology
+from .presets import PRESETS, build_preset
 from .signals import NoiseSignal
 
 __all__ = ["main", "run", "validate", "list_presets", "config_to_scenario", "scenario_to_config"]
@@ -120,7 +121,7 @@ def _scheme_from_config(cp: configparser.ConfigParser, graph: Graph | None):
         )
         return BerneburgScheme(graph, p, allow_zeno=allow_zeno)
     if kind == "single":
-        return quadratic_single_scheme(
+        p = SingleParams(
             delta_coef=etm.getfloat("delta_coef"),
             beta_coef=etm.getfloat("beta_coef"),
             c=etm.getfloat("c", fallback=0.0),
@@ -128,8 +129,8 @@ def _scheme_from_config(cp: configparser.ConfigParser, graph: Graph | None):
             mode=etm.get("mode", "static"),
             theta=etm.getfloat("theta", fallback=0.0),
             eps_eta=etm.getfloat("eps_eta", fallback=0.05),
-            allow_zeno=allow_zeno,
         )
+        return SingleSystemScheme(p, allow_zeno=allow_zeno)
     raise ValueError(f"unknown etm kind {kind!r}")
 
 
@@ -174,12 +175,7 @@ def scenario_to_config(s: Scenario, derived: dict | None = None) -> configparser
     cp = configparser.ConfigParser()
     cp.optionxform = str
     scheme = s.scheme
-    kind = {
-        "GarciaScheme": "garcia",
-        "DolkScheme": "dolk",
-        "BerneburgScheme": "berneburg",
-        "SingleSystemScheme": "single",
-    }[type(scheme).__name__]
+    kind = scheme.kind
 
     if kind != "single":
         cp["graph"] = {}
@@ -194,25 +190,26 @@ def scenario_to_config(s: Scenario, derived: dict | None = None) -> configparser
             )
 
     etm = {"kind": kind, "allow_zeno": str(scheme.allow_zeno).lower()}
+    p = scheme.params
+
+    def per_agent(v) -> str:
+        return _vec_str(np.broadcast_to(v, (scheme.n,)))
+
     if kind == "single":
-        dc, bc = scheme.quad_coefs
-        h = scheme.hooks
-        etm.update(delta_coef=_fmt(dc), beta_coef=_fmt(bc), c=_fmt(h.c),
-                   w_bar=_fmt(h.w_bar), theta=_fmt(h.theta), mode=h.mode,
-                   eps_eta=_fmt(h.eps_eta))
+        etm.update(delta_coef=_fmt(p.delta_coef), beta_coef=_fmt(p.beta_coef), c=_fmt(p.c),
+                   w_bar=_fmt(p.w_bar), theta=_fmt(p.theta), mode=p.mode,
+                   eps_eta=_fmt(p.eps_eta))
     else:
-        p = scheme.params
         etm.update(c=_vec_str(scheme.c), theta=_vec_str(scheme.theta),
                    w_bar=_vec_str(scheme.w_bar), eps_eta=_fmt(p.eps_eta))
         if kind == "garcia":
-            etm.update(a=_fmt(p.a), sigma=_vec_str(scheme.sigma),
-                       mode=p.mode, form=p.form)
+            etm.update(a=_fmt(p.a), sigma=per_agent(p.sigma), mode=p.mode, form=p.form)
         elif kind == "dolk":
-            etm.update(a=_fmt(p.a), varrho=_fmt(p.varrho), mu=_vec_str(scheme.mu),
-                       alpha=_vec_str(scheme.alpha), lam=_vec_str(scheme.lam),
+            etm.update(a=_fmt(p.a), varrho=_fmt(p.varrho), mu=per_agent(p.mu),
+                       alpha=per_agent(p.alpha), lam=per_agent(p.lam),
                        reset_mode=p.reset_mode, sigma_form=p.sigma_form)
         elif kind == "berneburg":
-            etm.update(sigma=_vec_str(scheme.sigma), mode=p.mode)
+            etm.update(sigma=per_agent(p.sigma), mode=p.mode)
     cp["etm"] = etm
 
     cp["noise"] = {
@@ -304,22 +301,20 @@ def validate(scenario: Scenario, label: str = "", stream=None) -> int:
     derived = scheme.derived_constants()
     if label:
         print(f"== {label} ==", file=stream)
-    print(f"scheme: {type(scheme).__name__} mode={scheme.mode}", file=stream)
+    print(f"scheme: {scheme.kind} mode={scheme.mode}", file=stream)
     for key, val in derived.items():
         vals = ", ".join(f"{v:.6g}" for v in np.atleast_1d(val))
         print(f"  {key}: [{vals}]", file=stream)
-    ok = True
+    failing = scheme.below_bound()
     for i in range(scheme.n):
         if bound[i] == 0.0:
-            passed = scheme.c[i] >= 0.0
             note = "bound 0 (timer-gated or noise-free)"
         else:
-            passed = scheme.c[i] > bound[i]
             note = f"need c > {bound[i]:.3g}"
-        ok &= bool(passed)
-        verdict = "pass" if passed else "FAIL"
+        verdict = "FAIL" if failing[i] else "pass"
         print(f"  agent {i}: c={scheme.c[i]:.3g} {note} -> {verdict}", file=stream)
-    if not ok and getattr(scheme, "allow_zeno", False):
+    ok = not failing.any()
+    if not ok and scheme.allow_zeno:
         print("  note: allow_zeno is set; run proceeds without the "
               "no-Zeno guarantee", file=stream)
         return EXIT_OK

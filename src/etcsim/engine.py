@@ -10,19 +10,20 @@ remaining classical RK4 on the full state.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, is_weight_balanced, laplacian
+from .etm import QuadraticTrigger
+from .graph import Graph, laplacian
 from .hybrid import HybridState, HybridTime, JumpEvent, apply_jump
-from .signals import ConstantSignal, NoiseSignal
+from .signals import NoiseSignal
 
 __all__ = [
     "Scenario",
     "SolutionTrace",
     "JumpStormError",
+    "jump_set",
     "simulate",
     "inter_event_stats",
     "lyapunov_series",
@@ -45,24 +46,20 @@ class Scenario:
     noise, initial condition, and integration controls.
 
     ``feedback`` defaults to the graph Laplacian (consensus loop); the
-    single-plant demo passes its own gain matrix and no graph.
+    single-plant demo passes its own gain matrix and no graph. The run
+    starts from x0 with zero errors, eta and clocks, and with each
+    agent's noise at t = 0 latched.
     """
 
-    scheme: object
+    scheme: QuadraticTrigger
     noise: NoiseSignal
     x0: np.ndarray
     graph: Graph | None = None
     feedback: np.ndarray | None = None
-    e0: np.ndarray | None = None
-    what_w0: np.ndarray | None = None
-    eta0: np.ndarray | None = None
-    tau0: np.ndarray | None = None
     t_final: float = 8.0
     step: float = 1e-4
     detection_refinement: bool = False
-    disturbance: ConstantSignal | None = None
     decimation: int = 1
-    trigger_tol: float = TRIGGER_TOL
 
     def __post_init__(self) -> None:
         n = self.scheme.n
@@ -82,25 +79,10 @@ class Scenario:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (n,):
             raise ValueError(f"x0 shape {self.x0.shape} != ({n},)")
-        if self.e0 is None:
-            self.e0 = np.zeros(n)
-        if self.what_w0 is None:
-            self.what_w0 = self.noise.sample_vector(0.0)
-        if self.eta0 is None:
-            self.eta0 = np.zeros(n)
-        if self.tau0 is None:
-            self.tau0 = np.zeros(n)
-        for name in ("e0", "what_w0", "eta0", "tau0"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (n,):
-                raise ValueError(f"{name} shape {v.shape} != ({n},)")
-            setattr(self, name, v)
 
     def initial_state(self) -> HybridState:
-        return HybridState(
-            self.x0.copy(), self.e0.copy(), self.what_w0.copy(),
-            self.eta0.copy(), self.tau0.copy(),
-        )
+        z = np.zeros(self.scheme.n)
+        return HybridState(self.x0.copy(), z.copy(), self.noise.sample_vector(0.0), z.copy(), z)
 
 
 @dataclass
@@ -149,22 +131,21 @@ class _Recorder:
         self.m += 1
 
 
-def _flow_advance(state: HybridState, u: np.ndarray, v: np.ndarray | None,
-                  h: float, w: np.ndarray, scheme) -> None:
+def _flow_advance(state: HybridState, u: np.ndarray, h: float, w: np.ndarray,
+                  scheme: QuadraticTrigger) -> None:
     """Advance the state in place by one flow interval of length h with
     frozen noise w. Classical RK4; x, e, tau have exactly linear flow so
     only eta needs stage evaluations."""
-    xdot = u if v is None else u + v
     if scheme.mode == "dynamic":
         e_tilde0 = state.e + state.what_w - w
         half = 0.5 * h
         p1 = scheme.psi_vec(u=u, e_tilde=e_tilde0, tau=state.tau, y_tilde=state.x + w)
         # stages 2 and 3 share the midpoint inputs (u is stage-invariant)
-        mid_et = e_tilde0 - half * xdot
-        mid_y = state.x + half * xdot + w
+        mid_et = e_tilde0 - half * u
+        mid_y = state.x + half * u + w
         p2 = scheme.psi_vec(u=u, e_tilde=mid_et, tau=state.tau + half, y_tilde=mid_y)
-        p4 = scheme.psi_vec(u=u, e_tilde=e_tilde0 - h * xdot, tau=state.tau + h,
-                            y_tilde=state.x + h * xdot + w)
+        p4 = scheme.psi_vec(u=u, e_tilde=e_tilde0 - h * u, tau=state.tau + h,
+                            y_tilde=state.x + h * u + w)
         eps = scheme.eps_eta
         eta = state.eta
         k1 = p1 - eps * eta
@@ -174,21 +155,32 @@ def _flow_advance(state: HybridState, u: np.ndarray, v: np.ndarray | None,
         eta += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         # discrete detection lets eta undershoot slightly; project back
         np.maximum(eta, 0.0, out=eta)
-    state.x += h * xdot
-    state.e -= h * xdot
+    state.x += h * u
+    state.e -= h * u
     state.tau += h
 
 
-def _decisions(scheme, state: HybridState, u: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
-    # jump only once psi has left the flow set (<= -tol): at psi == 0
-    # both flow and jump are admissible and the persistently flowing
-    # solution is the one the guarantees speak about. eta is clamped
-    # nonnegative, so its condition keeps the +tol side.
+def jump_set(scheme: QuadraticTrigger, state: HybridState, u: np.ndarray,
+             w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trigger values psi and the mask of agents in the jump set D, for
+    control input u and current noise w.
+
+    Static rule: agent i is in D when psi_i <= -TRIGGER_TOL. Dynamic
+    rule: additionally eta_i + theta_i psi_i <= TRIGGER_TOL; eta is
+    clamped nonnegative, so that condition keeps the +tol side.
+
+    Tie rule on the overlap of the flow set C and D: flow priority. At
+    psi_i = 0 (within the tolerance) both flowing and jumping are
+    admissible, and the solver flows, because the persistently flowing
+    solution is the one the guarantees speak about. Jump resolution,
+    the refinement probes and the tests all decide through this function.
+    """
     e_tilde = state.e + state.what_w - w
     psi = scheme.psi_vec(u=u, e_tilde=e_tilde, tau=state.tau, y_tilde=state.x + w)
-    if scheme.mode == "static":
-        return psi <= -tol
-    return (state.eta + scheme.theta * psi <= tol) & (psi <= -tol)
+    due = psi <= -TRIGGER_TOL
+    if scheme.mode == "dynamic":
+        due &= state.eta + scheme.theta * psi <= TRIGGER_TOL
+    return psi, due
 
 
 def simulate(s: Scenario) -> SolutionTrace:
@@ -197,7 +189,6 @@ def simulate(s: Scenario) -> SolutionTrace:
     h = s.step
     fb = s.feedback
     steps = int(round(s.t_final / h))
-    v = s.disturbance.sample_vector(0.0) if s.disturbance is not None else None
 
     n_windows = s.noise.window_index(s.t_final) + 2
     table = s.noise.window_table(n_windows)
@@ -210,36 +201,23 @@ def simulate(s: Scenario) -> SolutionTrace:
     last_event_t = [None] * n
     j = 0
     storm_cap = n * JUMPS_PER_INSTANT_FACTOR
-    tol = s.trigger_tol
 
     def process_jumps_at(t: float, state: HybridState, w: np.ndarray) -> int:
         """Apply the jumps due at time t: one pass in ascending agent
         order, then one re-evaluation pass (a neighbor's transmission
-        changes u and can newly enable a jump). Returns jumps applied."""
+        changes u and can newly enable a jump). The jump set is
+        re-evaluated after every applied jump. Returns jumps applied."""
         nonlocal j
-        u = -fb @ (state.x + state.e + state.what_w)
-        if not _decisions(scheme, state, u, w, tol).any():
-            return 0
+        psi, due = jump_set(scheme, state, -fb @ (state.x + state.e + state.what_w), w)
         total = 0
         for _pass in range(2):
-            applied = 0
+            if not due.any():
+                break
             for i in range(n):
-                u = -fb @ (state.x + state.e + state.what_w)
-                e_tilde = state.e + state.what_w - w
-                psi = scheme.psi_vec(u=u, e_tilde=e_tilde, tau=state.tau,
-                                     y_tilde=state.x + w)
-                if scheme.mode == "static":
-                    due = psi[i] <= -tol
-                else:
-                    due = state.eta[i] + scheme.theta[i] * psi[i] <= tol and psi[i] <= -tol
-                if not due:
+                if not due[i]:
                     continue
                 pre = state.copy()
-                post = apply_jump(state, i, w, scheme)
-                state.e[:] = post.e
-                state.what_w[:] = post.what_w
-                state.eta[:] = post.eta
-                state.tau[:] = post.tau
+                apply_jump(state, i, w, scheme)
                 j += 1
                 gap = None if last_event_t[i] is None else t - last_event_t[i]
                 last_event_t[i] = t
@@ -248,14 +226,12 @@ def simulate(s: Scenario) -> SolutionTrace:
                     post_state=state.copy(), psi_value=float(psi[i]),
                     inter_event_gap=gap,
                 ))
-                applied += 1
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(
                         f"{total} jumps at t={t:.6f} exceed the cap of {storm_cap}"
                     )
-            if applied == 0:
-                break
+                psi, due = jump_set(scheme, state, -fb @ (state.x + state.e + state.what_w), w)
         return total
 
     # jumps may already be due at t=0
@@ -269,25 +245,21 @@ def simulate(s: Scenario) -> SolutionTrace:
         w_next = table[:, k_win[k + 1]]
         u = -fb @ (state.x + state.e + state.what_w)
 
-        if s.detection_refinement:
-            due_next = _due_after(state, u, v, h, w_step, w_next, scheme, tol)
-            if due_next:
-                dt = _refine_instant(state, u, v, h, w_step, w_next, scheme, tol)
-                t_jump = k * h + dt
-                if dt > 0.0:
-                    _flow_advance(state, u, v, dt, w_step, scheme)
-                w_at = w_next if dt >= h else w_step
-                applied = process_jumps_at(t_jump, state, w_at)
-                if applied:
-                    rec.push(t_jump, j, state)
-                rest = h - dt
-                if rest > 0.0:
-                    u = -fb @ (state.x + state.e + state.what_w)
-                    _flow_advance(state, u, v, rest, w_step, scheme)
-            else:
-                _flow_advance(state, u, v, h, w_step, scheme)
+        if s.detection_refinement and _due_after(state, u, h, w_step, w_next, scheme):
+            dt = _refine_instant(state, u, h, w_step, scheme)
+            t_jump = k * h + dt
+            if dt > 0.0:
+                _flow_advance(state, u, dt, w_step, scheme)
+            w_at = w_next if dt >= h else w_step
+            applied = process_jumps_at(t_jump, state, w_at)
+            if applied:
+                rec.push(t_jump, j, state)
+            rest = h - dt
+            if rest > 0.0:
+                u = -fb @ (state.x + state.e + state.what_w)
+                _flow_advance(state, u, rest, w_step, scheme)
         else:
-            _flow_advance(state, u, v, h, w_step, scheme)
+            _flow_advance(state, u, h, w_step, scheme)
 
         applied = process_jumps_at(t_next, state, w_next)
         if applied or (k + 1) % s.decimation == 0 or k + 1 == steps:
@@ -297,10 +269,10 @@ def simulate(s: Scenario) -> SolutionTrace:
         "seed": s.noise.seed,
         "step": h,
         "t_final": s.t_final,
-        "trigger_tol": tol,
+        "trigger_tol": TRIGGER_TOL,
         "detection_refinement": s.detection_refinement,
         "decimation": s.decimation,
-        "scheme": type(scheme).__name__,
+        "scheme": scheme.kind,
         "derived": scheme.derived_constants(),
         "event_count": len(events),
     }
@@ -314,42 +286,31 @@ def simulate(s: Scenario) -> SolutionTrace:
     )
 
 
-def _due_after(state, u, v, dt, w_step, w_next, scheme, tol) -> bool:
-    """Would any agent be due to jump after flowing dt (noise of the
-    step for the interior, the next window exactly at the boundary)?"""
+def _due_after(state, u, dt, w_flow, w_check, scheme) -> bool:
+    """Would any agent be in the jump set after flowing dt with the noise
+    w_flow, judged against the noise w_check?"""
     probe = state.copy()
     if dt > 0.0:
-        _flow_advance(probe, u, v, dt, w_step, scheme)
-    u_p = u  # u is invariant along flow
-    return bool(_decisions(scheme, probe, u_p, w_next, tol).any())
+        _flow_advance(probe, u, dt, w_flow, scheme)
+    return bool(jump_set(scheme, probe, u, w_check)[1].any())
 
 
-def _refine_instant(state, u, v, h, w_step, w_next, scheme, tol) -> float:
-    """Bisect the earliest trigger crossing inside (t_k, t_k + h].
+def _refine_instant(state, u, h, w_step, scheme) -> float:
+    """Bisect the earliest trigger crossing inside (t_k, t_k + h], given
+    that some agent is due at t_k + h under the next window's noise.
 
-    The predicate uses the frozen step noise in the interior; only the
-    right endpoint sees the next window. Returns the absolute offset
-    from the step start; the caller adds it to the step-start time."""
-    lo, hi = 0.0, h
-
-    def due(dt: float, boundary: bool) -> bool:
-        probe = state.copy()
-        if dt > 0.0:
-            _flow_advance(probe, u, v, dt, w_step, scheme)
-        w = w_next if boundary else w_step
-        return bool(_decisions(scheme, probe, u, w, tol).any())
-
-    if due(0.0, boundary=False):
+    The probes use the frozen step noise in the interior. If no agent is
+    due at t_k + h under it, the crossing is the noise switch at the
+    boundary itself. Returns the offset from the step start; the caller
+    adds it to the step-start time."""
+    if _due_after(state, u, 0.0, w_step, w_step, scheme):
         return 0.0
-    if not due(h, boundary=True):
+    if not _due_after(state, u, h, w_step, w_step, scheme):
         return h
-    # the crossing may lie in the interior (same window) or exactly at
-    # the boundary where the noise switches
-    if not due(h, boundary=False):
-        return h
+    lo, hi = 0.0, h
     while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        if due(mid, boundary=False):
+        if _due_after(state, u, mid, w_step, w_step, scheme):
             hi = mid
         else:
             lo = mid
@@ -376,23 +337,21 @@ def inter_event_stats(trace: SolutionTrace) -> dict[int, dict]:
     return out
 
 
-def lyapunov_series(trace: SolutionTrace, scheme, feedback: np.ndarray | None = None):
+def lyapunov_series(trace: SolutionTrace, scheme: QuadraticTrigger, feedback: np.ndarray):
     """(V, U) per sample plus per-event ΔU = U(post) - U(pre).
 
-    V is the quadratic part alone; U is the scheme's full certificate.
+    V = x'Mx/2 is the quadratic part alone, with M the scenario's
+    feedback matrix; U is the scheme's full storage function.
     """
     m = len(trace.times)
     v_series = np.empty(m)
     u_series = np.empty(m)
     for k in range(m):
         st = trace.state_at(k)
-        u_series[k] = scheme.storage(st)
-        if feedback is not None:
-            v_series[k] = 0.5 * st.x @ feedback @ st.x
-        else:
-            v_series[k] = u_series[k] - st.eta.sum()
+        u_series[k] = scheme.storage(st, feedback)
+        v_series[k] = 0.5 * st.x @ feedback @ st.x
     delta_u = np.array([
-        scheme.storage(ev.post_state) - scheme.storage(ev.pre_state)
+        scheme.storage(ev.post_state, feedback) - scheme.storage(ev.pre_state, feedback)
         for ev in trace.events
     ])
     return v_series, u_series, delta_u

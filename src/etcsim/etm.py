@@ -1,48 +1,47 @@
 """Event-triggering mechanisms.
 
-Each scheme evaluates a per-agent trigger function psi from locally
-available information (control input, measured error, clock). A jump is
-commanded when psi falls to zero (static rule) or when the auxiliary
-variable eta is exhausted as well (dynamic rule). Every scheme carries a
-constant offset c_i that enlarges the flow set; under measurement noise
-bounded by w_bar, Zeno-freeness requires c_i to exceed the scheme's
-beta_i(2 w_bar) unless a timer gate enforces a dwell time instead.
+Every scheme is one quadratic trigger per agent,
+
+    psi_i = a_i d_i^2 + c_i - g_i e~_i^2,  g_i = 0 while tau_i < tau_miet_i, else b_i,
+
+where d is the control input u (consensus schemes) or the measured plant
+output y~ (single plant), e~ the measured error and tau the agent's
+clock. A jump is commanded when psi falls below zero (static rule) or
+when the auxiliary variable eta is exhausted as well (dynamic rule). The
+offset c_i enlarges the flow set; under measurement noise bounded by
+w_bar, Zeno-freeness requires c_i > beta_i(2 w_bar) = b_i (2 w_bar_i)^2
+unless a timer gate (tau_miet_i > 0) enforces a dwell time instead.
+
+The scheme families differ only in how they derive a, b and the gate
+from their parameters: each is a constructor of :class:`QuadraticTrigger`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Literal
+from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .graph import Graph, laplacian
+from .graph import Graph
 
 __all__ = [
     "GarciaParams",
     "DolkParams",
     "BerneburgParams",
-    "SingleSystemHooks",
+    "SingleParams",
+    "QuadraticTrigger",
     "GarciaScheme",
     "DolkScheme",
     "BerneburgScheme",
     "SingleSystemScheme",
     "ZenoGuaranteeError",
-    "psi_garcia",
-    "psi_berneburg",
-    "psi_dolk",
-    "psi_single",
     "tau_miet",
     "gamma_sigma_from",
-    "omega",
     "phi_solve",
     "PhiSolution",
-    "eta_flow_derivative",
-    "trigger_decision",
-    "eta_reset",
-    "c_lower_bound",
 ]
 
 Mode = Literal["static", "dynamic"]
@@ -128,53 +127,20 @@ class BerneburgParams:
 
 
 @dataclass(frozen=True)
-class SingleSystemHooks:
-    """Pluggable single-plant trigger: psi = delta(|y~|) - beta(|e~|) + c.
+class SingleParams:
+    """Quadratic single-plant trigger: psi = delta_coef y~^2 - beta_coef e~^2 + c.
 
-    beta must already be composed as s -> rho(2 s); it is evaluated on
-    the measured-error norm directly.
+    beta_coef is already composed on 2s, so the Zeno-freeness bound is
+    beta(2 w_bar) = beta_coef (2 w_bar)^2.
     """
 
-    delta: Callable[[float], float]
-    beta: Callable[[float], float]
+    delta_coef: float
+    beta_coef: float
     c: float = 0.0
     w_bar: float = 0.0
     theta: float = 0.0
     mode: Mode = "static"
     eps_eta: float = 0.05
-
-
-# ---------------------------------------------------------------------------
-# scalar trigger evaluations
-
-
-def psi_garcia(u_i: float, e_tilde_i: float, n_i: int, p: GarciaParams, agent: int = 0) -> float:
-    sigma = float(np.atleast_1d(p.sigma)[agent] if np.ndim(p.sigma) else p.sigma)
-    c = float(np.atleast_1d(p.c)[agent] if np.ndim(p.c) else p.c)
-    slope = 1.0 - (2.0 if p.form == "modified" else 1.0) * p.a * n_i
-    return sigma * slope * u_i**2 - (n_i / p.a) * e_tilde_i**2 + c
-
-
-def psi_berneburg(
-    u_i: float, e_tilde_i: float, d_i: float, vartheta_i: float, gamma_i: float,
-    sigma_i: float, c_i: float,
-) -> float:
-    if not 0.0 < vartheta_i < 1.0:
-        raise ValueError(f"vartheta={vartheta_i} must lie in (0,1)")
-    return sigma_i * (1.0 - vartheta_i) * u_i**2 - (d_i**2 / vartheta_i + gamma_i) * e_tilde_i**2 + c_i
-
-
-def psi_dolk(
-    u_i: float, e_tilde_i: float, tau_i: float, tau_miet_i: float,
-    alpha_i: float, sigma_i: float, gamma_i: float, lam_i: float, c_i: float,
-) -> float:
-    gate = 1.0 - omega(tau_i, tau_miet_i)
-    coef = gamma_i**2 * (lam_i**2 / (alpha_i * sigma_i) + 1.0)
-    return (1.0 - alpha_i) * sigma_i * u_i**2 + c_i - gate * coef * e_tilde_i**2
-
-
-def psi_single(y_tilde_norm: float, e_tilde_norm: float, hooks: SingleSystemHooks) -> float:
-    return hooks.delta(y_tilde_norm) - hooks.beta(e_tilde_norm) + hooks.c
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +175,21 @@ def gamma_sigma_from(
     return gamma, sigma
 
 
-def omega(tau_i: float, tau_miet_i: float) -> float:
-    """Timer gate: 1 below the dwell time, 0 at and above it."""
-    if tau_i < 0.0 or tau_miet_i < 0.0:
-        raise ValueError("clock values must be nonnegative")
-    return 1.0 if tau_i < tau_miet_i else 0.0
-
-
 @dataclass(frozen=True)
 class PhiSolution:
-    """Sampled certificate gain phi on [0, tau_end], with phi(tau) = phi_end
-    held for tau beyond the grid."""
+    """Sampled certificate gain phi on [0, tau_end]; ``at`` holds phi = lam
+    from tau_end on."""
 
     taus: np.ndarray
     phis: np.ndarray
     tau_end: float  # numerically detected time at which phi reaches lam
+    lam: float
 
     def __call__(self, tau) -> np.ndarray:
         return np.interp(tau, self.taus, self.phis)
+
+    def at(self, tau: float) -> float:
+        return float(self.lam) if tau >= self.tau_end else float(self(tau))
 
 
 def phi_solve(alpha: float, sigma: float, gamma: float, lam: float, samples: int = 2001) -> PhiSolution:
@@ -256,270 +219,165 @@ def phi_solve(alpha: float, sigma: float, gamma: float, lam: float, samples: int
     tau_end = float(sol.t_events[0][0])
     taus = np.linspace(0.0, tau_end, samples)
     phis = sol.sol(taus)[0]
-    return PhiSolution(taus=taus, phis=phis, tau_end=tau_end)
+    return PhiSolution(taus=taus, phis=phis, tau_end=tau_end, lam=lam)
 
 
 # ---------------------------------------------------------------------------
-# dynamic-trigger plumbing
+# the engine-facing trigger
 
 
-def eta_flow_derivative(eta_i: float, psi_i: float, eps_eta: float) -> float:
-    """Linear class-K-infinity decay choice: d(eta)/dt = psi - eps * eta."""
-    return psi_i - eps_eta * eta_i
+@dataclass(frozen=True, eq=False)
+class QuadraticTrigger:
+    """Per-agent coefficients of the quadratic trigger psi (module
+    docstring), the eta dynamics d(eta)/dt = psi - eps_eta eta of the
+    dynamic rule, and the eta reset at a jump.
 
-
-def trigger_decision(
-    eta_i: float, psi_i: float, theta_i: float, mode: Mode, tol: float = 0.0,
-) -> str:
-    """'jump' when the trigger predicate holds (within tol), else 'flow'.
-
-    Static rule: psi <= 0. Dynamic rule: eta + theta*psi <= 0 and psi <= 0.
+    ``kind``, ``params``, ``derived`` and ``phi`` are what the manifest
+    and the storage monitor need; the engine reads only the arrays.
     """
-    if mode == "static":
-        return "jump" if psi_i <= tol else "flow"
-    return "jump" if (eta_i + theta_i * psi_i <= tol and psi_i <= tol) else "flow"
 
-
-def eta_reset(eta_i: float, e_tilde_i: float, p: DolkParams, gamma_i: float, lam_i: float,
-              w_bar_i: float) -> float:
-    """eta reset at a jump: unchanged (standard) or increased by the
-    conservative lower estimate of the dropped error term (remark5)."""
-    if p.reset_mode == "standard":
-        return eta_i
-    gain = max(abs(e_tilde_i) - 2.0 * w_bar_i, 0.0)
-    return eta_i + gamma_i * lam_i * gain**2
-
-
-def c_lower_bound(scheme) -> np.ndarray:
-    """Per-agent Zeno-freeness bound beta_i(2 w_bar_i) for the scheme."""
-    return scheme.c_lower_bound()
-
-
-# ---------------------------------------------------------------------------
-# scheme objects (engine-facing, vectorized)
-
-
-class _SchemeBase:
-    """Common per-agent plumbing shared by all triggering schemes."""
-
+    kind: str  # config name of the family: garcia | dolk | berneburg | single
+    params: object
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    theta: np.ndarray
+    w_bar: np.ndarray
+    tau_miet: np.ndarray  # dwell time gating the error term; 0 = no gate
+    reset_gain: np.ndarray  # eta gain on the squared error excess over 2 w_bar
     mode: Mode
-    uses_timer: bool = False
-    n: int
+    eps_eta: float
+    allow_zeno: bool
+    derived: dict  # family-specific per-agent constants, echoed in the manifest
+    drive: Literal["u", "y"] = "u"  # d = u (consensus) or d = y~ (single plant)
+    phi: tuple[PhiSolution, ...] = ()  # certificate gains of the timer scheme
 
-    def eta_derivative(self, eta: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        if self.mode == "static":
-            return np.zeros_like(eta)
-        return psi - self.eps_eta * eta
-
-    def eta_reset(self, eta_i: float, e_tilde_i: float, agent: int) -> float:
-        return eta_i
-
-    def check_zeno_guarantee(self, allow_zeno: bool) -> None:
-        bound = self.c_lower_bound()
-        bad = np.flatnonzero(self.c <= bound)
-        # agents with a zero bound only need c >= 0
-        bad = bad[(bound[bad] > 0.0) | (self.c[bad] < 0.0)]
-        if bad.size and not allow_zeno:
+    def __post_init__(self) -> None:
+        bad = np.flatnonzero(self.below_bound())
+        if bad.size and not self.allow_zeno:
             i = int(bad[0])
             raise ZenoGuaranteeError(
                 f"c[{i}]={self.c[i]:g} does not exceed the Zeno-freeness bound "
-                f"beta_i(2*w_bar)={bound[i]:g}; pass allow_zeno=True to override"
+                f"beta_i(2*w_bar)={self.c_lower_bound()[i]:g}; pass allow_zeno=True to override"
             )
 
-    def derived_constants(self) -> dict:
-        return {"c_lower_bound": self.c_lower_bound().tolist()}
-
-
-class GarciaScheme(_SchemeBase):
-    def __init__(self, graph: Graph, params: GarciaParams, allow_zeno: bool = False):
-        self.graph = graph
-        self.params = params
-        self.allow_zeno = allow_zeno
-        self.n = graph.n
-        self.n_i = graph.neighbor_counts.astype(float)
-        self.mode = params.mode
-        self.eps_eta = params.eps_eta
-        self.sigma = _per_agent(params.sigma, self.n)
-        self.c = _per_agent(params.c, self.n)
-        self.theta = _per_agent(params.theta, self.n)
-        self.w_bar = _per_agent(params.w_bar, self.n)
-        if (2.0 * params.a * self.n_i >= 1.0).any():
-            raise ValueError(f"a={params.a} violates a < 1/(2 max_i N_i)")
-        factor = 2.0 if params.form == "modified" else 1.0
-        self._u_coef = self.sigma * (1.0 - factor * params.a * self.n_i)
-        self._e_coef = self.n_i / params.a
-        self._lap = laplacian(graph)
-        if params.form == "modified":
-            self.check_zeno_guarantee(allow_zeno)
-        elif not allow_zeno:
-            raise ZenoGuaranteeError("the noise-naive trigger form carries no Zeno guarantee; "
-                                     "pass allow_zeno=True")
+    @property
+    def n(self) -> int:
+        return self.a.size
 
     def psi_vec(self, u, e_tilde, tau, y_tilde) -> np.ndarray:
-        return self._u_coef * u * u - self._e_coef * e_tilde * e_tilde + self.c
+        d = u if self.drive == "u" else y_tilde
+        g = np.where(tau < self.tau_miet, 0.0, self.b)
+        return self.a * d * d + self.c - g * e_tilde * e_tilde
 
     def c_lower_bound(self) -> np.ndarray:
-        return self._e_coef * (2.0 * self.w_bar) ** 2
+        """Per-agent Zeno-freeness bound beta_i(2 w_bar_i); 0 where the
+        timer gate enforces the dwell time instead."""
+        return np.where(self.tau_miet > 0.0, 0.0, self.b * (2.0 * self.w_bar) ** 2)
 
-    def storage(self, state) -> float:
-        w = 0.5 * state.x @ self._lap @ state.x
-        return float(w + state.eta.sum())
-
-    def derived_constants(self) -> dict:
-        return {
-            "N_i": self.n_i.tolist(),
-            "u_coef": self._u_coef.tolist(),
-            "e_coef": self._e_coef.tolist(),
-            "c_lower_bound": self.c_lower_bound().tolist(),
-        }
-
-
-class DolkScheme(_SchemeBase):
-    mode: Mode = "dynamic"
-    uses_timer = True
-
-    def __init__(self, graph: Graph, params: DolkParams, allow_zeno: bool = False):
-        self.graph = graph
-        self.params = params
-        self.allow_zeno = allow_zeno
-        self.n = graph.n
-        self.n_i = graph.neighbor_counts.astype(float)
-        self.eps_eta = params.eps_eta
-        self.mu = _per_agent(params.mu, self.n)
-        self.alpha = _per_agent(params.alpha, self.n)
-        self.lam = _per_agent(params.lam, self.n)
-        self.c = _per_agent(params.c, self.n)
-        self.theta = _per_agent(params.theta, self.n)
-        self.w_bar = _per_agent(params.w_bar, self.n)
-        gamma = np.empty(self.n)
-        sigma = np.empty(self.n)
-        for i in range(self.n):
-            gamma[i], sigma[i] = gamma_sigma_from(
-                params.a, self.mu[i], params.varrho, int(self.n_i[i]), params.sigma_form
-            )
-        self.gamma = gamma
-        self.sigma = sigma
-        self.tau_miet = np.array([
-            tau_miet(self.alpha[i], self.sigma[i], self.gamma[i], self.lam[i])
-            for i in range(self.n)
-        ])
-        self._u_coef = (1.0 - self.alpha) * self.sigma
-        self._e_coef = self.gamma**2 * (self.lam**2 / (self.alpha * self.sigma) + 1.0)
-        self._lap = laplacian(graph)
-        self._phi = [phi_solve(self.alpha[i], self.sigma[i], self.gamma[i], self.lam[i])
-                     for i in range(self.n)]
-        self.check_zeno_guarantee(allow_zeno)
-
-    def psi_vec(self, u, e_tilde, tau, y_tilde) -> np.ndarray:
-        gate = np.where(tau < self.tau_miet, 0.0, self._e_coef)
-        return self._u_coef * u * u + self.c - gate * e_tilde * e_tilde
+    def below_bound(self) -> np.ndarray:
+        """Mask of agents whose c_i does not exceed beta_i(2 w_bar_i);
+        agents with a zero bound only need c_i >= 0."""
+        bound = self.c_lower_bound()
+        return (self.c < 0.0) | ((bound > 0.0) & (self.c <= bound))
 
     def eta_reset(self, eta_i: float, e_tilde_i: float, agent: int) -> float:
-        return eta_reset(eta_i, e_tilde_i, self.params, self.gamma[agent],
-                         self.lam[agent], self.w_bar[agent])
+        """eta after the agent's jump: raised by the conservative lower
+        estimate of the dropped error term (zero gain: unchanged)."""
+        excess = max(abs(e_tilde_i) - 2.0 * self.w_bar[agent], 0.0)
+        return eta_i + self.reset_gain[agent] * excess**2
 
-    def c_lower_bound(self) -> np.ndarray:
-        # the timer gate enforces the dwell time; no positive bound needed
-        return np.zeros(self.n)
-
-    def phi_at(self, agent: int, tau: float) -> float:
-        if tau >= self._phi[agent].tau_end:
-            return float(self.lam[agent])
-        return float(self._phi[agent](tau))
-
-    def storage(self, state) -> float:
-        w = 0.5 * state.x @ self._lap @ state.x
-        cert = sum(
-            self.gamma[i] * self.phi_at(i, state.tau[i]) * state.e[i] ** 2
-            for i in range(self.n)
-        )
+    def storage(self, state, feedback: np.ndarray) -> float:
+        """U = x'Mx/2 + sum_i gamma_i phi_i(tau_i) e_i^2 + sum_i eta_i, with M
+        the scenario's feedback matrix; the certificate term is present
+        only for the timer scheme, the one with phi tables."""
+        w = 0.5 * state.x @ feedback @ state.x
+        cert = sum(self.derived["gamma"][i] * p.at(state.tau[i]) * state.e[i] ** 2
+                   for i, p in enumerate(self.phi))
         return float(w + cert + state.eta.sum())
 
     def derived_constants(self) -> dict:
-        return {
-            "N_i": self.n_i.tolist(),
-            "gamma": self.gamma.tolist(),
-            "sigma": self.sigma.tolist(),
-            "tau_miet": self.tau_miet.tolist(),
-            "e_coef": self._e_coef.tolist(),
-            "c_lower_bound": self.c_lower_bound().tolist(),
-        }
+        out = {k: np.asarray(v).tolist() for k, v in self.derived.items()}
+        out["c_lower_bound"] = self.c_lower_bound().tolist()
+        return out
 
 
-class BerneburgScheme(_SchemeBase):
-    def __init__(self, graph: Graph, params: BerneburgParams, allow_zeno: bool = False):
-        self.graph = graph
-        self.params = params
-        self.allow_zeno = allow_zeno
-        self.n = graph.n
-        self.mode = params.mode
-        self.eps_eta = params.eps_eta
-        self.sigma = _per_agent(params.sigma, self.n)
-        self.c = _per_agent(params.c, self.n)
-        self.theta = _per_agent(params.theta, self.n)
-        self.w_bar = _per_agent(params.w_bar, self.n)
-        adj = graph.adjacency
-        rho = params.rho_edge
-        if rho is None:
-            out_deg = graph.out_degrees
-            rho = {(i, j): 0.5 / out_deg[i]
-                   for i in range(self.n) for j in graph.out_neighbors(i)}
-        self.rho_edge = dict(rho)
-        self.vartheta = np.zeros(self.n)
-        self.gamma = np.zeros(self.n)
-        for i in range(self.n):
-            for j in graph.out_neighbors(i):
-                self.vartheta[i] += adj[i, j] * self.rho_edge[(i, int(j))]
-            for j in graph.in_neighbors(i):
-                self.gamma[i] += adj[j, i] / self.rho_edge[(int(j), i)]
-        if ((self.vartheta <= 0.0) | (self.vartheta >= 1.0)).any():
-            raise ValueError(f"vartheta={self.vartheta} must lie in (0,1); adjust rho_edge")
-        self.degree = graph.out_degrees
-        self._u_coef = self.sigma * (1.0 - self.vartheta)
-        self._e_coef = self.degree**2 / self.vartheta + self.gamma
-        self._lap = laplacian(graph)
-        self.check_zeno_guarantee(allow_zeno)
-
-    def psi_vec(self, u, e_tilde, tau, y_tilde) -> np.ndarray:
-        return self._u_coef * u * u - self._e_coef * e_tilde * e_tilde + self.c
-
-    def c_lower_bound(self) -> np.ndarray:
-        return self._e_coef * (2.0 * self.w_bar) ** 2
-
-    def storage(self, state) -> float:
-        w = 0.5 * state.x @ self._lap @ state.x
-        return float(w + state.eta.sum())
-
-    def derived_constants(self) -> dict:
-        return {
-            "degree": self.degree.tolist(),
-            "vartheta": self.vartheta.tolist(),
-            "gamma": self.gamma.tolist(),
-            "e_coef": self._e_coef.tolist(),
-            "c_lower_bound": self.c_lower_bound().tolist(),
-        }
+def _trigger(kind: str, params, n: int, a: np.ndarray, b: np.ndarray, allow_zeno: bool,
+             derived: dict, mode: Mode | None = None, **kw) -> QuadraticTrigger:
+    """Assemble the record; c, theta, w_bar and eps_eta come from params."""
+    zeros = np.zeros(n)
+    kw = {"tau_miet": zeros, "reset_gain": zeros, **kw}
+    return QuadraticTrigger(
+        kind=kind, params=params, a=a, b=b, c=_per_agent(params.c, n),
+        theta=_per_agent(params.theta, n), w_bar=_per_agent(params.w_bar, n),
+        mode=mode or params.mode, eps_eta=params.eps_eta, allow_zeno=allow_zeno,
+        derived=derived, **kw,
+    )
 
 
-class SingleSystemScheme(_SchemeBase):
-    """Single-plant trigger built from user-supplied delta/beta hooks."""
+def GarciaScheme(graph: Graph, params: GarciaParams, allow_zeno: bool = False) -> QuadraticTrigger:
+    """a_i = sigma_i (1 - k a N_i), k = 2 (modified) or 1 (original); b_i = N_i / a."""
+    n_i = graph.neighbor_counts.astype(float)
+    sigma = _per_agent(params.sigma, graph.n)
+    if (2.0 * params.a * n_i >= 1.0).any():
+        raise ValueError(f"a={params.a} violates a < 1/(2 max_i N_i)")
+    if params.form == "original" and not allow_zeno:
+        raise ZenoGuaranteeError("the noise-naive trigger form carries no Zeno guarantee; "
+                                 "pass allow_zeno=True")
+    factor = 2.0 if params.form == "modified" else 1.0
+    a = sigma * (1.0 - factor * params.a * n_i)
+    b = n_i / params.a
+    return _trigger("garcia", params, graph.n, a, b, allow_zeno,
+                    {"N_i": n_i, "u_coef": a, "e_coef": b})
 
-    n = 1
 
-    def __init__(self, hooks: SingleSystemHooks, allow_zeno: bool = False):
-        self.hooks = hooks
-        self.allow_zeno = allow_zeno
-        self.mode = hooks.mode
-        self.eps_eta = hooks.eps_eta
-        self.c = np.array([hooks.c])
-        self.theta = np.array([hooks.theta])
-        self.w_bar = np.array([hooks.w_bar])
-        self.check_zeno_guarantee(allow_zeno)
+def DolkScheme(graph: Graph, params: DolkParams, allow_zeno: bool = False) -> QuadraticTrigger:
+    """a_i = (1 - alpha_i) sigma_i, b_i = gamma_i^2 (lam_i^2/(alpha_i sigma_i) + 1),
+    gated below the closed-form dwell time tau_miet_i."""
+    n = graph.n
+    n_i = graph.neighbor_counts.astype(float)
+    mu, alpha, lam = (_per_agent(v, n) for v in (params.mu, params.alpha, params.lam))
+    pairs = [gamma_sigma_from(params.a, mu[i], params.varrho, int(n_i[i]), params.sigma_form)
+             for i in range(n)]
+    gamma, sigma = (np.array(v) for v in zip(*pairs))
+    tm = np.array([tau_miet(alpha[i], sigma[i], gamma[i], lam[i]) for i in range(n)])
+    b = gamma**2 * (lam**2 / (alpha * sigma) + 1.0)
+    reset_gain = np.zeros(n) if params.reset_mode == "standard" else gamma * lam
+    return _trigger(
+        "dolk", params, n, (1.0 - alpha) * sigma, b, allow_zeno,
+        {"N_i": n_i, "gamma": gamma, "sigma": sigma, "tau_miet": tm, "e_coef": b},
+        mode="dynamic", tau_miet=tm, reset_gain=reset_gain,
+        phi=tuple(phi_solve(alpha[i], sigma[i], gamma[i], lam[i]) for i in range(n)),
+    )
 
-    def psi_vec(self, u, e_tilde, tau, y_tilde) -> np.ndarray:
-        return np.array([psi_single(abs(float(y_tilde[0])), abs(float(e_tilde[0])), self.hooks)])
 
-    def c_lower_bound(self) -> np.ndarray:
-        return np.array([self.hooks.beta(2.0 * self.hooks.w_bar)])
+def BerneburgScheme(graph: Graph, params: BerneburgParams,
+                    allow_zeno: bool = False) -> QuadraticTrigger:
+    """a_i = sigma_i (1 - vartheta_i), b_i = d_i^2 / vartheta_i + gamma_i, with
+    vartheta_i and gamma_i summed from the edge split weights."""
+    n = graph.n
+    adj = graph.adjacency
+    rho = params.rho_edge
+    if rho is None:
+        out_deg = graph.out_degrees
+        rho = {(i, j): 0.5 / out_deg[i] for i in range(n) for j in graph.out_neighbors(i)}
+    vartheta = np.zeros(n)
+    gamma = np.zeros(n)
+    for i in range(n):
+        for j in graph.out_neighbors(i):
+            vartheta[i] += adj[i, j] * rho[(i, int(j))]
+        for j in graph.in_neighbors(i):
+            gamma[i] += adj[j, i] / rho[(int(j), i)]
+    if ((vartheta <= 0.0) | (vartheta >= 1.0)).any():
+        raise ValueError(f"vartheta={vartheta} must lie in (0,1); adjust rho_edge")
+    degree = graph.out_degrees
+    b = degree**2 / vartheta + gamma
+    return _trigger("berneburg", params, n, _per_agent(params.sigma, n) * (1.0 - vartheta), b,
+                    allow_zeno, {"degree": degree, "vartheta": vartheta, "gamma": gamma,
+                                 "e_coef": b})
 
-    def storage(self, state) -> float:
-        return float(0.5 * state.x[0] ** 2 + state.eta.sum())
+
+def SingleSystemScheme(params: SingleParams, allow_zeno: bool = False) -> QuadraticTrigger:
+    """One plant, driven by its measured output: a = delta_coef, b = beta_coef."""
+    return _trigger("single", params, 1, np.array([params.delta_coef]),
+                    np.array([params.beta_coef]), allow_zeno, {}, drive="y")

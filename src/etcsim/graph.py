@@ -15,7 +15,6 @@ __all__ = [
     "Graph",
     "laplacian",
     "is_weight_balanced",
-    "is_connected",
     "benchmark_topology",
     "BENCHMARK_EDGES",
 ]
@@ -112,23 +111,6 @@ def laplacian(g: Graph) -> np.ndarray:
 def is_weight_balanced(g: Graph) -> bool:
     """True iff every node's out-degree equals its in-degree."""
     return bool(np.array_equal(g.out_degrees, g.in_degrees))
-
-
-def is_connected(g: Graph) -> bool:
-    """Reachability of all nodes from node 0, ignoring edge direction."""
-    if g.n == 0:
-        return True
-    undirected = (g.adjacency != 0) | (g.adjacency.T != 0)
-    seen = np.zeros(g.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(undirected[i]):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
 
 
 def benchmark_topology() -> Graph:

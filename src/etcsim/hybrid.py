@@ -1,4 +1,4 @@
-"""Hybrid closed-loop state, consensus dynamics, and jump maps.
+"""Hybrid closed-loop state and the jump map.
 
 The concrete plant is the single-integrator consensus loop with
 zero-order hold: each agent's state feeds back through the graph
@@ -14,16 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "HybridState",
-    "HybridTime",
-    "JumpEvent",
-    "measured_error",
-    "control_input",
-    "flow_derivative",
-    "apply_jump",
-    "distance_to_consensus",
-]
+__all__ = ["HybridState", "HybridTime", "JumpEvent", "apply_jump"]
 
 
 @dataclass
@@ -86,57 +77,14 @@ class JumpEvent:
     inter_event_gap: float | None  # None for the agent's first jump
 
 
-def measured_error(state: HybridState, w: np.ndarray) -> np.ndarray:
-    """Error available to the trigger: e + w_hat - w (per agent)."""
-    return state.e + state.what_w - w
-
-
-def control_input(feedback: np.ndarray, state: HybridState) -> np.ndarray:
-    """u = -M (x + e + w_hat), with M the Laplacian (or feedback gain)."""
-    return -feedback @ (state.x + state.e + state.what_w)
-
-
-def flow_derivative(
-    feedback: np.ndarray,
-    state: HybridState,
-    scheme,
-    w: np.ndarray,
-    v: np.ndarray | None = None,
-) -> HybridState:
-    """Continuous dynamics: (u+v, -(u+v), 0, eta-flow per scheme, 1).
-
-    With a zero-order hold the held output is constant, so the error
-    derivative is the exact negative of the state derivative.
-    """
-    u = control_input(feedback, state)
-    xdot = u if v is None else u + v
-    e_tilde = measured_error(state, w)
-    psi = scheme.psi_vec(u=u, e_tilde=e_tilde, tau=state.tau, y_tilde=state.x + w)
-    eta_dot = scheme.eta_derivative(state.eta, psi)
-    return HybridState(
-        x=xdot,
-        e=-xdot,
-        what_w=np.zeros(state.n),
-        eta=eta_dot,
-        tau=np.ones(state.n),
-    )
-
-
-def apply_jump(state: HybridState, agent: int, w: np.ndarray, scheme) -> HybridState:
-    """Transmission by one agent: reset its error, latch its noise,
-    zero its clock, and apply the scheme's eta reset. All other
+def apply_jump(state: HybridState, agent: int, w: np.ndarray, scheme) -> None:
+    """Transmission by one agent, in place: reset its error, latch its
+    noise, zero its clock, and apply the scheme's eta reset. All other
     components (and x entirely) are unchanged."""
     if not 0 <= agent < state.n:
         raise IndexError(f"agent {agent} out of range")
-    post = state.copy()
     e_tilde_i = state.e[agent] + state.what_w[agent] - w[agent]
-    post.e[agent] = 0.0
-    post.what_w[agent] = w[agent]
-    post.tau[agent] = 0.0
-    post.eta[agent] = scheme.eta_reset(state.eta[agent], e_tilde_i, agent)
-    return post
-
-
-def distance_to_consensus(x: np.ndarray) -> float:
-    """Euclidean distance from x to the agreement subspace span{1}."""
-    return float(np.linalg.norm(x - x.mean()))
+    state.eta[agent] = scheme.eta_reset(state.eta[agent], e_tilde_i, agent)
+    state.e[agent] = 0.0
+    state.what_w[agent] = w[agent]
+    state.tau[agent] = 0.0

@@ -21,13 +21,13 @@ from .etm import (
     DolkScheme,
     GarciaParams,
     GarciaScheme,
-    SingleSystemHooks,
+    SingleParams,
     SingleSystemScheme,
 )
 from .graph import benchmark_topology
 from .signals import NoiseSignal
 
-__all__ = ["Preset", "PRESETS", "build_preset", "preset_names", "quadratic_single_scheme"]
+__all__ = ["Preset", "PRESETS", "build_preset", "preset_names"]
 
 DEFAULT_SEED = 2024
 W_BAR = 1e-4
@@ -83,29 +83,11 @@ def _berneburg(seed: int) -> Scenario:
     return _consensus_scenario(scheme, seed)
 
 
-def quadratic_single_scheme(
-    delta_coef: float, beta_coef: float, c: float, w_bar: float,
-    mode: str = "static", theta: float = 0.0, eps_eta: float = 0.05,
-    allow_zeno: bool = False,
-) -> SingleSystemScheme:
-    """Single-plant scheme with quadratic hooks delta(s)=delta_coef*s^2
-    and beta(s)=beta_coef*s^2; the coefficients are kept on the scheme
-    so run manifests can echo them."""
-    hooks = SingleSystemHooks(
-        delta=lambda s: delta_coef * s**2,
-        beta=lambda s: beta_coef * s**2,
-        c=c, w_bar=w_bar, mode=mode, theta=theta, eps_eta=eps_eta,
-    )
-    scheme = SingleSystemScheme(hooks, allow_zeno=allow_zeno)
-    scheme.quad_coefs = (delta_coef, beta_coef)
-    return scheme
-
-
 def _single_scalar(seed: int) -> Scenario:
     # scalar plant xdot = u, u = -(x + e + w_hat); delta from the
     # quadratic decrease margin, beta already composed on 2s
-    scheme = quadratic_single_scheme(
-        delta_coef=0.5 / 8.0, beta_coef=2.0, c=1e-7, w_bar=W_BAR, mode="static"
+    scheme = SingleSystemScheme(
+        SingleParams(delta_coef=0.5 / 8.0, beta_coef=2.0, c=1e-7, w_bar=W_BAR, mode="static")
     )
     return Scenario(
         scheme=scheme,
@@ -154,7 +136,7 @@ PRESETS: dict[str, Preset] = {
     ),
     "single-scalar-demo": Preset(
         "single-scalar-demo",
-        "scalar single-plant trigger built from delta/beta hooks",
+        "scalar single-plant trigger with quadratic delta/beta coefficients",
         lambda seed: [(None, _single_scalar(seed))],
     ),
     "table1-contrast": Preset(

@@ -9,11 +9,11 @@ counter, which passes the statistical checks in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NoiseSignal", "ConstantSignal"]
+__all__ = ["NoiseSignal"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -94,18 +94,3 @@ class NoiseSignal:
             table[i] = self.amplitude[i] * (2.0 * _uniform01(self.seed, i, windows) - 1.0)
         return table
 
-
-@dataclass(frozen=True)
-class ConstantSignal:
-    """Constant-vector process-disturbance channel (zero by default)."""
-
-    values: np.ndarray
-
-    @classmethod
-    def zero(cls, n: int) -> "ConstantSignal":
-        v = np.zeros(n)
-        v.setflags(write=False)
-        return cls(values=v)
-
-    def sample_vector(self, t: float) -> np.ndarray:
-        return self.values

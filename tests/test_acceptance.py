@@ -48,7 +48,7 @@ def test_criterion_03_robustness_bound_exact():
     sch = GarciaScheme(benchmark_topology(),
                        GarciaParams(a=0.1, sigma=0.5, c=2e-6, w_bar=1e-4))
     bound = sch.c_lower_bound()
-    n3 = np.flatnonzero(sch.n_i == 3)
+    n3 = np.flatnonzero(sch.derived["N_i"] == 3)
     assert np.all(bound[n3] == 1.2e-6)
     assert bound.max() == 1.2e-6
     report(3, "beta_i(2 w_bar) equals 1.2e-6 exactly for N_i=3, a=0.1, w_bar=1e-4")
@@ -103,7 +103,7 @@ def test_criterion_08_jump_monotonicity(preset_runs):
         for _, sc, tr in preset_runs(name):
             sch = sc.scheme
             for ev in tr.events:
-                du = sch.storage(ev.post_state) - sch.storage(ev.pre_state)
+                du = sch.storage(ev.post_state, sc.feedback) - sch.storage(ev.pre_state, sc.feedback)
                 assert du <= 1e-12, f"{name} jump at t={ev.time.t}: dU={du}"
     report(8, "Delta U <= 1e-12 at every jump, standard and noise-aware eta resets")
 
@@ -131,11 +131,7 @@ def _check_invariants(name, sub, sc, tr):
     w = _sample_noise_matrix(sc, tr.times[mask])
     u = -(x + e + wh) @ sc.feedback.T
     e_tilde = e + wh - w
-    if hasattr(sch, "quad_coefs"):
-        dc, bc = sch.quad_coefs
-        psi = dc * (x + w) ** 2 - bc * e_tilde**2 + sch.c
-    else:
-        psi = sch.psi_vec(u=u, e_tilde=e_tilde, tau=tau, y_tilde=x + w)
+    psi = sch.psi_vec(u=u, e_tilde=e_tilde, tau=tau, y_tilde=x + w)
     if sch.mode == "static":
         assert psi.min() >= -TOL, f"{label}: flow-set violation {psi.min()}"
     else:
@@ -160,6 +156,24 @@ def test_criterion_09_invariant_suite(preset_runs):
         for sub, sc, tr in preset_runs(name):
             _check_invariants(name, sub, sc, tr)
     report(9, "trigger/flow-set/eta/mean-conservation/determinism hold on all presets")
+
+
+# event counts of the Zeno-free runs at the default seed 2024
+ZENO_FREE_EVENTS = {
+    "garcia-c2e-6": 438, "dolk-c0": 281, "dolk-c1e-7": 247, "dolk-remark5": 127,
+    "berneburg-demo": 437, "single-scalar-demo": 50, "table1-contrast/modified": 438,
+}
+
+
+def test_zeno_free_event_counts(preset_runs):
+    got = {}
+    for name in ALL_PRESETS:
+        for sub, _, tr in preset_runs(name):
+            label = f"{name}/{sub}" if sub else name
+            if label in ZENO_FREE_EVENTS:
+                got[label] = len(tr.events)
+    assert got == ZENO_FREE_EVENTS
+    report("event counts", "Zeno-free runs reproduce their seed-2024 event counts")
 
 
 def test_criterion_10_batch_runtime(preset_runs):

@@ -1,10 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from etcsim.engine import TRIGGER_TOL, _flow_advance, jump_set
 from etcsim.etm import (
     BerneburgParams,
     BerneburgScheme,
@@ -12,24 +14,48 @@ from etcsim.etm import (
     DolkScheme,
     GarciaParams,
     GarciaScheme,
-    SingleSystemHooks,
+    SingleParams,
     SingleSystemScheme,
     ZenoGuaranteeError,
-    c_lower_bound,
-    eta_flow_derivative,
-    eta_reset,
     gamma_sigma_from,
-    omega,
     phi_solve,
-    psi_berneburg,
-    psi_dolk,
-    psi_garcia,
-    psi_single,
     tau_miet,
-    trigger_decision,
 )
-from etcsim.graph import Graph, benchmark_topology
+from etcsim.graph import Graph, benchmark_topology, laplacian
 from etcsim.hybrid import HybridState
+
+N_BENCH = np.array([2, 3, 3, 2, 3, 2, 2, 3])  # neighbor counts of the benchmark topology
+
+
+def bench():
+    return benchmark_topology()
+
+
+@functools.cache
+def dolk_bench():
+    # built once: each construction integrates eight phi ODEs
+    return DolkScheme(bench(), DolkParams(a=0.1, w_bar=1e-4))
+
+
+def psi_at(scheme, u=0.0, e_tilde=0.0, tau=1.0, y_tilde=0.0):
+    """psi of every agent, each fed the same scalar inputs."""
+    full = [np.full(scheme.n, float(v)) for v in (u, e_tilde, tau, y_tilde)]
+    return scheme.psi_vec(u=full[0], e_tilde=full[1], tau=full[2], y_tilde=full[3])
+
+
+def constant_psi_trigger(psi, theta=0.0, mode="static"):
+    """Single-plant trigger whose psi equals ``psi`` exactly while e~ = 0."""
+    return SingleSystemScheme(SingleParams(delta_coef=0.0, beta_coef=1.0, c=psi,
+                                           theta=theta, mode=mode), allow_zeno=True)
+
+
+def decision(eta, psi, theta, mode):
+    """'jump' or 'flow' from the engine's jump-set predicate."""
+    sch = constant_psi_trigger(psi, theta, mode)
+    state = HybridState(*(np.array([v]) for v in (0.0, 0.0, 0.0, eta, 0.0)))
+    got, due = jump_set(sch, state, np.zeros(1), np.zeros(1))
+    assert got[0] == psi
+    return "jump" if due[0] else "flow"
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +107,15 @@ def test_gamma_sigma_domain():
 
 
 def test_omega_gate():
-    tm = 0.1562
-    assert omega(0.0, tm) == 1.0
-    assert omega(0.5 * tm, tm) == 1.0
-    assert omega(2 * tm, tm) == 0.0
-    assert omega(tm, tm) == 0.0  # boundary selection: trigger armed
-    with pytest.raises(ValueError):
-        omega(-0.1, tm)
+    # the timer gate drops the error term below the dwell time and arms it
+    # from the dwell time on, the boundary included
+    sch = dolk_bench()
+    tm = sch.tau_miet[0]
+    coef = sch.b[0]
+    assert psi_at(sch, e_tilde=1.0, tau=0.0)[0] == 0.0
+    assert psi_at(sch, e_tilde=1.0, tau=0.5 * tm)[0] == 0.0
+    assert psi_at(sch, e_tilde=1.0, tau=2 * tm)[0] == -coef
+    assert psi_at(sch, e_tilde=1.0, tau=tm)[0] == -coef  # boundary selection: trigger armed
 
 
 # ---------------------------------------------------------------------------
@@ -95,56 +123,57 @@ def test_omega_gate():
 
 
 def test_psi_garcia_examples():
-    p = GarciaParams(a=0.1, sigma=0.5, c=0.0)
-    assert psi_garcia(1.0, 0.0, 2, p) == pytest.approx(0.3)
-    assert psi_garcia(0.0, 2e-4, 3, p) == pytest.approx(-1.2e-6)
+    sch = GarciaScheme(bench(), GarciaParams(a=0.1, sigma=0.5, c=0.0), allow_zeno=True)
+    assert psi_at(sch, u=1.0)[0] == pytest.approx(0.3)  # N=2
+    assert psi_at(sch, e_tilde=2e-4)[1] == pytest.approx(-1.2e-6)  # N=3
 
 
 def test_psi_garcia_original_form():
-    p = GarciaParams(a=0.1, sigma=0.5, c=0.0, form="original")
+    sch = GarciaScheme(bench(), GarciaParams(a=0.1, sigma=0.5, c=0.0, form="original"),
+                       allow_zeno=True)
     # original slope 1 - a*N
-    assert psi_garcia(1.0, 0.0, 2, p) == pytest.approx(0.5 * 0.8)
+    assert psi_at(sch, u=1.0)[0] == pytest.approx(0.5 * 0.8)
 
 
 def test_psi_berneburg_examples():
-    # unit-weight degree-2 node with edge splits 0.25
-    assert psi_berneburg(1.0, 0.0, d_i=2.0, vartheta_i=0.5, gamma_i=8.0,
-                         sigma_i=0.5, c_i=0.0) == pytest.approx(0.25)
-    assert psi_berneburg(0.0, 1e-3, d_i=2.0, vartheta_i=0.5, gamma_i=8.0,
-                         sigma_i=0.5, c_i=0.0) == pytest.approx(-1.6e-5)
+    # unit-weight degree-2 nodes with edge splits 0.25: vartheta 0.5, gamma 8
+    g = Graph.from_edge_list(3, [(0, 1), (1, 2), (2, 0)], undirected=True)
+    rho = {(i, j): 0.25 for i, j, _ in g.edges}
+    sch = BerneburgScheme(g, BerneburgParams(rho_edge=rho, sigma=0.5, c=0.0), allow_zeno=True)
+    assert np.allclose(sch.derived["vartheta"], 0.5)
+    assert np.allclose(sch.derived["gamma"], 8.0)
+    assert psi_at(sch, u=1.0)[0] == pytest.approx(0.25)
+    assert psi_at(sch, e_tilde=1e-3)[0] == pytest.approx(-1.6e-5)
     with pytest.raises(ValueError):
-        psi_berneburg(1.0, 0.0, 2.0, 1.5, 8.0, 0.5, 0.0)
+        BerneburgScheme(g, BerneburgParams(rho_edge={k: 0.75 for k in rho}, c=1.0))
 
 
 def test_psi_dolk_examples():
-    tm = tau_miet(0.5, 0.76, 4.478, 0.2)
-    val = psi_dolk(0.0, 1.0, tau_i=2 * tm, tau_miet_i=tm,
-                   alpha_i=0.5, sigma_i=0.76, gamma_i=4.478, lam_i=0.2, c_i=0.0)
-    assert val == pytest.approx(-22.16, abs=1e-2)
+    sch = dolk_bench()
+    tm = sch.tau_miet[0]
+    assert tm == pytest.approx(tau_miet(0.5, 0.76, 4.478, 0.2), abs=1e-4)
+    assert psi_at(sch, e_tilde=1.0, tau=2 * tm)[0] == pytest.approx(-22.16, abs=1e-2)
     # inside the dwell time the error term is gated away
-    gated = psi_dolk(0.0, 1.0, tau_i=0.5 * tm, tau_miet_i=tm,
-                     alpha_i=0.5, sigma_i=0.76, gamma_i=4.478, lam_i=0.2, c_i=0.0)
-    assert gated == 0.0
-    quiet = psi_dolk(0.0, 0.0, tau_i=10.0, tau_miet_i=tm,
-                     alpha_i=0.5, sigma_i=0.76, gamma_i=4.478, lam_i=0.2, c_i=3e-7)
-    assert quiet == pytest.approx(3e-7)
+    assert psi_at(sch, e_tilde=1.0, tau=0.5 * tm)[0] == 0.0
+    quiet = DolkScheme(bench(), DolkParams(a=0.1, c=3e-7, w_bar=1e-4))
+    assert psi_at(quiet, tau=10.0)[0] == pytest.approx(3e-7)
 
 
 @settings(max_examples=200, deadline=None)
 @given(u=st.floats(-100, 100), et=st.floats(-100, 100),
        frac=st.floats(0.0, 0.999))
 def test_psi_dolk_nonnegative_inside_dwell(u, et, frac):
-    tm = tau_miet(0.5, 0.76, 4.478, 0.2)
-    val = psi_dolk(u, et, tau_i=frac * tm, tau_miet_i=tm,
-                   alpha_i=0.5, sigma_i=0.76, gamma_i=4.478, lam_i=0.2, c_i=0.0)
-    assert val >= 0.0
+    sch = dolk_bench()
+    psi = psi_at(sch, u=u, e_tilde=et, tau=frac * sch.tau_miet.min())
+    assert np.all(psi >= 0.0)
 
 
 def test_psi_single():
-    hooks = SingleSystemHooks(delta=lambda s: 0.0625 * s**2, beta=lambda s: 2 * s**2,
-                              c=1e-7, w_bar=1e-4)
-    assert psi_single(2.0, 0.0, hooks) == pytest.approx(0.25 + 1e-7)
-    assert psi_single(0.0, 0.1, hooks) == pytest.approx(-0.02 + 1e-7)
+    sch = SingleSystemScheme(SingleParams(delta_coef=0.0625, beta_coef=2.0, c=1e-7, w_bar=1e-4))
+    # driven by the measured output y~, not by u
+    assert psi_at(sch, u=5.0, y_tilde=2.0)[0] == pytest.approx(0.25 + 1e-7)
+    assert psi_at(sch, y_tilde=-2.0)[0] == pytest.approx(0.25 + 1e-7)
+    assert psi_at(sch, e_tilde=0.1)[0] == pytest.approx(-0.02 + 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -205,58 +234,82 @@ def _rk4_phi_at(tau_target, alpha, sigma, gamma, lam):
 # eta dynamics and decisions
 
 
+def _eta_after_flow(eta0, psi, eps_eta, h=1e-3):
+    # psi stays constant along this flow: u = 0 and e~ = 0 on one agent
+    sch = SingleSystemScheme(SingleParams(delta_coef=0.0, beta_coef=1.0, c=psi, mode="dynamic",
+                                          eps_eta=eps_eta), allow_zeno=True)
+    state = HybridState(*(np.array([v]) for v in (0.0, 0.0, 0.0, eta0, 0.0)))
+    _flow_advance(state, np.zeros(1), h, np.zeros(1), sch)
+    return state.eta[0]
+
+
 def test_eta_flow_derivative():
-    assert eta_flow_derivative(0.0, 0.25, 0.05) == pytest.approx(0.25)
-    assert eta_flow_derivative(2.0, 0.0, 0.05) == pytest.approx(-0.1)
+    # d(eta)/dt = psi - eps*eta: exact solution of the linear ODE
+    h = 1e-3
+
+    def exact(eta0, psi, eps):
+        return psi / eps + (eta0 - psi / eps) * math.exp(-eps * h)
+
+    assert _eta_after_flow(0.0, 0.25, 0.05) == pytest.approx(exact(0.0, 0.25, 0.05), rel=1e-12)
+    assert _eta_after_flow(2.0, 0.0, 0.05) == pytest.approx(exact(2.0, 0.0, 0.05), rel=1e-12)
+    assert (_eta_after_flow(0.0, 0.25, 0.05) / h) == pytest.approx(0.25, rel=1e-3)
+    assert (_eta_after_flow(2.0, 0.0, 0.05) - 2.0) / h == pytest.approx(-0.1, rel=1e-3)
     # fixed point of the linear ODE
     psi = 0.3
     eta_eq = psi / 0.05
-    assert eta_flow_derivative(eta_eq, psi, 0.05) == pytest.approx(0.0)
+    assert _eta_after_flow(eta_eq, psi, 0.05) == pytest.approx(eta_eq, rel=1e-15)
 
 
 def test_trigger_decision_rules():
-    assert trigger_decision(0.0, -1.0, 0.0, "static") == "jump"
-    assert trigger_decision(0.0, 1.0, 0.0, "static") == "flow"
-    assert trigger_decision(0.5, -1.0, 0.0, "dynamic") == "flow"  # eta budget left
-    assert trigger_decision(0.0, -1.0, 0.0, "dynamic") == "jump"
+    assert decision(0.0, -1.0, 0.0, "static") == "jump"
+    assert decision(0.0, 1.0, 0.0, "static") == "flow"
+    assert decision(0.5, -1.0, 0.0, "dynamic") == "flow"  # eta budget left
+    assert decision(0.0, -1.0, 0.0, "dynamic") == "jump"
     # theta makes the combined predicate fire while eta alone would not
-    assert trigger_decision(0.5, -1.0, 1.0, "dynamic") == "jump"
+    assert decision(0.5, -1.0, 1.0, "dynamic") == "jump"
+    # tie rule on C and D: flow priority at psi = 0, a jump once psi <= -tol
+    assert decision(0.0, 0.0, 0.0, "static") == "flow"
+    assert decision(0.0, 0.0, 0.0, "dynamic") == "flow"
+    assert decision(0.0, -2 * TRIGGER_TOL, 0.0, "static") == "jump"
+    assert decision(0.0, -2 * TRIGGER_TOL, 0.0, "dynamic") == "jump"
 
 
 @settings(max_examples=200, deadline=None)
 @given(eta=st.floats(0, 100), psi=st.floats(-100, 100),
        theta=st.floats(0, 10), scale=st.floats(1e-3, 1e3))
 def test_trigger_decision_scale_invariant(eta, psi, theta, scale):
-    before = trigger_decision(eta, psi, theta, "dynamic")
-    after = trigger_decision(scale * eta, scale * psi, theta, "dynamic")
+    # the tolerance band around 0 is absolute; outside it at both scales
+    # the decision depends only on signs
+    for k in (1.0, scale):
+        assume(abs(k * psi) > 2 * TRIGGER_TOL and abs(k * (eta + theta * psi)) > 2 * TRIGGER_TOL)
+    before = decision(eta, psi, theta, "dynamic")
+    after = decision(scale * eta, scale * psi, theta, "dynamic")
     assert before == after
 
 
 def test_eta_reset_standard_and_remark5():
-    std = DolkParams(a=0.1)
-    assert eta_reset(0.7, 5.0, std, gamma_i=4.478, lam_i=0.2, w_bar_i=1e-4) == 0.7
-    r5 = DolkParams(a=0.1, reset_mode="remark5")
+    std = DolkScheme(bench(), DolkParams(a=0.1, w_bar=1e-4))
+    assert std.eta_reset(0.7, 5.0, 0) == 0.7
+    r5 = DolkScheme(bench(), DolkParams(a=0.1, w_bar=1e-4, reset_mode="remark5"))
+    gamma0 = r5.derived["gamma"][0]
+    assert r5.reset_gain[0] == gamma0 * 0.2
     # measured error below the noise deadband leaves eta unchanged
-    assert eta_reset(0.7, 1.5e-4, r5, gamma_i=4.478, lam_i=0.2, w_bar_i=1e-4) == 0.7
-    got = eta_reset(0.0, 1.0, r5, gamma_i=4.478, lam_i=0.2, w_bar_i=1e-4)
-    assert got == pytest.approx(4.478 * 0.2 * (1 - 2e-4) ** 2)
-    assert got == pytest.approx(0.89524, abs=1e-5)
+    assert r5.eta_reset(0.7, 1.5e-4, 0) == 0.7
+    got = r5.eta_reset(0.0, 1.0, 0)
+    assert got == pytest.approx(gamma0 * 0.2 * (1 - 2e-4) ** 2)
+    assert got == pytest.approx(0.89519, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
 # schemes
 
 
-def bench():
-    return benchmark_topology()
-
-
 def test_garcia_scheme_bounds_and_guard():
     p = GarciaParams(a=0.1, sigma=0.5, c=2e-6, w_bar=1e-4)
     sch = GarciaScheme(bench(), p)
-    bound = c_lower_bound(sch)
+    bound = sch.c_lower_bound()
     # (1/a) N (2 w_bar)^2: 8e-7 for N=2, 1.2e-6 for N=3
-    expect = np.where(np.array([2, 3, 3, 2, 3, 2, 2, 3]) == 2, 8e-7, 1.2e-6)
+    expect = np.where(N_BENCH == 2, 8e-7, 1.2e-6)
     assert np.allclose(bound, expect, rtol=1e-12)
     with pytest.raises(ZenoGuaranteeError):
         GarciaScheme(bench(), GarciaParams(a=0.1, c=0.0, w_bar=1e-4))
@@ -283,12 +336,12 @@ def test_c_lower_bound_monotone_in_noise():
 
 def test_dolk_scheme_derived():
     sch = DolkScheme(bench(), DolkParams(a=0.1, w_bar=1e-4))
-    n2 = np.array([2, 3, 3, 2, 3, 2, 2, 3])
-    assert np.allclose(sch.gamma, np.sqrt(n2 / 0.1 + 0.05))
-    assert np.allclose(sch.sigma, np.where(n2 == 2, 0.76, 0.665))
+    n2 = N_BENCH
+    assert np.allclose(sch.derived["gamma"], np.sqrt(n2 / 0.1 + 0.05))
+    assert np.allclose(sch.derived["sigma"], np.where(n2 == 2, 0.76, 0.665))
     assert np.allclose(sch.tau_miet, np.where(n2 == 2, 0.156171044770359,
                                               0.118035300737759), atol=1e-9)
-    assert np.array_equal(c_lower_bound(sch), np.zeros(8))
+    assert np.array_equal(sch.c_lower_bound(), np.zeros(8))
     assert sch.mode == "dynamic"
 
 
@@ -311,30 +364,31 @@ def test_dolk_storage_uses_phi():
     e = np.zeros(8)
     e[0] = 1.0
     st0 = HybridState(x, e, np.zeros(8), np.zeros(8), np.zeros(8))
+    L = laplacian(bench())
     # at tau=0 phi=1/lam=5, beyond the dwell time phi=lam=0.2
-    assert sch.storage(st0) == pytest.approx(sch.gamma[0] * 5.0)
+    assert sch.storage(st0, L) == pytest.approx(sch.derived["gamma"][0] * 5.0)
     st1 = HybridState(x, e, np.zeros(8), np.zeros(8), np.full(8, 1.0))
-    assert sch.storage(st1) == pytest.approx(sch.gamma[0] * 0.2)
+    assert sch.storage(st1, L) == pytest.approx(sch.derived["gamma"][0] * 0.2)
 
 
 def test_berneburg_scheme_default_split():
     sch = BerneburgScheme(bench(), BerneburgParams(c=2e-6, w_bar=1e-4))
     # default rho 0.5/d_out gives vartheta = 0.5 on unit-weight graphs
-    assert np.allclose(sch.vartheta, 0.5)
+    assert np.allclose(sch.derived["vartheta"], 0.5)
     # gamma_i = sum over in-neighbors of 1/rho_ji = sum 2 d_j
-    deg = np.array([2, 3, 3, 2, 3, 2, 2, 3], dtype=float)
+    deg = N_BENCH.astype(float)
     g = benchmark_topology()
     expect = np.array([sum(2 * deg[j] for j in g.in_neighbors(i)) for i in range(8)])
-    assert np.allclose(sch.gamma, expect)
-    assert np.allclose(sch.c_lower_bound(), sch._e_coef * (2e-4) ** 2)
+    assert np.allclose(sch.derived["gamma"], expect)
+    assert np.allclose(sch.c_lower_bound(), sch.b * (2e-4) ** 2)
 
 
 def test_berneburg_directed_cycle():
     g = Graph.from_edge_list(3, [(0, 1), (1, 2), (2, 0)], undirected=False)
     sch = BerneburgScheme(g, BerneburgParams(rho_edge={(0, 1): 0.5, (1, 2): 0.5, (2, 0): 0.5},
                                              c=1e-6, w_bar=0.0))
-    assert np.allclose(sch.vartheta, 0.5)
-    assert np.allclose(sch.gamma, 2.0)
+    assert np.allclose(sch.derived["vartheta"], 0.5)
+    assert np.allclose(sch.derived["gamma"], 2.0)
 
 
 def test_berneburg_invalid_split():
@@ -345,13 +399,11 @@ def test_berneburg_invalid_split():
 
 
 def test_single_system_scheme():
-    hooks = SingleSystemHooks(delta=lambda s: 0.0625 * s**2, beta=lambda s: 2 * s**2,
-                              c=1e-7, w_bar=1e-4)
-    sch = SingleSystemScheme(hooks)
+    p = SingleParams(delta_coef=0.0625, beta_coef=2.0, c=1e-7, w_bar=1e-4)
+    sch = SingleSystemScheme(p)
     assert sch.c_lower_bound()[0] == pytest.approx(2 * (2e-4) ** 2)
     with pytest.raises(ZenoGuaranteeError):
-        SingleSystemScheme(SingleSystemHooks(delta=hooks.delta, beta=hooks.beta,
-                                             c=0.0, w_bar=1e-4))
+        SingleSystemScheme(SingleParams(delta_coef=0.0625, beta_coef=2.0, c=0.0, w_bar=1e-4))
 
 
 def test_fresh_transmission_reenables_flow():

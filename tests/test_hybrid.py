@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
+from etcsim.engine import SolutionTrace, _flow_advance, consensus_metrics, jump_set
 from etcsim.etm import GarciaParams, GarciaScheme
 from etcsim.graph import benchmark_topology, laplacian
-from etcsim.hybrid import (
-    HybridState,
-    apply_jump,
-    control_input,
-    distance_to_consensus,
-    flow_derivative,
-    measured_error,
-)
+from etcsim.hybrid import HybridState, apply_jump
 
 X0 = np.array([8.0, 6.0, 4.0, 2.0, -2.0, -4.0, -6.0, -8.0])
 
@@ -25,12 +19,24 @@ def scheme8(c=0.01):
     return GarciaScheme(benchmark_topology(), GarciaParams(a=0.1, c=c), allow_zeno=True)
 
 
+def control_input(feedback, st):
+    # the engine's control law: the Laplacian applied to the held outputs
+    return -feedback @ (st.x + st.e + st.what_w)
+
+
 def test_measured_error():
-    st = fresh_state(x=[1.0, 2.0])
-    st.e[:] = [0.5, -0.5]
-    st.what_w[:] = [0.1, 0.0]
-    w = np.array([0.05, 0.2])
-    assert np.allclose(measured_error(st, w), [0.55, -0.7])
+    # the trigger sees e + w_hat - w; x on agreement makes u = 0, so
+    # psi = c - b (e + w_hat - w)^2
+    sch = scheme8()
+    st = fresh_state(x=np.ones(8))
+    st.e[:2] = [0.5, -0.5]
+    st.what_w[:2] = [0.1, 0.0]
+    w = np.zeros(8)
+    w[:2] = [0.05, 0.2]
+    psi, _ = jump_set(sch, st, np.zeros(8), w)
+    e_tilde = np.zeros(8)
+    e_tilde[:2] = [0.55, -0.7]
+    assert np.allclose(psi, sch.c - sch.b * e_tilde**2, rtol=1e-15)
 
 
 def test_control_input_matches_matrix_oracle():
@@ -58,26 +64,18 @@ def test_control_input_uses_held_output():
 
 
 def test_flow_derivative_structure():
+    # one flow step of a static scheme: x moves with u, e against it,
+    # the clocks advance, w_hat and eta stay
     L = laplacian(benchmark_topology())
     st = fresh_state()
-    w = np.zeros(8)
-    d = flow_derivative(L, st, scheme8(), w)
     u = control_input(L, st)
-    assert np.allclose(d.x, u)
-    assert np.allclose(d.e, -u)  # zero-order hold: d(e)/dt = -d(x)/dt
-    assert np.allclose(d.what_w, 0.0)
-    assert np.allclose(d.tau, 1.0)
-    assert np.allclose(d.eta, 0.0)  # static scheme carries no eta flow
-
-
-def test_flow_derivative_with_disturbance():
-    L = laplacian(benchmark_topology())
-    st = fresh_state()
-    v = np.full(8, 0.3)
-    d = flow_derivative(L, st, scheme8(), np.zeros(8), v=v)
-    u = control_input(L, st)
-    assert np.allclose(d.x, u + v)
-    assert np.allclose(d.e, -(u + v))
+    h = 1e-3
+    _flow_advance(st, u, h, np.zeros(8), scheme8())
+    assert np.allclose(st.x, X0 + h * u, rtol=1e-15)
+    assert np.allclose(st.e, -h * u, rtol=1e-15)  # zero-order hold: d(e)/dt = -d(x)/dt
+    assert np.allclose(st.what_w, 0.0)
+    assert np.allclose(st.tau, h)
+    assert np.allclose(st.eta, 0.0)  # static scheme carries no eta flow
 
 
 def test_apply_jump_locality():
@@ -86,7 +84,8 @@ def test_apply_jump_locality():
     st.what_w[:] = 0.1
     st.tau[:] = 2.0
     w = np.full(8, 0.05)
-    post = apply_jump(st, 3, w, scheme8())
+    post = st.copy()
+    apply_jump(post, 3, w, scheme8())
     assert post.e[3] == 0.0
     assert post.what_w[3] == w[3]
     assert post.tau[3] == 0.0
@@ -105,9 +104,10 @@ def test_apply_jump_idempotent():
     st.e[:] = 0.7
     w = np.full(8, 0.05)
     sch = scheme8()
-    once = apply_jump(st, 2, w, sch)
-    twice = apply_jump(once, 2, w, sch)
-    assert np.array_equal(once.as_row(), twice.as_row())
+    apply_jump(st, 2, w, sch)
+    once = st.copy()
+    apply_jump(st, 2, w, sch)
+    assert np.array_equal(once.as_row(), st.as_row())
 
 
 def test_apply_jump_bad_agent():
@@ -117,12 +117,20 @@ def test_apply_jump_bad_agent():
 
 def test_distance_to_consensus_value():
     # oracle: minimize ||x - c*1|| over c by brute-force grid refinement
+    def distance(x):
+        n = x.size
+        states = np.zeros((1, 5 * n))
+        states[0, :n] = x
+        tr = SolutionTrace(times=np.zeros(1), jumps=np.zeros(1, dtype=int), states=states,
+                           events=[], run_manifest={}, n=n)
+        return consensus_metrics(tr)["distance_series"][0]
+
     x = X0.copy()
     cs = np.linspace(-5, 5, 100001)
     dists = np.sqrt(((x[None, :] - cs[:, None]) ** 2).sum(axis=1))
-    assert distance_to_consensus(x) == pytest.approx(dists.min(), rel=1e-9)
-    assert distance_to_consensus(x) == pytest.approx(np.sqrt(240.0))
-    assert distance_to_consensus(np.full(5, 3.3)) == 0.0
+    assert distance(x) == pytest.approx(dists.min(), rel=1e-9)
+    assert distance(x) == pytest.approx(np.sqrt(240.0))
+    assert distance(np.full(5, 3.3)) == 0.0
 
 
 def test_row_round_trip():

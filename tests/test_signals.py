@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etcsim.signals import ConstantSignal, NoiseSignal
+from etcsim.signals import NoiseSignal
 
 
 def make_signal(seed=7, n=3, amp=1e-4, rate=1e4):
@@ -113,7 +113,3 @@ def test_amplitude_scales_linearly(amp):
     t = 0.0123
     assert scaled.sample(0, t) == pytest.approx(amp * base.sample(0, t), rel=1e-15, abs=0.0)
 
-
-def test_constant_signal():
-    z = ConstantSignal.zero(4)
-    assert np.array_equal(z.sample_vector(3.3), np.zeros(4))
