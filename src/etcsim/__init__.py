@@ -9,6 +9,7 @@ from .engine import (
     consensus_metrics,
     inter_event_stats,
     jump_set,
+    jump_storage_change,
     lyapunov_series,
     simulate,
     zeno_indicator,
@@ -36,7 +37,7 @@ from .graph import (
     is_weight_balanced,
     laplacian,
 )
-from .hybrid import HybridState, HybridTime, JumpEvent, apply_jump
+from .hybrid import EventLog, HybridState, HybridTime, JumpEvent, apply_jump
 from .presets import PRESETS, build_preset, preset_names
 from .signals import NoiseSignal
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import copy
+import math
 import re
 import sys
 from pathlib import Path
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import JumpStormError, Scenario, SolutionTrace, consensus_metrics, \
-    inter_event_stats, lyapunov_series, simulate
+    inter_event_stats, jump_storage_change, simulate
 from .etm import (
     BerneburgParams,
     BerneburgScheme,
@@ -84,6 +86,21 @@ def _parse_graph(section) -> Graph:
     return Graph.from_edge_list(n, edges, undirected=undirected)
 
 
+def _parse_rho_edge(text: str | None) -> dict[tuple[int, int], float] | None:
+    """Berneburg split weights from ``i j rho`` lines; None when absent."""
+    if text is None:
+        return None
+    rho = {}
+    for line in text.splitlines():
+        toks = line.split()
+        if not toks:
+            continue
+        if len(toks) != 3:
+            raise ValueError(f"bad rho_edge line {line!r}: expected 'i j rho'")
+        rho[(int(toks[0]), int(toks[1]))] = float(toks[2])
+    return rho
+
+
 def _scheme_from_config(cp: configparser.ConfigParser, graph: Graph | None):
     etm = cp["etm"]
     kind = etm.get("kind")
@@ -115,6 +132,7 @@ def _scheme_from_config(cp: configparser.ConfigParser, graph: Graph | None):
         return DolkScheme(graph, p, allow_zeno=allow_zeno)
     if kind == "berneburg":
         p = BerneburgParams(
+            rho_edge=_parse_rho_edge(etm.get("rho_edge", fallback=None)),
             sigma=vec("sigma", 0.5), c=vec("c", 0.0), theta=vec("theta", 0.0),
             w_bar=vec("w_bar", 0.0), mode=etm.get("mode", "static"),
             eps_eta=etm.getfloat("eps_eta", fallback=0.05),
@@ -210,6 +228,10 @@ def scenario_to_config(s: Scenario, derived: dict | None = None) -> configparser
                        reset_mode=p.reset_mode, sigma_form=p.sigma_form)
         elif kind == "berneburg":
             etm.update(sigma=per_agent(p.sigma), mode=p.mode)
+            if p.rho_edge is not None:
+                etm["rho_edge"] = "\n" + "\n".join(
+                    f"{i} {j} {_fmt(r)}" for (i, j), r in sorted(p.rho_edge.items())
+                )
     cp["etm"] = etm
 
     cp["noise"] = {
@@ -248,17 +270,17 @@ def _write_states(path: Path, trace: SolutionTrace) -> None:
 
 
 def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> None:
+    log = trace.events
+    cols = (log.agent, log.t, log.j, log.gap, log.psi, delta_u)
     with path.open("w") as fh:
         fh.write("agent,t,j,gap,psi,delta_u\n")
-        for ev, du in zip(trace.events, delta_u):
-            gap = "" if ev.inter_event_gap is None else _fmt(ev.inter_event_gap)
-            fh.write(f"{ev.agent},{_fmt(ev.time.t)},{ev.time.j},{gap},"
-                     f"{_fmt(ev.psi_value)},{_fmt(du)}\n")
+        for agent, t, j, gap, psi, du in zip(*(c.tolist() for c in cols)):
+            gap_s = "" if math.isnan(gap) else _FMT % gap
+            fh.write(f"{agent},{_FMT % t},{j},{gap_s},{_FMT % psi},{_FMT % du}\n")
 
 
-def _write_metrics(path: Path, trace: SolutionTrace) -> None:
+def _write_metrics(path: Path, trace: SolutionTrace, cons: dict) -> None:
     stats = inter_event_stats(trace)
-    cons = consensus_metrics(trace)
     with path.open("w") as fh:
         fh.write("agent,min_gap,mean_gap,event_count\n")
         for i in range(trace.n):
@@ -270,12 +292,14 @@ def _write_metrics(path: Path, trace: SolutionTrace) -> None:
         fh.write(f"final_distance,{_fmt(cons['distance_series'][-1])},,\n")
 
 
-def write_run_artifacts(out_dir: Path, scenario: Scenario, trace: SolutionTrace) -> None:
+def write_run_artifacts(out_dir: Path, scenario: Scenario, trace: SolutionTrace,
+                        cons: dict) -> None:
+    """Write the four artifacts; ``cons`` is the trace's consensus_metrics."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, _, delta_u = lyapunov_series(trace, scenario.scheme, scenario.feedback)
+    delta_u = jump_storage_change(trace, scenario.scheme, scenario.feedback)
     _write_states(out_dir / "states.csv", trace)
     _write_events(out_dir / "events.csv", trace, delta_u)
-    _write_metrics(out_dir / "metrics.csv", trace)
+    _write_metrics(out_dir / "metrics.csv", trace, cons)
     cp = scenario_to_config(scenario, derived=scenario.scheme.derived_constants())
     with (out_dir / "manifest.ini").open("w") as fh:
         cp.write(fh)
@@ -328,12 +352,12 @@ def run(scenario: Scenario, out_dir: Path, label: str = "", stream=None) -> int:
     except JumpStormError as exc:
         print(f"jump storm: {exc}", file=sys.stderr)
         return EXIT_JUMP_STORM
+    cons = consensus_metrics(trace)
     try:
-        write_run_artifacts(out_dir, scenario, trace)
+        write_run_artifacts(out_dir, scenario, trace, cons)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    cons = consensus_metrics(trace)
     tag = f"{label}: " if label else ""
     print(f"{tag}{len(trace.events)} events, final max deviation "
           f"{cons['final_max_deviation']:.4g}, artifacts in {out_dir}", file=stream)
@@ -405,8 +429,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch_one(args, preset_name: str | None, out_dir: Path) -> int:
-    import copy
-
     local = copy.copy(args)
     local.preset = preset_name
     if preset_name is None:

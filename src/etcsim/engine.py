@@ -10,13 +10,14 @@ remaining classical RK4 on the full state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .etm import QuadraticTrigger
 from .graph import Graph, laplacian
-from .hybrid import HybridState, HybridTime, JumpEvent, apply_jump
+from .hybrid import EventLog, HybridState, _grown, apply_jump
 from .signals import NoiseSignal
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "jump_set",
     "simulate",
     "inter_event_stats",
+    "jump_storage_change",
     "lyapunov_series",
     "consensus_metrics",
     "zeno_indicator",
@@ -82,19 +84,19 @@ class Scenario:
 
     def initial_state(self) -> HybridState:
         z = np.zeros(self.scheme.n)
-        return HybridState(self.x0.copy(), z.copy(), self.noise.sample_vector(0.0), z.copy(), z)
+        return HybridState(self.x0, z, self.noise.sample_vector(0.0), z, z)
 
 
 @dataclass
 class SolutionTrace:
     """Recorded hybrid arc: samples on the hybrid time domain plus the
     full transmission log. Samples at event instants hold the post-jump
-    state; pre-jump snapshots live in the events."""
+    state; pre-jump rows live in the log."""
 
     times: np.ndarray  # (m,) continuous time per sample
     jumps: np.ndarray  # (m,) jump counter per sample
     states: np.ndarray  # (m, 5n) rows: x, e, w_hat, eta, tau
-    events: list[JumpEvent]
+    events: EventLog
     run_manifest: dict
     n: int
 
@@ -121,13 +123,12 @@ class _Recorder:
 
     def push(self, t: float, j: int, state: HybridState) -> None:
         if self.m == self.t.shape[0]:
-            cap = 2 * self.m
-            self.t = np.resize(self.t, cap)
-            self.j = np.resize(self.j, cap)
-            self.rows = np.resize(self.rows, (cap, self.rows.shape[1]))
+            self.t = _grown(self.t, self.m)
+            self.j = _grown(self.j, self.m)
+            self.rows = _grown(self.rows, self.m)
         self.t[self.m] = t
         self.j[self.m] = j
-        self.rows[self.m, 0:] = state.as_row()
+        self.rows[self.m] = state.row
         self.m += 1
 
 
@@ -197,8 +198,9 @@ def simulate(s: Scenario) -> SolutionTrace:
 
     state = s.initial_state()
     rec = _Recorder(n, steps // s.decimation + 16)
-    events: list[JumpEvent] = []
-    last_event_t = [None] * n
+    log = EventLog(n)
+    last_event_t = [math.nan] * n  # a first event's gap is NaN
+    pre = np.empty(5 * n)  # the state row before the jump being logged
     j = 0
     storm_cap = n * JUMPS_PER_INSTANT_FACTOR
 
@@ -216,16 +218,11 @@ def simulate(s: Scenario) -> SolutionTrace:
             for i in range(n):
                 if not due[i]:
                     continue
-                pre = state.copy()
+                pre[:] = state.row
                 apply_jump(state, i, w, scheme)
                 j += 1
-                gap = None if last_event_t[i] is None else t - last_event_t[i]
+                log.append(i, t, j, t - last_event_t[i], psi.item(i), pre, state.row)
                 last_event_t[i] = t
-                events.append(JumpEvent(
-                    time=HybridTime(t, j), agent=i, pre_state=pre,
-                    post_state=state.copy(), psi_value=float(psi[i]),
-                    inter_event_gap=gap,
-                ))
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(
@@ -274,13 +271,13 @@ def simulate(s: Scenario) -> SolutionTrace:
         "decimation": s.decimation,
         "scheme": scheme.kind,
         "derived": scheme.derived_constants(),
-        "event_count": len(events),
+        "event_count": len(log),
     }
     return SolutionTrace(
         times=rec.t[: rec.m].copy(),
         jumps=rec.j[: rec.m].copy(),
         states=rec.rows[: rec.m].copy(),
-        events=events,
+        events=log,
         run_manifest=manifest,
         n=n,
     )
@@ -323,18 +320,27 @@ def _refine_instant(state, u, h, w_step, scheme) -> float:
 
 def inter_event_stats(trace: SolutionTrace) -> dict[int, dict]:
     """Per-agent {'min', 'mean', 'count'} over consecutive same-agent
-    gaps; min/mean are None with fewer than two events."""
+    gaps; min/mean are None with fewer than two events. The mean sums
+    the gaps in event order."""
+    log = trace.events
     out = {}
     for i in range(trace.n):
-        gaps = [ev.inter_event_gap for ev in trace.events
-                if ev.agent == i and ev.inter_event_gap is not None]
-        count = sum(1 for ev in trace.events if ev.agent == i)
+        mine = log.agent == i
+        gaps = log.gap[mine]
+        gaps = gaps[~np.isnan(gaps)].tolist()
         out[i] = {
             "min": min(gaps) if gaps else None,
             "mean": (sum(gaps) / len(gaps)) if gaps else None,
-            "count": count,
+            "count": int(mine.sum()),
         }
     return out
+
+
+def jump_storage_change(trace: SolutionTrace, scheme: QuadraticTrigger,
+                        feedback: np.ndarray) -> np.ndarray:
+    """Per-event ΔU = U(post) - U(pre) of the scheme's storage function."""
+    log = trace.events
+    return scheme.storage(log.post, feedback) - scheme.storage(log.pre, feedback)
 
 
 def lyapunov_series(trace: SolutionTrace, scheme: QuadraticTrigger, feedback: np.ndarray):
@@ -343,18 +349,10 @@ def lyapunov_series(trace: SolutionTrace, scheme: QuadraticTrigger, feedback: np
     V = x'Mx/2 is the quadratic part alone, with M the scenario's
     feedback matrix; U is the scheme's full storage function.
     """
-    m = len(trace.times)
-    v_series = np.empty(m)
-    u_series = np.empty(m)
-    for k in range(m):
-        st = trace.state_at(k)
-        u_series[k] = scheme.storage(st, feedback)
-        v_series[k] = 0.5 * st.x @ feedback @ st.x
-    delta_u = np.array([
-        scheme.storage(ev.post_state, feedback) - scheme.storage(ev.pre_state, feedback)
-        for ev in trace.events
-    ])
-    return v_series, u_series, delta_u
+    x = trace.x_series
+    v_series = 0.5 * np.einsum("mi,ij,mj->m", x, feedback, x)
+    u_series = scheme.storage(trace.states, feedback)
+    return v_series, u_series, jump_storage_change(trace, scheme, feedback)
 
 
 def consensus_metrics(trace: SolutionTrace) -> dict:
@@ -374,13 +372,10 @@ def consensus_metrics(trace: SolutionTrace) -> dict:
 def zeno_indicator(trace: SolutionTrace, window: float) -> dict[int, float | None]:
     """Per-agent minimum gap between consecutive events inside the
     trailing window; None with fewer than two events there."""
-    t_final = float(trace.times[-1])
-    t_lo = t_final - window
+    log = trace.events
+    late = log.t >= float(trace.times[-1]) - window
     out = {}
     for i in range(trace.n):
-        times = [ev.time.t for ev in trace.events if ev.agent == i and ev.time.t >= t_lo]
-        if len(times) < 2:
-            out[i] = None
-        else:
-            out[i] = float(min(b - a for a, b in zip(times, times[1:])))
+        times = log.t[late & (log.agent == i)]
+        out[i] = None if times.size < 2 else float(np.diff(times).min())
     return out

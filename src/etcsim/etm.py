@@ -26,6 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .graph import Graph
+from .hybrid import HybridState
 
 __all__ = [
     "GarciaParams",
@@ -188,8 +189,8 @@ class PhiSolution:
     def __call__(self, tau) -> np.ndarray:
         return np.interp(tau, self.taus, self.phis)
 
-    def at(self, tau: float) -> float:
-        return float(self.lam) if tau >= self.tau_end else float(self(tau))
+    def at(self, tau) -> np.ndarray:
+        return np.where(np.asarray(tau) >= self.tau_end, self.lam, self(tau))
 
 
 def phi_solve(alpha: float, sigma: float, gamma: float, lam: float, samples: int = 2001) -> PhiSolution:
@@ -283,18 +284,27 @@ class QuadraticTrigger:
 
     def eta_reset(self, eta_i: float, e_tilde_i: float, agent: int) -> float:
         """eta after the agent's jump: raised by the conservative lower
-        estimate of the dropped error term (zero gain: unchanged)."""
-        excess = max(abs(e_tilde_i) - 2.0 * self.w_bar[agent], 0.0)
-        return eta_i + self.reset_gain[agent] * excess**2
+        estimate of the dropped error term (zero gain: unchanged). Works
+        on Python floats; the engine calls it once per jump."""
+        excess = max(abs(e_tilde_i) - 2.0 * self.w_bar.item(agent), 0.0)
+        return eta_i + self.reset_gain.item(agent) * (excess * excess)
 
-    def storage(self, state, feedback: np.ndarray) -> float:
+    def storage(self, state, feedback: np.ndarray):
         """U = x'Mx/2 + sum_i gamma_i phi_i(tau_i) e_i^2 + sum_i eta_i, with M
         the scenario's feedback matrix; the certificate term is present
-        only for the timer scheme, the one with phi tables."""
-        w = 0.5 * state.x @ feedback @ state.x
-        cert = sum(self.derived["gamma"][i] * p.at(state.tau[i]) * state.e[i] ** 2
-                   for i, p in enumerate(self.phi))
-        return float(w + cert + state.eta.sum())
+        only for the timer scheme, the one with phi tables.
+
+        ``state`` is a HybridState or one (5n,) row, giving a float, or an
+        (m, 5n) block of rows, giving one value per row. Each row's value
+        does not depend on the other rows of the block."""
+        rows = state.row if isinstance(state, HybridState) else np.asarray(state, dtype=float)
+        z = rows.reshape(-1, 5, self.n)
+        x, e, eta, tau = z[:, 0], z[:, 1], z[:, 3], z[:, 4]
+        cert = np.zeros(z.shape[0])
+        for i, p in enumerate(self.phi):
+            cert += self.derived["gamma"][i] * p.at(tau[:, i]) * e[:, i] ** 2
+        u = 0.5 * np.einsum("mi,ij,mj->m", x, feedback, x) + cert + eta.sum(axis=1)
+        return float(u[0]) if rows.ndim == 1 else u
 
     def derived_constants(self) -> dict:
         out = {k: np.asarray(v).tolist() for k, v in self.derived.items()}

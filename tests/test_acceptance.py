@@ -144,11 +144,15 @@ def _check_invariants(name, sub, sc, tr):
         drift = np.abs(sums - sums[0]).max()
         assert drift <= 1e-6 * (1 + np.linalg.norm(sc.x0)), f"{label}: drift {drift}"
 
-    # bit-exact determinism
+    # bit-exact determinism of the samples and of the whole event log
     tr2 = simulate(sc)
     assert np.array_equal(tr.states, tr2.states), f"{label}: nondeterministic states"
     assert np.array_equal(tr.times, tr2.times)
     assert len(tr.events) == len(tr2.events)
+    for col in ("agent", "t", "j", "gap", "psi", "pre", "post"):
+        a, b = getattr(tr.events, col), getattr(tr2.events, col)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+            f"{label}: nondeterministic event {col}"
 
 
 def test_criterion_09_invariant_suite(preset_runs):

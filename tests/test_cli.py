@@ -1,12 +1,16 @@
 import configparser
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import etcsim.cli as cli
-from etcsim.engine import JumpStormError, simulate
+from etcsim.engine import JumpStormError, Scenario, simulate
+from etcsim.etm import BerneburgParams, BerneburgScheme
+from etcsim.graph import Graph
 from etcsim.presets import PRESETS
+from etcsim.signals import NoiseSignal
 
 
 def run_main(*argv):
@@ -157,3 +161,35 @@ def test_states_csv_full_precision(tmp_path):
     first = float(lines[1].split(",")[x_col])
     # the initial condition survives the text round trip exactly
     assert first == 4.0
+
+
+def _triangle_berneburg(rho_edge):
+    g = Graph.from_edge_list(3, [(0, 1), (1, 2), (0, 2)], undirected=True)
+    sch = BerneburgScheme(g, BerneburgParams(rho_edge=rho_edge, c=1e-3, w_bar=1e-4))
+    noise = NoiseSignal(seed=4, amplitude=np.full(3, 1e-4), sample_rate=1e4, n=3)
+    return Scenario(scheme=sch, noise=noise, x0=np.array([1.0, 0.0, -1.0]), graph=g,
+                    t_final=0.1)
+
+
+def _reparse(sc):
+    text = io.StringIO()
+    cli.scenario_to_config(sc).write(text)
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(text.getvalue())
+    return text.getvalue(), cli.config_to_scenario(cp)
+
+
+def test_berneburg_split_weights_survive_the_manifest():
+    rho = {(i, j): 0.2 for i in range(3) for j in range(3) if i != j}
+    sc = _triangle_berneburg(rho)
+    assert np.array_equal(sc.scheme.derived["gamma"], [10.0, 10.0, 10.0])
+    text, back = _reparse(sc)
+    assert back.scheme.params.rho_edge == rho
+    assert np.array_equal(back.scheme.derived["gamma"], sc.scheme.derived["gamma"])
+    assert np.array_equal(back.scheme.b, sc.scheme.b)
+    assert _reparse(back)[0] == text
+    # the default split writes no weights
+    text, back = _reparse(_triangle_berneburg(None))
+    assert "rho_edge" not in text
+    assert back.scheme.params.rho_edge is None

@@ -14,7 +14,7 @@ from etcsim.engine import (
 )
 from etcsim.etm import DolkParams, DolkScheme, GarciaParams, GarciaScheme
 from etcsim.graph import Graph, benchmark_topology, laplacian
-from etcsim.hybrid import HybridState, HybridTime, JumpEvent
+from etcsim.hybrid import EventLog, HybridState
 from etcsim.presets import build_preset
 from etcsim.signals import NoiseSignal
 
@@ -96,6 +96,47 @@ def test_determinism_bit_exact():
     for a, b in zip(t1.events, t2.events):
         assert a.agent == b.agent and a.time == b.time
         assert np.array_equal(a.pre_state.as_row(), b.pre_state.as_row())
+
+
+def test_event_log_keeps_every_row_past_its_initial_capacity():
+    # c = 0 transmits almost every step, so a short run outgrows the log's
+    # first buffers several times
+    sc = build_preset("garcia-c0")[0][1]
+    sc.t_final = 3.0
+    tr = simulate(sc)
+    log = tr.events
+    n = tr.n
+    e_count = len(log)
+    assert e_count > 4 * EventLog._INITIAL_CAPACITY
+    assert e_count == tr.jumps[-1] == tr.run_manifest["event_count"]
+    for col in (log.agent, log.t, log.j, log.gap, log.psi):
+        assert col.shape == (e_count,)
+    assert log.pre.shape == log.post.shape == (e_count, 5 * n)
+    assert np.array_equal(log.j, np.arange(1, e_count + 1))
+    assert np.all(np.diff(log.t) >= 0)
+    assert np.all(log.psi <= engine_mod.TRIGGER_TOL)
+    # each gap is the time since the same agent's previous event
+    last = {}
+    for k, (i, t) in enumerate(zip(log.agent.tolist(), log.t.tolist())):
+        if i in last:
+            assert log.gap[k] == t - last[i]
+        else:
+            assert np.isnan(log.gap[k])
+        last[i] = t
+    # a jump touches only its agent's e, w_hat, eta and tau
+    cols = np.arange(5 * n) % n
+    for k in range(e_count):
+        other = cols != log.agent[k]
+        assert np.array_equal(log.pre[k, other], log.post[k, other])
+        assert np.array_equal(log.pre[k, :n], log.post[k, :n])
+    # consecutive jumps at one instant chain post -> pre, and the sample
+    # at an event instant holds the post-jump row of its last jump
+    same = log.t[1:] == log.t[:-1]
+    assert np.array_equal(log.post[:-1][same], log.pre[1:][same])
+    last_at_instant = np.append(~same, True)
+    rows = np.searchsorted(tr.jumps, log.j[last_at_instant])
+    assert np.array_equal(tr.states[rows], log.post[last_at_instant])
+    assert np.array_equal(tr.times[rows], log.t[last_at_instant])
 
 
 def test_zero_noise_two_agent_conservation_and_decrease():
@@ -216,16 +257,14 @@ def test_scenario_validation():
 
 
 def _dummy_trace(events, n=2, t_final=3.0):
-    z = HybridState(*(np.zeros(n) for _ in range(5)))
-    evs = []
+    z = np.zeros(5 * n)
+    log = EventLog(n)
     for k, (agent, t) in enumerate(events):
         prev = [tt for a, tt in events[:k] if a == agent]
-        gap = t - prev[-1] if prev else None
-        evs.append(JumpEvent(time=HybridTime(t, k + 1), agent=agent,
-                             pre_state=z, post_state=z, psi_value=0.0,
-                             inter_event_gap=gap))
-    return SolutionTrace(times=np.array([0.0, t_final]), jumps=np.array([0, len(evs)]),
-                         states=np.zeros((2, 5 * n)), events=evs, run_manifest={}, n=n)
+        gap = t - prev[-1] if prev else np.nan
+        log.append(agent, t, k + 1, gap, 0.0, z, z)
+    return SolutionTrace(times=np.array([0.0, t_final]), jumps=np.array([0, len(log)]),
+                         states=np.zeros((2, 5 * n)), events=log, run_manifest={}, n=n)
 
 
 def test_inter_event_stats_arithmetic():
@@ -249,7 +288,7 @@ def test_consensus_metrics_on_agreement():
     states = np.zeros((4, 5 * n))
     states[:, :n] = 2.5
     tr = SolutionTrace(times=np.linspace(0, 1, 4), jumps=np.zeros(4, dtype=int),
-                       states=states, events=[], run_manifest={}, n=n)
+                       states=states, events=EventLog(n), run_manifest={}, n=n)
     cm = consensus_metrics(tr)
     assert np.allclose(cm["distance_series"], 0.0)
     assert cm["final_max_deviation"] == 0.0
@@ -262,7 +301,7 @@ def test_lyapunov_series_zero_on_consensus():
     states = np.zeros((2, 5 * n))
     states[:, :n] = 1.0  # on the agreement subspace
     tr = SolutionTrace(times=np.array([0.0, 1.0]), jumps=np.zeros(2, dtype=int),
-                       states=states, events=[], run_manifest={}, n=n)
+                       states=states, events=EventLog(n), run_manifest={}, n=n)
     v, u, du = lyapunov_series(tr, sch, laplacian(g))
     assert np.allclose(v, 0.0)
     assert np.allclose(u, 0.0)

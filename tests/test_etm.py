@@ -371,6 +371,41 @@ def test_dolk_storage_uses_phi():
     assert sch.storage(st1, L) == pytest.approx(sch.derived["gamma"][0] * 0.2)
 
 
+def test_storage_block_equals_per_row_storage():
+    # one (m, 5n) block gives each row's value bit for bit, for every
+    # family; the timer scheme's clocks reach past tau_end, where phi = lam
+    rng = np.random.default_rng(5)
+    L = laplacian(bench())
+    cases = (
+        (GarciaScheme(bench(), GarciaParams(a=0.1, c=2e-6, w_bar=1e-4)), L),
+        (BerneburgScheme(bench(), BerneburgParams(c=2e-6, w_bar=1e-4)), L),
+        (SingleSystemScheme(SingleParams(delta_coef=0.0625, beta_coef=2.0, c=1e-6,
+                                         w_bar=1e-4)), np.array([[1.0]])),
+        (dolk_bench(), L),
+    )
+    for sch, fb in cases:
+        n = sch.n
+        rows = rng.normal(size=(50, 5 * n))
+        rows[:, 3 * n : 4 * n] = np.abs(rows[:, 3 * n : 4 * n])  # eta >= 0
+        tau_end = max((p.tau_end for p in sch.phi), default=0.1)
+        rows[:, 4 * n :] = rng.uniform(0.0, 2.0 * tau_end, size=(50, n))
+        block = sch.storage(rows, fb)
+        assert block.shape == (50,)
+        per_row = np.array([sch.storage(r, fb) for r in rows])
+        assert np.array_equal(block, per_row)
+        assert sch.storage(HybridState.from_row(rows[7]), fb) == block[7]
+        # against the textbook sum, one agent at a time
+        for r, got in zip(rows, block):
+            x, e, eta, tau = r[:n], r[n : 2 * n], r[3 * n : 4 * n], r[4 * n :]
+            cert = sum(sch.derived["gamma"][i] * (p.lam if tau[i] >= p.tau_end else p(tau[i]))
+                       * e[i] ** 2 for i, p in enumerate(sch.phi))
+            assert got == pytest.approx(0.5 * x @ fb @ x + cert + eta.sum(), rel=1e-12)
+    # the timer case (last) probed both sides of tau_end; no rows, no values
+    ends = np.array([p.tau_end for p in sch.phi])
+    assert (rows[:, 4 * 8 :] >= ends).any() and (rows[:, 4 * 8 :] < ends).any()
+    assert sch.storage(np.empty((0, 40)), L).shape == (0,)
+
+
 def test_berneburg_scheme_default_split():
     sch = BerneburgScheme(bench(), BerneburgParams(c=2e-6, w_bar=1e-4))
     # default rho 0.5/d_out gives vartheta = 0.5 on unit-weight graphs

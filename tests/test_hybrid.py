@@ -4,7 +4,7 @@ import pytest
 from etcsim.engine import SolutionTrace, _flow_advance, consensus_metrics, jump_set
 from etcsim.etm import GarciaParams, GarciaScheme
 from etcsim.graph import benchmark_topology, laplacian
-from etcsim.hybrid import HybridState, apply_jump
+from etcsim.hybrid import EventLog, HybridState, apply_jump
 
 X0 = np.array([8.0, 6.0, 4.0, 2.0, -2.0, -4.0, -6.0, -8.0])
 
@@ -122,7 +122,7 @@ def test_distance_to_consensus_value():
         states = np.zeros((1, 5 * n))
         states[0, :n] = x
         tr = SolutionTrace(times=np.zeros(1), jumps=np.zeros(1, dtype=int), states=states,
-                           events=[], run_manifest={}, n=n)
+                           events=EventLog(n), run_manifest={}, n=n)
         return consensus_metrics(tr)["distance_series"][0]
 
     x = X0.copy()
