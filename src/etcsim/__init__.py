@@ -21,13 +21,12 @@ from .etm import (
     DolkScheme,
     GarciaParams,
     GarciaScheme,
-    PhiSolution,
     QuadraticTrigger,
     SingleParams,
     SingleSystemScheme,
     ZenoGuaranteeError,
     gamma_sigma_from,
-    phi_solve,
+    phi,
     tau_miet,
 )
 from .graph import (

@@ -172,7 +172,8 @@ def config_to_scenario(cp: configparser.ConfigParser) -> Scenario:
     sim = cp["sim"]
     kwargs = {}
     if kind == "single":
-        kwargs["feedback"] = np.array([[1.0]])
+        n = scheme.n
+        kwargs["feedback"] = _parse_vector(sim.get("feedback", "1")).reshape(n, n)
     else:
         kwargs["graph"] = graph
     return Scenario(
@@ -246,6 +247,8 @@ def scenario_to_config(s: Scenario, derived: dict | None = None) -> configparser
         "decimation": str(s.decimation),
         "detection_refinement": str(s.detection_refinement).lower(),
     }
+    if s.graph is None:
+        cp["sim"]["feedback"] = _vec_str(s.feedback.ravel())
     if derived:
         cp["derived"] = {k: _vec_str(v) if np.ndim(v) else _fmt(v)
                          for k, v in derived.items()}

@@ -205,16 +205,14 @@ def simulate(s: Scenario) -> SolutionTrace:
     storm_cap = n * JUMPS_PER_INSTANT_FACTOR
 
     def process_jumps_at(t: float, state: HybridState, w: np.ndarray) -> int:
-        """Apply the jumps due at time t: one pass in ascending agent
-        order, then one re-evaluation pass (a neighbor's transmission
+        """Apply the jumps due at time t in passes of ascending agent
+        order, repeated while any agent is due (a neighbor's transmission
         changes u and can newly enable a jump). The jump set is
         re-evaluated after every applied jump. Returns jumps applied."""
         nonlocal j
         psi, due = jump_set(scheme, state, -fb @ (state.x + state.e + state.what_w), w)
         total = 0
-        for _pass in range(2):
-            if not due.any():
-                break
+        while due.any():
             for i in range(n):
                 if not due[i]:
                     continue

@@ -18,12 +18,10 @@ from their parameters: each is a constructor of :class:`QuadraticTrigger`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .graph import Graph
 from .hybrid import HybridState
@@ -41,11 +39,11 @@ __all__ = [
     "ZenoGuaranteeError",
     "tau_miet",
     "gamma_sigma_from",
-    "phi_solve",
-    "PhiSolution",
+    "phi",
 ]
 
 Mode = Literal["static", "dynamic"]
+SigmaForm = Literal["original", "modified"]
 
 
 class ZenoGuaranteeError(ValueError):
@@ -60,6 +58,14 @@ def _per_agent(value, n: int) -> np.ndarray:
     if arr.size != n:
         raise ValueError(f"expected scalar or length-{n} value, got size {arr.size}")
     return arr
+
+
+def _reject_unknown_choices(params) -> None:
+    """Raise ValueError for a string field whose value is outside its Literal."""
+    for name, hint in get_type_hints(type(params)).items():
+        value = getattr(params, name)
+        if get_origin(hint) is Literal and value not in get_args(hint):
+            raise ValueError(f"{name}={value!r} is not one of {get_args(hint)}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +88,9 @@ class GarciaParams:
     mode: Mode = "static"
     eps_eta: float = 0.05  # linear eta-decay rate (dynamic mode)
     form: Literal["modified", "original"] = "modified"
+
+    def __post_init__(self) -> None:
+        _reject_unknown_choices(self)
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,10 @@ class DolkParams:
     reset_mode: Literal["standard", "remark5"] = "standard"
     # 'original' reproduces the published sigma_i = (1-varrho)(1-a N_i);
     # 'modified' uses (1-varrho)(1-2 a N_i).
-    sigma_form: Literal["original", "modified"] = "original"
+    sigma_form: SigmaForm = "original"
+
+    def __post_init__(self) -> None:
+        _reject_unknown_choices(self)
 
 
 @dataclass(frozen=True)
@@ -126,6 +138,9 @@ class BerneburgParams:
     mode: Mode = "static"
     eps_eta: float = 0.05
 
+    def __post_init__(self) -> None:
+        _reject_unknown_choices(self)
+
 
 @dataclass(frozen=True)
 class SingleParams:
@@ -143,84 +158,62 @@ class SingleParams:
     mode: Mode = "static"
     eps_eta: float = 0.05
 
+    def __post_init__(self) -> None:
+        _reject_unknown_choices(self)
+
 
 # ---------------------------------------------------------------------------
 # timer machinery
 
 
-def tau_miet(alpha: float, sigma: float, gamma: float, lam: float) -> float:
-    """Dwell time at which the certificate gain phi decays from 1/lam
-    to lam. Positive for all valid parameters."""
-    if not (0.0 < alpha < 1.0 and 0.0 < sigma < 1.0 and 0.0 < lam <= 1.0):
+def _timer(alpha, sigma, gamma, lam) -> tuple[np.ndarray, np.ndarray]:
+    """r = sqrt(alpha sigma) and the dwell time tau_miet of the certificate
+    gain phi, elementwise, after the domain checks."""
+    alpha, sigma, gamma, lam = (np.asarray(v, dtype=float) for v in (alpha, sigma, gamma, lam))
+    if not np.all((0.0 < alpha) & (alpha < 1.0) & (0.0 < sigma) & (sigma < 1.0)
+                  & (0.0 < lam) & (lam <= 1.0)):
         raise ValueError(f"alpha={alpha}, sigma={sigma}, lam={lam} out of domain")
-    if gamma <= 0.0:
+    if not np.all(gamma > 0.0):
         raise ValueError(f"gamma={gamma} must be positive")
-    r = math.sqrt(alpha * sigma)
-    return -(r / gamma) * math.atan((lam**2 - 1.0) * r / (lam * (alpha * sigma + 1.0)))
+    r = np.sqrt(alpha * sigma)
+    return r, -(r / gamma) * np.arctan((lam**2 - 1.0) * r / (lam * (alpha * sigma + 1.0)))
 
 
-def gamma_sigma_from(
-    a: float, mu_i: float, varrho: float, n_i: int,
-    sigma_form: Literal["original", "modified"] = "original",
-) -> tuple[float, float]:
-    """Derived constants gamma_i and sigma_i of the timer scheme."""
-    if not 0.0 < a < 1.0 / (2.0 * n_i):
-        raise ValueError(f"a={a} must lie in (0, 1/(2*{n_i}))")
-    if mu_i <= 0.0:
+def tau_miet(alpha, sigma, gamma, lam) -> np.ndarray:
+    """Dwell time at which the certificate gain phi decays from 1/lam
+    to lam, elementwise. Positive for all valid parameters with lam < 1."""
+    return _timer(alpha, sigma, gamma, lam)[1]
+
+
+def gamma_sigma_from(a: float, mu_i, varrho: float, n_i,
+                     sigma_form: SigmaForm = "original") -> tuple[np.ndarray, np.ndarray]:
+    """Derived constants gamma_i and sigma_i of the timer scheme,
+    elementwise over the neighbor counts n_i and the gains mu_i."""
+    n_i, mu_i = np.asarray(n_i, dtype=float), np.asarray(mu_i, dtype=float)
+    if not np.all((0.0 < a) & (a < 1.0 / (2.0 * n_i))):
+        raise ValueError(f"a={a} must lie in (0, 1/(2*N_i)) for N_i={n_i}")
+    if not np.all(mu_i > 0.0):
         raise ValueError(f"mu={mu_i} must be positive")
     if not 0.0 < varrho < 1.0:
         raise ValueError(f"varrho={varrho} must lie in (0,1)")
-    gamma = math.sqrt(n_i / a + mu_i)
+    gamma = np.sqrt(n_i / a + mu_i)
     factor = 1.0 if sigma_form == "original" else 2.0
     sigma = (1.0 - varrho) * (1.0 - factor * a * n_i)
     return gamma, sigma
 
 
-@dataclass(frozen=True)
-class PhiSolution:
-    """Sampled certificate gain phi on [0, tau_end]; ``at`` holds phi = lam
-    from tau_end on."""
+def phi(tau, r, gamma, lam, dwell) -> np.ndarray:
+    """Certificate gain phi(tau), elementwise: the exact solution of
+    d(phi)/d(tau) = -gamma (phi^2/(alpha sigma) + 1) from phi(0) = 1/lam,
 
-    taus: np.ndarray
-    phis: np.ndarray
-    tau_end: float  # numerically detected time at which phi reaches lam
-    lam: float
+        phi(tau) = r tan(arctan(1/(lam r)) - gamma tau / r),
 
-    def __call__(self, tau) -> np.ndarray:
-        return np.interp(tau, self.taus, self.phis)
-
-    def at(self, tau) -> np.ndarray:
-        return np.where(np.asarray(tau) >= self.tau_end, self.lam, self(tau))
-
-
-def phi_solve(alpha: float, sigma: float, gamma: float, lam: float, samples: int = 2001) -> PhiSolution:
-    """Integrate d(phi)/d(tau) = -gamma (phi^2/(alpha sigma) + 1) from
-    phi(0) = 1/lam down to phi = lam.
-
-    Used for certificate monitoring only, never in the control loop.
-    """
-    if not (0.0 < alpha < 1.0 and 0.0 < sigma < 1.0 and 0.0 < lam < 1.0):
-        raise ValueError(f"alpha={alpha}, sigma={sigma}, lam={lam} out of domain")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma={gamma} must be positive")
-
-    def rhs(_t, phi):
-        return -gamma * (phi**2 / (alpha * sigma) + 1.0)
-
-    def hit_lam(_t, phi):
-        return phi[0] - lam
-
-    hit_lam.terminal = True
-    hit_lam.direction = -1
-    horizon = 10.0 * tau_miet(alpha, sigma, gamma, lam)
-    sol = solve_ivp(rhs, (0.0, horizon), [1.0 / lam], events=hit_lam,
-                    rtol=1e-10, atol=1e-12, dense_output=True, max_step=horizon / 100)
-    if not sol.success or sol.t_events[0].size == 0:
-        raise RuntimeError(f"phi integration failed: {sol.message}")
-    tau_end = float(sol.t_events[0][0])
-    taus = np.linspace(0.0, tau_end, samples)
-    phis = sol.sol(taus)[0]
-    return PhiSolution(taus=taus, phis=phis, tau_end=tau_end, lam=lam)
+    which reaches lam at the dwell time, and phi = lam from ``dwell`` on.
+    ``r`` = sqrt(alpha sigma) and ``dwell`` = tau_miet(alpha, sigma,
+    gamma, lam). Used for certificate monitoring only, never in the
+    control loop."""
+    tau = np.asarray(tau, dtype=float)
+    return np.where(tau < dwell, r * np.tan(np.arctan(1.0 / (lam * r)) - gamma * tau / r), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +244,7 @@ class QuadraticTrigger:
     allow_zeno: bool
     derived: dict  # family-specific per-agent constants, echoed in the manifest
     drive: Literal["u", "y"] = "u"  # d = u (consensus) or d = y~ (single plant)
-    phi: tuple[PhiSolution, ...] = ()  # certificate gains of the timer scheme
+    phi: tuple[np.ndarray, ...] = ()  # (r, gamma, lam) of the timer scheme's certificate gain
 
     def __post_init__(self) -> None:
         bad = np.flatnonzero(self.below_bound())
@@ -292,7 +285,7 @@ class QuadraticTrigger:
     def storage(self, state, feedback: np.ndarray):
         """U = x'Mx/2 + sum_i gamma_i phi_i(tau_i) e_i^2 + sum_i eta_i, with M
         the scenario's feedback matrix; the certificate term is present
-        only for the timer scheme, the one with phi tables.
+        only for the timer scheme, the one with certificate gains.
 
         ``state`` is a HybridState or one (5n,) row, giving a float, or an
         (m, 5n) block of rows, giving one value per row. Each row's value
@@ -300,9 +293,10 @@ class QuadraticTrigger:
         rows = state.row if isinstance(state, HybridState) else np.asarray(state, dtype=float)
         z = rows.reshape(-1, 5, self.n)
         x, e, eta, tau = z[:, 0], z[:, 1], z[:, 3], z[:, 4]
-        cert = np.zeros(z.shape[0])
-        for i, p in enumerate(self.phi):
-            cert += self.derived["gamma"][i] * p.at(tau[:, i]) * e[:, i] ** 2
+        cert = 0.0
+        if self.phi:
+            r, gamma, lam = self.phi
+            cert = (gamma * phi(tau, r, gamma, lam, self.tau_miet) * e**2).sum(axis=1)
         u = 0.5 * np.einsum("mi,ij,mj->m", x, feedback, x) + cert + eta.sum(axis=1)
         return float(u[0]) if rows.ndim == 1 else u
 
@@ -347,17 +341,14 @@ def DolkScheme(graph: Graph, params: DolkParams, allow_zeno: bool = False) -> Qu
     n = graph.n
     n_i = graph.neighbor_counts.astype(float)
     mu, alpha, lam = (_per_agent(v, n) for v in (params.mu, params.alpha, params.lam))
-    pairs = [gamma_sigma_from(params.a, mu[i], params.varrho, int(n_i[i]), params.sigma_form)
-             for i in range(n)]
-    gamma, sigma = (np.array(v) for v in zip(*pairs))
-    tm = np.array([tau_miet(alpha[i], sigma[i], gamma[i], lam[i]) for i in range(n)])
+    gamma, sigma = gamma_sigma_from(params.a, mu, params.varrho, n_i, params.sigma_form)
+    r, tm = _timer(alpha, sigma, gamma, lam)
     b = gamma**2 * (lam**2 / (alpha * sigma) + 1.0)
     reset_gain = np.zeros(n) if params.reset_mode == "standard" else gamma * lam
     return _trigger(
         "dolk", params, n, (1.0 - alpha) * sigma, b, allow_zeno,
         {"N_i": n_i, "gamma": gamma, "sigma": sigma, "tau_miet": tm, "e_coef": b},
-        mode="dynamic", tau_miet=tm, reset_gain=reset_gain,
-        phi=tuple(phi_solve(alpha[i], sigma[i], gamma[i], lam[i]) for i in range(n)),
+        mode="dynamic", tau_miet=tm, reset_gain=reset_gain, phi=(r, gamma, lam),
     )
 
 

@@ -3,12 +3,13 @@ single PASS line on success (visible with pytest -rA or -s)."""
 
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from etcsim.engine import simulate, zeno_indicator
-from etcsim.etm import GarciaParams, GarciaScheme, gamma_sigma_from, phi_solve, tau_miet
+from etcsim.engine import jump_set, simulate, zeno_indicator
+from etcsim.etm import GarciaParams, GarciaScheme, gamma_sigma_from, tau_miet
 from etcsim.graph import benchmark_topology, is_weight_balanced
 from etcsim.presets import PRESETS, build_preset
 
@@ -54,12 +55,13 @@ def test_criterion_03_robustness_bound_exact():
     report(3, "beta_i(2 w_bar) equals 1.2e-6 exactly for N_i=3, a=0.1, w_bar=1e-4")
 
 
-def test_criterion_04_phi_ode_cross_check():
+def test_criterion_04_phi_ode_cross_check(phi_rk4):
+    _, crossing = phi_rk4
     for sigma, n_i in ((0.76, 2), (0.665, 3)):
         gamma = math.sqrt(n_i / 0.1 + 0.05)
         tm = tau_miet(0.5, sigma, gamma, 0.2)
-        sol = phi_solve(0.5, sigma, gamma, 0.2)
-        assert abs(sol.tau_end - tm) <= 1e-6 * (1 + tm)
+        tau_end = crossing(0.5, sigma, gamma, 0.2, 1e-5)
+        assert abs(tau_end - tm) <= 1e-6 * (1 + tm)
     report(4, "phi-ODE reaches lambda at the closed-form dwell time within 1e-6 relative")
 
 
@@ -138,6 +140,15 @@ def _check_invariants(name, sub, sc, tr):
         combined = et_state + sch.theta * psi
         assert combined.min() >= -TOL, f"{label}: flow-set violation {combined.min()}"
 
+    # no sample, event instants included, leaves an agent in the jump set
+    cols = (tr.states[:, k * tr.n : (k + 1) * tr.n] for k in range(5))
+    samples = SimpleNamespace(**dict(zip(("x", "e", "what_w", "eta", "tau"), cols)))
+    u = -(samples.x + samples.e + samples.what_w) @ sc.feedback.T
+    _, due = jump_set(sch, samples, u, _sample_noise_matrix(sc, tr.times))
+    stuck = np.flatnonzero(due.any(axis=1))
+    assert stuck.size == 0, \
+        f"{label}: {stuck.size} samples in the jump set, first at t={tr.times[stuck[0]]}"
+
     # mean conservation on weight-balanced consensus topologies
     if sc.graph is not None and is_weight_balanced(sc.graph):
         sums = tr.states[:, : tr.n].sum(axis=1)
@@ -159,7 +170,7 @@ def test_criterion_09_invariant_suite(preset_runs):
     for name in ALL_PRESETS:
         for sub, sc, tr in preset_runs(name):
             _check_invariants(name, sub, sc, tr)
-    report(9, "trigger/flow-set/eta/mean-conservation/determinism hold on all presets")
+    report(9, "trigger/flow-set/jump-set/eta/mean-conservation/determinism hold on all presets")
 
 
 # event counts of the Zeno-free runs at the default seed 2024

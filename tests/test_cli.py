@@ -7,7 +7,7 @@ import pytest
 
 import etcsim.cli as cli
 from etcsim.engine import JumpStormError, Scenario, simulate
-from etcsim.etm import BerneburgParams, BerneburgScheme
+from etcsim.etm import BerneburgParams, BerneburgScheme, SingleParams, SingleSystemScheme
 from etcsim.graph import Graph
 from etcsim.presets import PRESETS
 from etcsim.signals import NoiseSignal
@@ -87,6 +87,20 @@ def test_validate_and_run_agree_on_rejection(tmp_path):
     cfg_ok = tmp_path / "ok.ini"
     cfg_ok.write_text(cfg.read_text().replace("c = 0\n", "c = 0\nallow_zeno = true\n"))
     assert run_main("--config", str(cfg_ok), "--out", str(tmp_path / "o2")) == 0
+
+
+def test_misspelled_choice_is_a_validation_error(tmp_path):
+    # "modifed" must not fall through to the noise-naive original form
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(
+        "[graph]\nedges = paper-fig2\n\n"
+        "[etm]\nkind = garcia\na = 0.1\nc = 2e-6\nw_bar = 0.0001\nform = modifed\n\n"
+        "[noise]\nseed = 1\namplitude = 0.0001\nsample_rate_hz = 10000\n\n"
+        "[sim]\nx0 = 8, 6, 4, 2, -2, -4, -6, -8\nt_final = 0.1\nstep = 0.0001\n"
+    )
+    assert run_main("--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert run_main("--config", str(cfg), "--validate-only") == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_inline_graph_config(tmp_path):
@@ -193,3 +207,20 @@ def test_berneburg_split_weights_survive_the_manifest():
     text, back = _reparse(_triangle_berneburg(None))
     assert "rho_edge" not in text
     assert back.scheme.params.rho_edge is None
+
+
+def test_single_plant_feedback_survives_the_manifest():
+    sch = SingleSystemScheme(SingleParams(delta_coef=0.0625, beta_coef=2.0, c=1e-6, w_bar=1e-4))
+    noise = NoiseSignal(seed=4, amplitude=np.array([1e-4]), sample_rate=1e4, n=1)
+    sc = Scenario(scheme=sch, noise=noise, x0=np.array([4.0]), feedback=np.array([[2.5]]),
+                  t_final=0.1)
+    text, back = _reparse(sc)
+    assert np.array_equal(back.feedback, [[2.5]])
+    assert _reparse(back)[0] == text
+    assert np.array_equal(simulate(back).states, simulate(sc).states)
+    # a manifest without the key keeps the unit gain it was written with
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(text)
+    cp.remove_option("sim", "feedback")
+    assert np.array_equal(cli.config_to_scenario(cp).feedback, [[1.0]])

@@ -240,6 +240,17 @@ def test_jump_storm_error(monkeypatch):
         simulate(two_agent_scenario())
 
 
+def test_jump_storm_fires_on_a_persistent_jump_set():
+    # c < 0 keeps psi = a u^2 + c < 0 right after each transmission, so
+    # both agents stay in the jump set and resolution reaches the cap
+    g = Graph.from_edge_list(2, [(0, 1)], undirected=True)
+    sch = GarciaScheme(g, GarciaParams(a=0.2, sigma=0.5, c=-1e-3), allow_zeno=True)
+    noise = NoiseSignal(seed=3, amplitude=np.zeros(2), sample_rate=1e4, n=2)
+    sc = Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, t_final=0.01, step=1e-4)
+    with pytest.raises(JumpStormError):
+        simulate(sc)
+
+
 def test_scenario_validation():
     g = Graph.from_edge_list(2, [(0, 1)], undirected=True)
     sch = GarciaScheme(g, GarciaParams(a=0.2, c=0.01))

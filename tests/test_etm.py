@@ -1,11 +1,15 @@
-import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import etcsim
 from etcsim.engine import TRIGGER_TOL, _flow_advance, jump_set
 from etcsim.etm import (
     BerneburgParams,
@@ -18,7 +22,7 @@ from etcsim.etm import (
     SingleSystemScheme,
     ZenoGuaranteeError,
     gamma_sigma_from,
-    phi_solve,
+    phi,
     tau_miet,
 )
 from etcsim.graph import Graph, benchmark_topology, laplacian
@@ -31,9 +35,7 @@ def bench():
     return benchmark_topology()
 
 
-@functools.cache
 def dolk_bench():
-    # built once: each construction integrates eight phi ODEs
     return DolkScheme(bench(), DolkParams(a=0.1, w_bar=1e-4))
 
 
@@ -182,52 +184,44 @@ def test_psi_single():
 
 @pytest.mark.parametrize("sigma,gamma", [(0.76, math.sqrt(20.05)), (0.665, math.sqrt(30.05))])
 def test_phi_solve_cross_validates_closed_form(sigma, gamma):
-    sol = phi_solve(0.5, sigma, gamma, 0.2)
-    tm = tau_miet(0.5, sigma, gamma, 0.2)
-    assert sol.phis[0] == pytest.approx(5.0)  # 1/lambda
-    assert sol.phis[-1] == pytest.approx(0.2, abs=1e-6)
-    assert abs(sol.tau_end - tm) <= 1e-6 * (1 + tm)
-    assert np.all(np.diff(sol.phis) < 0)  # strictly decreasing
+    r, tm = math.sqrt(0.5 * sigma), tau_miet(0.5, sigma, gamma, 0.2)
+    taus = np.linspace(0.0, tm, 2001)
+    phis = phi(taus, r, gamma, 0.2, tm)
+    assert phis[0] == pytest.approx(5.0)  # 1/lambda
+    assert phis[-1] == 0.2  # lambda from tau_miet on
+    assert np.all(phi(tm * np.array([1.0, 1.5, 10.0]), r, gamma, 0.2, tm) == 0.2)
+    assert phi(np.nextafter(tm, 0.0), r, gamma, 0.2, tm) == pytest.approx(0.2, abs=1e-12)
+    assert np.all(np.diff(phis) < 0)  # strictly decreasing up to tau_miet
 
 
-def test_phi_solve_independent_rk4_oracle():
+def test_phi_solve_independent_rk4_oracle(phi_rk4):
     # fine-step classical RK4 on the scalar ODE, written out by hand
+    steps, crossing = phi_rk4
     alpha, sigma, gamma, lam = 0.5, 0.76, math.sqrt(20.05), 0.2
-
-    def f(phi):
-        return -gamma * (phi**2 / (alpha * sigma) + 1.0)
-
-    h = 1e-6
-    phi, tau = 1.0 / lam, 0.0
-    while phi > lam:
-        k1 = f(phi)
-        k2 = f(phi + 0.5 * h * k1)
-        k3 = f(phi + 0.5 * h * k2)
-        k4 = f(phi + h * k3)
-        phi += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        tau += h
-    sol = phi_solve(alpha, sigma, gamma, lam)
-    assert abs(tau - sol.tau_end) < 5e-6
-    # interpolant agrees with the oracle at the midpoint
-    assert float(sol(0.5 * sol.tau_end)) == pytest.approx(
-        _rk4_phi_at(0.5 * sol.tau_end, alpha, sigma, gamma, lam), abs=1e-6
-    )
+    r, tm = math.sqrt(alpha * sigma), tau_miet(alpha, sigma, gamma, lam)
+    assert abs(crossing(alpha, sigma, gamma, lam, 1e-6) - tm) < 5e-6
+    # the closed form agrees with the oracle at interior clocks; the
+    # step divides tau_miet so that the oracle lands on each probe
+    h = tm / 200000
+    probes = {40000, 80000, 100000, 160000, 199000}
+    got = {}
+    for k, (tau, value) in enumerate(steps(alpha, sigma, gamma, lam, h), start=1):
+        if k in probes:
+            got[k] = (tau, value)
+        if k == max(probes):
+            break
+    for tau, value in got.values():
+        assert float(phi(tau, r, gamma, lam, tm)) == pytest.approx(value, rel=1e-9)
+    assert len(got) == len(probes)
 
 
-def _rk4_phi_at(tau_target, alpha, sigma, gamma, lam):
-    def f(phi):
-        return -gamma * (phi**2 / (alpha * sigma) + 1.0)
-
-    steps = 200000
-    h = tau_target / steps
-    phi = 1.0 / lam
-    for _ in range(steps):
-        k1 = f(phi)
-        k2 = f(phi + 0.5 * h * k1)
-        k3 = f(phi + 0.5 * h * k2)
-        k4 = f(phi + h * k3)
-        phi += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return phi
+def test_import_leaves_scipy_out():
+    # the certificate gain is closed form, so the package needs no scipy
+    code = "import sys, etcsim; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(etcsim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +367,7 @@ def test_dolk_storage_uses_phi():
 
 def test_storage_block_equals_per_row_storage():
     # one (m, 5n) block gives each row's value bit for bit, for every
-    # family; the timer scheme's clocks reach past tau_end, where phi = lam
+    # family; the timer scheme's clocks reach past tau_miet, where phi = lam
     rng = np.random.default_rng(5)
     L = laplacian(bench())
     cases = (
@@ -387,8 +381,7 @@ def test_storage_block_equals_per_row_storage():
         n = sch.n
         rows = rng.normal(size=(50, 5 * n))
         rows[:, 3 * n : 4 * n] = np.abs(rows[:, 3 * n : 4 * n])  # eta >= 0
-        tau_end = max((p.tau_end for p in sch.phi), default=0.1)
-        rows[:, 4 * n :] = rng.uniform(0.0, 2.0 * tau_end, size=(50, n))
+        rows[:, 4 * n :] = rng.uniform(0.0, 2.0 * (sch.tau_miet.max() or 0.1), size=(50, n))
         block = sch.storage(rows, fb)
         assert block.shape == (50,)
         per_row = np.array([sch.storage(r, fb) for r in rows])
@@ -397,13 +390,30 @@ def test_storage_block_equals_per_row_storage():
         # against the textbook sum, one agent at a time
         for r, got in zip(rows, block):
             x, e, eta, tau = r[:n], r[n : 2 * n], r[3 * n : 4 * n], r[4 * n :]
-            cert = sum(sch.derived["gamma"][i] * (p.lam if tau[i] >= p.tau_end else p(tau[i]))
-                       * e[i] ** 2 for i, p in enumerate(sch.phi))
+            cert = 0.0
+            for i in range(n) if sch.phi else ():
+                r, g, lam = (v[i] for v in sch.phi)
+                gain = lam if tau[i] >= sch.tau_miet[i] else \
+                    r * math.tan(math.atan(1 / (lam * r)) - g * tau[i] / r)
+                cert += g * gain * e[i] ** 2
             assert got == pytest.approx(0.5 * x @ fb @ x + cert + eta.sum(), rel=1e-12)
-    # the timer case (last) probed both sides of tau_end; no rows, no values
-    ends = np.array([p.tau_end for p in sch.phi])
-    assert (rows[:, 4 * 8 :] >= ends).any() and (rows[:, 4 * 8 :] < ends).any()
+    # the timer case (last) probed both sides of tau_miet; no rows, no values
+    assert (rows[:, 4 * 8 :] >= sch.tau_miet).any() and (rows[:, 4 * 8 :] < sch.tau_miet).any()
     assert sch.storage(np.empty((0, 40)), L).shape == (0,)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GarciaParams(a=0.1, mode="dynamc"),
+    lambda: GarciaParams(a=0.1, form="modifed"),
+    lambda: DolkParams(a=0.1, reset_mode="standrd"),
+    lambda: DolkParams(a=0.1, sigma_form="orginal"),
+    lambda: BerneburgParams(mode="dynamc"),
+    lambda: SingleParams(delta_coef=0.0625, beta_coef=2.0, mode="dynamc"),
+], ids=["garcia-mode", "garcia-form", "dolk-reset_mode", "dolk-sigma_form",
+        "berneburg-mode", "single-mode"])
+def test_params_reject_values_outside_their_literal(make):
+    with pytest.raises(ValueError, match="is not one of"):
+        make()
 
 
 def test_berneburg_scheme_default_split():
