@@ -47,6 +47,9 @@ EXIT_IO = 4
 BENCHMARK_GRAPH_KEYWORD = "paper-fig2"
 
 _FMT = "%.17g"
+# rows of states.csv and events.csv formatted per write, so that no
+# whole-run copy of a trace is made
+_CHUNK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -197,6 +200,9 @@ def scenario_to_config(s: Scenario, derived: dict | None = None) -> configparser
     kind = scheme.kind
 
     if kind != "single":
+        if s.graph is None:
+            raise ValueError(f"a {kind} scenario needs a graph: the manifest rebuilds "
+                             "its trigger from the graph, not from a feedback matrix")
         cp["graph"] = {}
         g = s.graph
         if g.edges == benchmark_topology().edges and g.undirected:
@@ -265,11 +271,14 @@ def _write_states(path: Path, trace: SolutionTrace) -> None:
             + [f"x{i}" for i in range(n)] + [f"e{i}" for i in range(n)]
             + [f"what_w{i}" for i in range(n)] + [f"eta{i}" for i in range(n)]
             + [f"tau{i}" for i in range(n)])
-    data = np.column_stack([trace.times, trace.jumps.astype(float), trace.states])
     fmts = [_FMT, "%d"] + [_FMT] * (5 * n)
     with path.open("w") as fh:
         fh.write(",".join(cols) + "\n")
-        np.savetxt(fh, data, fmt=fmts, delimiter=",")
+        for lo in range(0, trace.times.size, _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            data = np.column_stack([trace.times[lo:hi], trace.jumps[lo:hi].astype(float),
+                                    trace.states[lo:hi]])
+            np.savetxt(fh, data, fmt=fmts, delimiter=",")
 
 
 def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> None:
@@ -277,9 +286,11 @@ def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> None
     cols = (log.agent, log.t, log.j, log.gap, log.psi, delta_u)
     with path.open("w") as fh:
         fh.write("agent,t,j,gap,psi,delta_u\n")
-        for agent, t, j, gap, psi, du in zip(*(c.tolist() for c in cols)):
-            gap_s = "" if math.isnan(gap) else _FMT % gap
-            fh.write(f"{agent},{_FMT % t},{j},{gap_s},{_FMT % psi},{_FMT % du}\n")
+        for lo in range(0, len(log), _CHUNK_ROWS):
+            chunk = (c[lo : lo + _CHUNK_ROWS].tolist() for c in cols)
+            for agent, t, j, gap, psi, du in zip(*chunk):
+                gap_s = "" if math.isnan(gap) else _FMT % gap
+                fh.write(f"{agent},{_FMT % t},{j},{gap_s},{_FMT % psi},{_FMT % du}\n")
 
 
 def _write_metrics(path: Path, trace: SolutionTrace, cons: dict) -> None:
@@ -296,16 +307,16 @@ def _write_metrics(path: Path, trace: SolutionTrace, cons: dict) -> None:
 
 
 def write_run_artifacts(out_dir: Path, scenario: Scenario, trace: SolutionTrace,
-                        cons: dict) -> None:
-    """Write the four artifacts; ``cons`` is the trace's consensus_metrics."""
+                        cons: dict, manifest: configparser.ConfigParser) -> None:
+    """Write the four artifacts; ``cons`` is the trace's consensus_metrics
+    and ``manifest`` the scenario's scenario_to_config."""
     out_dir.mkdir(parents=True, exist_ok=True)
     delta_u = jump_storage_change(trace, scenario.scheme, scenario.feedback)
     _write_states(out_dir / "states.csv", trace)
     _write_events(out_dir / "events.csv", trace, delta_u)
     _write_metrics(out_dir / "metrics.csv", trace, cons)
-    cp = scenario_to_config(scenario, derived=scenario.scheme.derived_constants())
     with (out_dir / "manifest.ini").open("w") as fh:
-        cp.write(fh)
+        manifest.write(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +361,12 @@ def validate(scenario: Scenario, label: str = "", stream=None) -> int:
 
 def run(scenario: Scenario, out_dir: Path, label: str = "", stream=None) -> int:
     stream = stream or sys.stdout
+    # a scenario that its manifest cannot rebuild is refused before simulating
+    try:
+        manifest = scenario_to_config(scenario, derived=scenario.scheme.derived_constants())
+    except ValueError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         trace = simulate(scenario)
     except JumpStormError as exc:
@@ -357,7 +374,7 @@ def run(scenario: Scenario, out_dir: Path, label: str = "", stream=None) -> int:
         return EXIT_JUMP_STORM
     cons = consensus_metrics(trace)
     try:
-        write_run_artifacts(out_dir, scenario, trace, cons)
+        write_run_artifacts(out_dir, scenario, trace, cons, manifest)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

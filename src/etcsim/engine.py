@@ -1,11 +1,29 @@
 """Hybrid simulation loop and trace metrics.
 
-Flow is advanced by fixed-step classical RK4 with the step equal (by
-default) to the noise-hold period, so the right-hand side is smooth
-inside every step. The held output makes x + e invariant along flow, so
-the control input is constant between transmissions; the only state with
-nontrivial stage coupling is eta, and the stepper exploits that while
-remaining classical RK4 on the full state.
+Between two transmissions the closed loop flows affinely: the held
+output makes x + e invariant, so the control input u = -M(x + e + w_hat)
+is constant, x, e and tau are linear in t, and the noise is held per
+window. The engine therefore advances in blocks of up to BLOCK_MAX steps
+of length h (the noise-hold period by default) with u frozen at the
+start of the block:
+
+- x, e and tau at the step ends are one ``cumsum`` over the start row
+  and K increments, which rounds as applying ``x += h*u`` once per step;
+- eta follows classical RK4 on eta' = psi - eps*eta with the stage
+  values psi at the step start, the shared midpoint and the step end,
+  all under the step's held noise. That map is affine,
+  eta_{m+1} = A eta_m + B_m, so a block is one scaled cumsum. K is kept
+  short enough that A^-K stays within 2, so no block over- or underflows;
+- the jump set is evaluated at every step end against the noise there.
+
+A block stops at the first step that ends with an agent in the jump set
+or with eta below 0. That step's end state is committed with eta
+clamped at 0, the jumps due there are resolved, and the next block
+starts at BLOCK_MIN steps; a block that runs through doubles the next
+one's length. The samples before the stop are recorded as one block.
+Every step end is thus checked exactly as a per-step loop would check
+it; the only difference from stepping with a fresh u each step is the
+ulp-level drift of x + e along the block.
 """
 
 from __future__ import annotations
@@ -36,6 +54,9 @@ __all__ = [
 TRIGGER_TOL = 1e-12
 REFINE_TOL = 1e-9
 JUMPS_PER_INSTANT_FACTOR = 10
+# block lengths in steps: after an instant with jumps, and the cap of the doubling
+BLOCK_MIN = 8
+BLOCK_MAX = 512
 
 
 class JumpStormError(RuntimeError):
@@ -113,7 +134,7 @@ class SolutionTrace:
 
 
 class _Recorder:
-    """Growable sample buffer (events force off-grid rows)."""
+    """Growable sample buffer (refined jump instants add off-grid rows)."""
 
     def __init__(self, n: int, capacity: int):
         self.t = np.empty(capacity)
@@ -121,44 +142,28 @@ class _Recorder:
         self.rows = np.empty((capacity, 5 * n))
         self.m = 0
 
-    def push(self, t: float, j: int, state: HybridState) -> None:
-        if self.m == self.t.shape[0]:
-            self.t = _grown(self.t, self.m)
-            self.j = _grown(self.j, self.m)
-            self.rows = _grown(self.rows, self.m)
-        self.t[self.m] = t
-        self.j[self.m] = j
-        self.rows[self.m] = state.row
-        self.m += 1
+    def push(self, t, j: int, rows: np.ndarray) -> None:
+        """Append samples: one time and one (5n,) row, or an array of
+        times and the matching (m, 5n) rows."""
+        lo = self.m
+        hi = lo + np.size(t)
+        while hi > self.t.shape[0]:
+            self.t = _grown(self.t, lo)
+            self.j = _grown(self.j, lo)
+            self.rows = _grown(self.rows, lo)
+        self.t[lo:hi] = t
+        self.j[lo:hi] = j
+        self.rows[lo:hi] = rows
+        self.m = hi
 
 
-def _flow_advance(state: HybridState, u: np.ndarray, h: float, w: np.ndarray,
-                  scheme: QuadraticTrigger) -> None:
-    """Advance the state in place by one flow interval of length h with
-    frozen noise w. Classical RK4; x, e, tau have exactly linear flow so
-    only eta needs stage evaluations."""
+def _in_jump_set(scheme: QuadraticTrigger, psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The jump set D given the trigger values psi and the (clamped) eta;
+    see :func:`jump_set`."""
+    due = psi <= -TRIGGER_TOL
     if scheme.mode == "dynamic":
-        e_tilde0 = state.e + state.what_w - w
-        half = 0.5 * h
-        p1 = scheme.psi_vec(u=u, e_tilde=e_tilde0, tau=state.tau, y_tilde=state.x + w)
-        # stages 2 and 3 share the midpoint inputs (u is stage-invariant)
-        mid_et = e_tilde0 - half * u
-        mid_y = state.x + half * u + w
-        p2 = scheme.psi_vec(u=u, e_tilde=mid_et, tau=state.tau + half, y_tilde=mid_y)
-        p4 = scheme.psi_vec(u=u, e_tilde=e_tilde0 - h * u, tau=state.tau + h,
-                            y_tilde=state.x + h * u + w)
-        eps = scheme.eps_eta
-        eta = state.eta
-        k1 = p1 - eps * eta
-        k2 = p2 - eps * (eta + half * k1)
-        k3 = p2 - eps * (eta + half * k2)
-        k4 = p4 - eps * (eta + h * k3)
-        eta += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        # discrete detection lets eta undershoot slightly; project back
-        np.maximum(eta, 0.0, out=eta)
-    state.x += h * u
-    state.e -= h * u
-    state.tau += h
+        due &= eta + scheme.theta * psi <= TRIGGER_TOL
+    return due
 
 
 def jump_set(scheme: QuadraticTrigger, state: HybridState, u: np.ndarray,
@@ -174,14 +179,95 @@ def jump_set(scheme: QuadraticTrigger, state: HybridState, u: np.ndarray,
     psi_i = 0 (within the tolerance) both flowing and jumping are
     admissible, and the solver flows, because the persistently flowing
     solution is the one the guarantees speak about. Jump resolution,
-    the refinement probes and the tests all decide through this function.
+    the block stepper, the refinement probes and the tests all decide
+    through this predicate.
     """
     e_tilde = state.e + state.what_w - w
     psi = scheme.psi_vec(u=u, e_tilde=e_tilde, tau=state.tau, y_tilde=state.x + w)
-    due = psi <= -TRIGGER_TOL
-    if scheme.mode == "dynamic":
-        due &= state.eta + scheme.theta * psi <= TRIGGER_TOL
-    return psi, due
+    return psi, _in_jump_set(scheme, psi, state.eta)
+
+
+def _eta_gain(eps: float, h: float) -> float:
+    """A of the RK4 step of eta' = psi - eps*eta, which maps eta to
+    A*eta + B: the step taken from eta = 1 with psi = 0."""
+    k1 = -eps
+    k2 = -eps * (1.0 + 0.5 * h * k1)
+    k3 = -eps * (1.0 + 0.5 * h * k2)
+    k4 = -eps * (1.0 + h * k3)
+    return 1.0 + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _block_limit(scheme: QuadraticTrigger, h: float) -> int:
+    """Longest block whose eta scaling A^-K lies within [1/2, 2]."""
+    gain = _eta_gain(scheme.eps_eta, h) if scheme.mode == "dynamic" else 1.0
+    if gain == 1.0:
+        return BLOCK_MAX
+    return max(1, min(BLOCK_MAX, int(math.log(2.0) / abs(math.log(gain)))))
+
+
+def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
+                scheme: QuadraticTrigger) -> tuple[np.ndarray, np.ndarray]:
+    """Flow the state ``row`` for K = len(w) - 1 steps of length h with u
+    frozen; w[m] is the noise at the m-th step end (w[0] at the start),
+    and step m + 1 flows under w[m].
+
+    Returns the (K + 1, 5n) rows at the step ends, row 0 being the start
+    and eta not yet clamped at 0, and the (K, n) mask of agents in the
+    jump set at each step end, judged against the noise there with eta
+    clamped."""
+    k, n = w.shape[0] - 1, u.shape[0]
+    inc = np.empty((5, n))
+    np.multiply(h, u, out=inc[0])
+    np.negative(inc[0], out=inc[1])
+    inc[2:4] = -0.0  # w_hat and eta do not flow; adding -0.0 keeps every value, -0.0 too
+    inc[4] = h
+    z = np.empty((k + 1, 5, n))
+    z[0] = row.reshape(5, n)
+    z[1:] = inc
+    z = np.cumsum(z, axis=0)
+    x, e, what_w, eta, tau = z.transpose(1, 0, 2)
+    e_tilde = e + what_w - w
+    y_tilde = x + w
+    if scheme.mode != "dynamic":
+        psi = scheme.psi_vec(u=u, e_tilde=e_tilde[1:], tau=tau[1:], y_tilde=y_tilde[1:])
+        return z.reshape(k + 1, 5 * n), _in_jump_set(scheme, psi, eta[1:])
+
+    # RK4 stage values of every step in one evaluation: psi at the step
+    # starts (which, under the next window's noise, is also the jump-set
+    # check at the previous step end), at the shared midpoint and at the
+    # end, the latter two under the step's held noise
+    half = 0.5 * h
+    et0, x0, w0, tau0 = e_tilde[:-1], x[:-1], w[:-1], tau[:-1]
+    p = scheme.psi_vec(
+        u=u,
+        e_tilde=np.concatenate((e_tilde, et0 - half * u, et0 - h * u)),
+        tau=np.concatenate((tau, tau0 + half, tau0 + h)),
+        y_tilde=np.concatenate((y_tilde, x0 + half * u + w0, x0 + h * u + w0)),
+    )
+    p1, p2, p4 = p[:k], p[k + 1 : 2 * k + 1], p[2 * k + 1 :]
+    eps = scheme.eps_eta
+    k1 = p1
+    k2 = p2 - eps * (half * k1)
+    k3 = p2 - eps * (half * k2)
+    k4 = p4 - eps * (h * k3)
+    b = (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    # eta_m = A^m (eta_0 + sum_{l<m} B_l A^-(l+1))
+    scale = _eta_gain(eps, h) ** np.arange(1.0, k + 1.0)[:, None]
+    eta[1:] = scale * (eta[0] + np.cumsum(b / scale, axis=0))
+    return z.reshape(k + 1, 5 * n), _in_jump_set(scheme, p[1 : k + 1], np.maximum(eta[1:], 0.0))
+
+
+def _commit(state: HybridState, row: np.ndarray) -> None:
+    """Make ``row`` the current state, with eta clamped at 0 (discrete
+    detection lets eta undershoot slightly)."""
+    state.row[:] = row
+    np.maximum(state.eta, 0.0, out=state.eta)
+
+
+def _flow_to(state: HybridState, u: np.ndarray, dt: float, w: np.ndarray,
+             scheme: QuadraticTrigger) -> None:
+    """Flow the state in place for one step of length dt under the noise w."""
+    _commit(state, _flow_block(state.row, u, dt, np.stack((w, w)), scheme)[0][1])
 
 
 def simulate(s: Scenario) -> SolutionTrace:
@@ -190,6 +276,8 @@ def simulate(s: Scenario) -> SolutionTrace:
     h = s.step
     fb = s.feedback
     steps = int(round(s.t_final / h))
+    dec = s.decimation
+    longest = _block_limit(scheme, h)
 
     n_windows = s.noise.window_index(s.t_final) + 2
     table = s.noise.window_table(n_windows)
@@ -197,7 +285,7 @@ def simulate(s: Scenario) -> SolutionTrace:
     k_win = np.floor(np.arange(steps + 1) * (h * s.noise.sample_rate) * (1 + 1e-12)).astype(np.int64)
 
     state = s.initial_state()
-    rec = _Recorder(n, steps // s.decimation + 16)
+    rec = _Recorder(n, steps // dec + 16)
     log = EventLog(n)
     last_event_t = [math.nan] * n  # a first event's gap is NaN
     pre = np.empty(5 * n)  # the state row before the jump being logged
@@ -219,7 +307,8 @@ def simulate(s: Scenario) -> SolutionTrace:
                 pre[:] = state.row
                 apply_jump(state, i, w, scheme)
                 j += 1
-                log.append(i, t, j, t - last_event_t[i], psi.item(i), pre, state.row)
+                log.append(i, t, j, t - last_event_t[i], psi.item(i), pre,
+                           state.what_w.item(i), state.eta.item(i))
                 last_event_t[i] = t
                 total += 1
                 if total > storm_cap:
@@ -230,35 +319,39 @@ def simulate(s: Scenario) -> SolutionTrace:
         return total
 
     # jumps may already be due at t=0
-    w0 = table[:, k_win[0]]
-    process_jumps_at(0.0, state, w0)
-    rec.push(0.0, j, state)
+    process_jumps_at(0.0, state, table[:, k_win[0]])
+    rec.push(0.0, j, state.row)
 
-    for k in range(steps):
-        t_next = (k + 1) * h
-        w_step = table[:, k_win[k]]
-        w_next = table[:, k_win[k + 1]]
+    k, size = 0, BLOCK_MIN  # steps taken, length of the next block
+    while k < steps:
+        size = min(size, longest, steps - k)
         u = -fb @ (state.x + state.e + state.what_w)
-
-        if s.detection_refinement and _due_after(state, u, h, w_step, w_next, scheme):
+        w = table[:, k_win[k : k + size + 1]].T
+        rows, due = _flow_block(state.row, u, h, w, scheme)
+        stop = due.any(axis=1) | (rows[1:, 3 * n : 4 * n] < 0.0).any(axis=1)
+        m = int(stop.argmax()) + 1 if stop.any() else size
+        if m > 1:
+            # the steps before the block's last one end outside the jump set
+            idx = np.arange(k + 1, k + m)
+            keep = idx % dec == 0
+            rec.push(idx[keep] * h, j, rows[1:m][keep])
+        if s.detection_refinement and due[m - 1].any():
+            # the block's check at the end of its last step gates the
+            # search for the crossing inside that step
+            _commit(state, rows[m - 1])
+            t0, w_step = (k + m - 1) * h, w[m - 1]
             dt = _refine_instant(state, u, h, w_step, scheme)
-            t_jump = k * h + dt
-            if dt > 0.0:
-                _flow_advance(state, u, dt, w_step, scheme)
-            w_at = w_next if dt >= h else w_step
-            applied = process_jumps_at(t_jump, state, w_at)
-            if applied:
-                rec.push(t_jump, j, state)
-            rest = h - dt
-            if rest > 0.0:
-                u = -fb @ (state.x + state.e + state.what_w)
-                _flow_advance(state, u, rest, w_step, scheme)
+            _flow_to(state, u, dt, w_step, scheme)
+            if process_jumps_at(t0 + dt, state, w[m] if dt >= h else w_step):
+                rec.push(t0 + dt, j, state.row)
+            _flow_to(state, -fb @ (state.x + state.e + state.what_w), h - dt, w_step, scheme)
         else:
-            _flow_advance(state, u, h, w_step, scheme)
-
-        applied = process_jumps_at(t_next, state, w_next)
-        if applied or (k + 1) % s.decimation == 0 or k + 1 == steps:
-            rec.push(t_next, j, state)
+            _commit(state, rows[m])
+        k += m
+        applied = process_jumps_at(k * h, state, w[m]) if stop[m - 1] else 0
+        if applied or k % dec == 0 or k == steps:
+            rec.push(k * h, j, state.row)
+        size = BLOCK_MIN if stop[m - 1] else 2 * size
 
     manifest = {
         "seed": s.noise.seed,
@@ -266,15 +359,16 @@ def simulate(s: Scenario) -> SolutionTrace:
         "t_final": s.t_final,
         "trigger_tol": TRIGGER_TOL,
         "detection_refinement": s.detection_refinement,
-        "decimation": s.decimation,
+        "decimation": dec,
         "scheme": scheme.kind,
         "derived": scheme.derived_constants(),
         "event_count": len(log),
     }
+    # views of the recorder's filled part, not copies
     return SolutionTrace(
-        times=rec.t[: rec.m].copy(),
-        jumps=rec.j[: rec.m].copy(),
-        states=rec.rows[: rec.m].copy(),
+        times=rec.t[: rec.m],
+        jumps=rec.j[: rec.m],
+        states=rec.rows[: rec.m],
         events=log,
         run_manifest=manifest,
         n=n,
@@ -284,10 +378,7 @@ def simulate(s: Scenario) -> SolutionTrace:
 def _due_after(state, u, dt, w_flow, w_check, scheme) -> bool:
     """Would any agent be in the jump set after flowing dt with the noise
     w_flow, judged against the noise w_check?"""
-    probe = state.copy()
-    if dt > 0.0:
-        _flow_advance(probe, u, dt, w_flow, scheme)
-    return bool(jump_set(scheme, probe, u, w_check)[1].any())
+    return bool(_flow_block(state.row, u, dt, np.stack((w_flow, w_check)), scheme)[1].any())
 
 
 def _refine_instant(state, u, h, w_step, scheme) -> float:

@@ -86,13 +86,16 @@ class EventLog(Sequence):
 
     ``agent``, ``t`` and ``j`` say who jumped and when; ``gap`` is the time
     since that agent's previous transmission (NaN at its first), ``psi``
-    the trigger value that commanded the jump, and ``pre`` and ``post``
-    are (E, 5n) state rows just before and just after it. ``len()``,
-    indexing and iteration give :class:`JumpEvent` views.
+    the trigger value that commanded the jump, and ``pre`` the (E, 5n)
+    state rows just before it. A jump changes only the transmitting
+    agent's e, w_hat, eta and tau, so the log keeps just two scalars of
+    the post-jump state, the latched noise and eta, and ``post`` rebuilds
+    the (E, 5n) rows just after each jump from them. ``len()``, indexing
+    and iteration give :class:`JumpEvent` views.
     """
 
     _INITIAL_CAPACITY = 64
-    _NAMES = ("agent", "t", "j", "gap", "psi", "pre", "post")
+    _NAMES = ("agent", "t", "j", "gap", "psi", "pre", "what_w", "eta")
 
     agent = _Column()
     t = _Column()
@@ -100,10 +103,10 @@ class EventLog(Sequence):
     gap = _Column()
     psi = _Column()
     pre = _Column()
-    post = _Column()
 
     def __init__(self, n: int) -> None:
         cap = self._INITIAL_CAPACITY
+        self._n = n
         self._size = 0
         self._agent = np.empty(cap, dtype=np.int64)
         self._t = np.empty(cap)
@@ -111,10 +114,13 @@ class EventLog(Sequence):
         self._gap = np.empty(cap)
         self._psi = np.empty(cap)
         self._pre = np.empty((cap, 5 * n))
-        self._post = np.empty((cap, 5 * n))
+        self._what_w = np.empty(cap)
+        self._eta = np.empty(cap)
 
     def append(self, agent: int, t: float, j: int, gap: float, psi: float,
-               pre: np.ndarray, post: np.ndarray) -> None:
+               pre: np.ndarray, what_w: float, eta: float) -> None:
+        """Log one jump: its pre-jump row, and the agent's latched noise
+        and eta after it."""
         k = self._size
         if k == self._t.shape[0]:
             for name in self._NAMES:
@@ -126,8 +132,26 @@ class EventLog(Sequence):
         self._gap[k] = gap
         self._psi[k] = psi
         self._pre[k] = pre
-        self._post[k] = post
+        self._what_w[k] = what_w
+        self._eta[k] = eta
         self._size = k + 1
+
+    @property
+    def post(self) -> np.ndarray:
+        """(E, 5n) rows just after each jump, rebuilt from ``pre``: the
+        transmitting agent's e and tau are 0, its w_hat and eta the logged
+        values; x and every other agent are as before the jump."""
+        return self._post_rows(0, self._size)
+
+    def _post_rows(self, lo: int, hi: int) -> np.ndarray:
+        rows = self._pre[lo:hi].copy()
+        z = rows.reshape(hi - lo, 5, self._n)
+        k, i = np.arange(hi - lo), self._agent[lo:hi]
+        z[k, 1, i] = 0.0
+        z[k, 2, i] = self._what_w[lo:hi]
+        z[k, 3, i] = self._eta[lo:hi]
+        z[k, 4, i] = 0.0
+        return rows
 
     def __len__(self) -> int:
         return self._size
@@ -179,7 +203,7 @@ class JumpEvent:
 
     @property
     def post_state(self) -> HybridState:
-        return HybridState.from_row(self.log._post[self.k])
+        return HybridState.from_row(self.log._post_rows(self.k, self.k + 1)[0])
 
 
 def apply_jump(state: HybridState, agent: int, w: np.ndarray, scheme) -> None:

@@ -191,6 +191,20 @@ def test_zeno_free_event_counts(preset_runs):
     report("event counts", "Zeno-free runs reproduce their seed-2024 event counts")
 
 
+# event counts of every run at seed 2024, the two Zeno runs included
+EVENT_COUNTS = {**ZENO_FREE_EVENTS, "garcia-c0": 78235, "table1-contrast/original": 64412}
+
+
+def test_all_event_counts(preset_runs):
+    got = {}
+    for name in ALL_PRESETS:
+        for sub, _, tr in preset_runs(name):
+            got[f"{name}/{sub}" if sub else name] = len(tr.events)
+    assert got == EVENT_COUNTS
+    report("event counts", "all nine runs, the two Zeno runs included, reproduce their "
+           "seed-2024 event counts")
+
+
 def test_criterion_10_batch_runtime(preset_runs):
     for name in ALL_PRESETS:
         preset_runs(name)

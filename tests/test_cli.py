@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import etcsim.cli as cli
-from etcsim.engine import JumpStormError, Scenario, simulate
-from etcsim.etm import BerneburgParams, BerneburgScheme, SingleParams, SingleSystemScheme
-from etcsim.graph import Graph
+from etcsim.engine import JumpStormError, Scenario, jump_storage_change, simulate
+from etcsim.etm import (BerneburgParams, BerneburgScheme, GarciaParams, GarciaScheme,
+                        SingleParams, SingleSystemScheme)
+from etcsim.graph import Graph, laplacian
 from etcsim.presets import PRESETS
 from etcsim.signals import NoiseSignal
 
@@ -224,3 +225,42 @@ def test_single_plant_feedback_survives_the_manifest():
     cp.read_string(text)
     cp.remove_option("sim", "feedback")
     assert np.array_equal(cli.config_to_scenario(cp).feedback, [[1.0]])
+
+
+def test_graphless_consensus_scenario_is_refused_before_simulating(tmp_path, monkeypatch):
+    # the manifest rebuilds a consensus trigger from its graph, so a
+    # scenario that has only a feedback matrix cannot be re-run from it
+    g = Graph.from_edge_list(2, [(0, 1)], undirected=True)
+    sch = GarciaScheme(g, GarciaParams(a=0.2, c=0.01))
+    noise = NoiseSignal(seed=3, amplitude=np.zeros(2), sample_rate=1e4, n=2)
+    sc = Scenario(scheme=sch, noise=noise, x0=np.array([1.0, -1.0]), feedback=laplacian(g),
+                  t_final=0.1)
+
+    def boom(_):
+        raise AssertionError("a refused scenario must not be simulated")
+
+    monkeypatch.setattr(cli, "simulate", boom)
+    out = tmp_path / "o"
+    assert cli.run(sc, out) == 2
+    assert not out.exists()
+
+
+def test_chunked_writers_match_a_one_shot_write(tmp_path, monkeypatch):
+    sc = cli.build_preset("garcia-c0")[0][1]
+    sc.t_final = 0.3
+    tr = simulate(sc)
+    du = jump_storage_change(tr, sc.scheme, sc.feedback)
+    assert len(tr.events) > 3 * 4 and tr.times.size > 3 * 4
+
+    def write(chunk, d):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        d.mkdir()
+        cli._write_states(d / "states.csv", tr)
+        cli._write_events(d / "events.csv", tr, du)
+
+    write(4, tmp_path / "chunked")
+    write(10**9, tmp_path / "whole")
+    for name in ("states.csv", "events.csv"):
+        chunked = (tmp_path / "chunked" / name).read_bytes()
+        assert chunked == (tmp_path / "whole" / name).read_bytes()
+        assert chunked.count(b"\n") == 1 + (tr.times.size if name == "states.csv" else len(tr.events))

@@ -8,6 +8,7 @@ from etcsim.engine import (
     SolutionTrace,
     consensus_metrics,
     inter_event_stats,
+    jump_set,
     lyapunov_series,
     simulate,
     zeno_indicator,
@@ -40,6 +41,33 @@ def small_dolk_scenario(t_final=1.0, amp=1e-4, seed=9):
 # stepper correctness
 
 
+def flow_advance(state, u, h, w, scheme) -> None:
+    """Per-step RK4 oracle of the flow: advance the state in place by one
+    interval of length h with frozen noise w. x, e and tau flow exactly
+    linearly, so only eta needs stage evaluations; eta is clamped at 0."""
+    if scheme.mode == "dynamic":
+        e_tilde0 = state.e + state.what_w - w
+        half = 0.5 * h
+        p1 = scheme.psi_vec(u=u, e_tilde=e_tilde0, tau=state.tau, y_tilde=state.x + w)
+        # stages 2 and 3 share the midpoint inputs (u is stage-invariant)
+        mid_et = e_tilde0 - half * u
+        mid_y = state.x + half * u + w
+        p2 = scheme.psi_vec(u=u, e_tilde=mid_et, tau=state.tau + half, y_tilde=mid_y)
+        p4 = scheme.psi_vec(u=u, e_tilde=e_tilde0 - h * u, tau=state.tau + h,
+                            y_tilde=state.x + h * u + w)
+        eps = scheme.eps_eta
+        eta = state.eta
+        k1 = p1 - eps * eta
+        k2 = p2 - eps * (eta + half * k1)
+        k3 = p2 - eps * (eta + half * k2)
+        k4 = p4 - eps * (eta + h * k3)
+        eta += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        np.maximum(eta, 0.0, out=eta)
+    state.x += h * u
+    state.e -= h * u
+    state.tau += h
+
+
 def flow_derivative(feedback, state, scheme, w) -> HybridState:
     """Textbook right-hand side of the flow map: (u, -u, 0, eta', 1) with
     u = -M (x + e + w_hat) and eta' = psi - eps * eta for dynamic rules.
@@ -53,8 +81,8 @@ def flow_derivative(feedback, state, scheme, w) -> HybridState:
 
 
 def test_flow_step_matches_generic_rk4():
-    # the structure-exploiting stepper must agree with textbook RK4 on
-    # the stacked state (the held output makes u stage-invariant)
+    # one 50-step block must agree with textbook RK4 on the stacked state
+    # (the held output makes u stage-invariant)
     s = small_dolk_scenario()
     state = s.initial_state()
     L = laplacian(s.graph)
@@ -75,15 +103,118 @@ def test_flow_step_matches_generic_rk4():
         k4 = f(row + h * k3)
         generic = HybridState.from_row(row + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
 
-    fast = state.copy()
-    for _ in range(50):
-        u = -L @ (fast.x + fast.e + fast.what_w)
-        engine_mod._flow_advance(fast, u, h, w, s.scheme)
+    u = -L @ (state.x + state.e + state.what_w)
+    rows, _ = engine_mod._flow_block(state.row, u, h, np.tile(w, (51, 1)), s.scheme)
+    fast = HybridState.from_row(rows[50])
 
     assert np.allclose(fast.x, generic.x, rtol=1e-12, atol=1e-14)
     assert np.allclose(fast.e, generic.e, rtol=1e-12, atol=1e-14)
     assert np.allclose(fast.eta, generic.eta, rtol=1e-9, atol=1e-16)
     assert np.allclose(fast.tau, generic.tau, rtol=1e-12)
+
+
+def _block_and_oracle(sc, state, steps):
+    """One block of ``steps`` steps from ``state`` under the scenario's
+    noise windows, and the per-step oracle's rows and jump-set masks."""
+    h = sc.step
+    k = np.arange(steps + 1)
+    w = sc.noise.window_table(steps + 2)[:, np.floor(k * h * sc.noise.sample_rate
+                                                     * (1 + 1e-12)).astype(int)].T
+    u = -sc.feedback @ (state.x + state.e + state.what_w)
+    rows, due = engine_mod._flow_block(state.row, u, h, w, sc.scheme)
+    ref, ref_due = [state.row.copy()], []
+    st = state.copy()
+    for m in range(steps):
+        flow_advance(st, -sc.feedback @ (st.x + st.e + st.what_w), h, w[m], sc.scheme)
+        ref.append(st.row.copy())
+        ref_due.append(jump_set(sc.scheme, st, -sc.feedback @ (st.x + st.e + st.what_w),
+                                w[m + 1])[1])
+    return rows, due, np.array(ref), np.array(ref_due)
+
+
+@pytest.mark.parametrize("rule", ["static", "dynamic"])
+def test_block_matches_per_step_oracle(rule):
+    # K oracle steps with a fresh u each step against one K-step block;
+    # the static run starts 0.2 s in and crosses into the jump set (first
+    # event at 0.2449 s) inside the block
+    if rule == "static":
+        sc = two_agent_scenario(c=1e-4, amp=1e-4, t_final=0.2)
+        start = simulate(sc).final_state
+    else:
+        sc = small_dolk_scenario()
+        start = sc.initial_state()
+    steps = engine_mod.BLOCK_MAX
+    rows, due, ref, ref_due = _block_and_oracle(sc, start, steps)
+    assert rows.shape == ref.shape == (steps + 1, 5 * sc.scheme.n)
+    assert np.allclose(rows, ref, rtol=0.0, atol=1e-12)
+    assert np.array_equal(due, ref_due)
+    if rule == "static":
+        assert due.any() and not due[0].any()
+    else:
+        assert np.ptp(rows[:, 3 * 8 : 4 * 8], axis=0).min() > 0.0  # eta flowed
+
+
+def test_block_stops_where_eta_reaches_the_clamp():
+    # on agreement with equal errors u = 0, past the dwell time psi < 0,
+    # so eta runs from 1e-3 into the clamp within a few steps
+    sc = small_dolk_scenario()
+    n = 8
+    st = HybridState(np.ones(n), np.full(n, 0.5), np.zeros(n), np.full(n, 1e-3), np.ones(n))
+    rows, due, ref, _ = _block_and_oracle(sc, st, 8)
+    eta = rows[1:, 3 * n : 4 * n]
+    clamp = int((eta < 0.0).any(axis=1).argmax()) + 1
+    assert 1 < clamp < 8
+    assert np.all(eta[: clamp - 1] >= 0.0)
+    assert np.allclose(rows[:clamp], ref[:clamp], rtol=0.0, atol=1e-12)
+    committed = HybridState.from_row(rows[clamp])
+    np.maximum(committed.eta, 0.0, out=committed.eta)
+    assert np.allclose(committed.row, ref[clamp], rtol=0.0, atol=1e-12)
+    assert committed.eta.min() == 0.0 and due[clamp - 1].any()
+
+
+def _replay_against_oracle(sc, tr):
+    """Flow the per-step oracle from every sample to the next one; it must
+    reach that sample, or, when jumps lie between, the first pre-jump row."""
+    h = sc.step
+    table = sc.noise.window_table(sc.noise.window_index(sc.t_final) + 2)
+    log = tr.events
+    for k in range(len(tr.times) - 1):
+        st = tr.state_at(k)
+        k0 = round(tr.times[k] / h)
+        for step in range(k0, round(tr.times[k + 1] / h)):
+            w = table[:, sc.noise.window_index(step * h)]
+            flow_advance(st, -sc.feedback @ (st.x + st.e + st.what_w), h, w, sc.scheme)
+        target = log.pre[tr.jumps[k]] if tr.jumps[k + 1] > tr.jumps[k] else tr.states[k + 1]
+        assert np.allclose(st.row, target, rtol=1e-12, atol=1e-12), f"sample {k + 1}"
+
+
+def test_decimated_run_matches_per_step_oracle():
+    full = simulate(small_dolk_scenario())
+    sc = small_dolk_scenario()
+    sc.decimation = 7
+    tr = simulate(sc)
+    assert len(tr.events) == len(full.events) > 0
+    # the decimated samples are the full run's grid and event-instant rows
+    on_grid = (np.round(full.times / sc.step).astype(int) % 7 == 0) \
+        | np.isin(full.times, tr.events.t) | (full.times == full.times[-1])
+    assert np.array_equal(tr.states, full.states[on_grid])
+    _replay_against_oracle(sc, tr)
+
+
+def test_large_eps_h_stays_finite_and_matches_oracle():
+    # eps h = 1: A = 0.375, so a block of 2 steps would already scale eta
+    # by A^-2 > 2; the stepper takes single steps
+    g = benchmark_topology()
+    sch = DolkScheme(g, DolkParams(a=0.1, w_bar=1e-4, eps_eta=10.0))
+    noise = NoiseSignal(seed=9, amplitude=np.full(8, 1e-4), sample_rate=10.0, n=8)
+    x0 = np.array([8.0, 6.0, 4.0, 2.0, -2.0, -4.0, -6.0, -8.0])
+    sc = Scenario(scheme=sch, noise=noise, x0=x0, graph=g, t_final=5.0, step=0.1)
+    assert engine_mod._block_limit(sch, sc.step) == 1
+    tr = simulate(sc)
+    assert len(tr.events) > 0
+    assert np.isfinite(tr.states).all() and np.isfinite(tr.events.pre).all()
+    assert np.isfinite(tr.events.psi).all()
+    _replay_against_oracle(sc, tr)
 
 
 def test_determinism_bit_exact():
@@ -273,7 +404,7 @@ def _dummy_trace(events, n=2, t_final=3.0):
     for k, (agent, t) in enumerate(events):
         prev = [tt for a, tt in events[:k] if a == agent]
         gap = t - prev[-1] if prev else np.nan
-        log.append(agent, t, k + 1, gap, 0.0, z, z)
+        log.append(agent, t, k + 1, gap, 0.0, z, 0.0, 0.0)
     return SolutionTrace(times=np.array([0.0, t_final]), jumps=np.array([0, len(log)]),
                          states=np.zeros((2, 5 * n)), events=log, run_manifest={}, n=n)
 

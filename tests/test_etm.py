@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import etcsim
-from etcsim.engine import TRIGGER_TOL, _flow_advance, jump_set
+from etcsim.engine import TRIGGER_TOL, _flow_block, jump_set
 from etcsim.etm import (
     BerneburgParams,
     BerneburgScheme,
@@ -233,8 +233,8 @@ def _eta_after_flow(eta0, psi, eps_eta, h=1e-3):
     sch = SingleSystemScheme(SingleParams(delta_coef=0.0, beta_coef=1.0, c=psi, mode="dynamic",
                                           eps_eta=eps_eta), allow_zeno=True)
     state = HybridState(*(np.array([v]) for v in (0.0, 0.0, 0.0, eta0, 0.0)))
-    _flow_advance(state, np.zeros(1), h, np.zeros(1), sch)
-    return state.eta[0]
+    rows, _ = _flow_block(state.row, np.zeros(1), h, np.zeros((2, 1)), sch)
+    return rows[1, 3]
 
 
 def test_eta_flow_derivative():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etcsim.engine import SolutionTrace, _flow_advance, consensus_metrics, jump_set
+from etcsim.engine import SolutionTrace, _flow_block, consensus_metrics, jump_set
 from etcsim.etm import GarciaParams, GarciaScheme
 from etcsim.graph import benchmark_topology, laplacian
 from etcsim.hybrid import EventLog, HybridState, apply_jump
@@ -70,7 +70,8 @@ def test_flow_derivative_structure():
     st = fresh_state()
     u = control_input(L, st)
     h = 1e-3
-    _flow_advance(st, u, h, np.zeros(8), scheme8())
+    rows, _ = _flow_block(st.row, u, h, np.zeros((2, 8)), scheme8())
+    st = HybridState.from_row(rows[1])
     assert np.allclose(st.x, X0 + h * u, rtol=1e-15)
     assert np.allclose(st.e, -h * u, rtol=1e-15)  # zero-order hold: d(e)/dt = -d(x)/dt
     assert np.allclose(st.what_w, 0.0)
