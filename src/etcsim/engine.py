@@ -24,6 +24,19 @@ one's length. The samples before the stop are recorded as one block.
 Every step end is thus checked exactly as a per-step loop would check
 it; the only difference from stepping with a fresh u each step is the
 ulp-level drift of x + e along the block.
+
+Jumps are resolved per instant by :func:`_jump_resolver`. It evaluates
+u, the measured errors e~, psi and the jump set once, as vectors, from
+the committed state, then applies the due agents' jumps in passes of
+ascending agent order, repeated while any agent is due. A jump by agent
+i zeroes e~_i and tau_i, resets eta_i through :func:`apply_jump`, and
+moves u_r by M[r, i] e~_i, so only the rows r with M[r, i] != 0, and i
+itself, change; psi and the jump-set predicate are re-evaluated on those
+rows alone, with the same :func:`etcsim.etm.trigger_value` and
+:func:`_in_jump_set` that the vector code calls. The incremental u can
+differ from -M(x + e + w_hat) in the last bits, but only within one
+instant: the next instant and every block start evaluate u from the
+state afresh.
 """
 
 from __future__ import annotations
@@ -33,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .etm import QuadraticTrigger
+from .etm import QuadraticTrigger, trigger_value
 from .graph import Graph, laplacian
-from .hybrid import EventLog, HybridState, _grown, apply_jump
+from .hybrid import EventLog, HybridState, _grown, _mapped, apply_jump
 from .signals import NoiseSignal
 
 __all__ = [
@@ -137,16 +150,16 @@ class _Recorder:
     """Growable sample buffer (refined jump instants add off-grid rows)."""
 
     def __init__(self, n: int, capacity: int):
-        self.t = np.empty(capacity)
-        self.j = np.empty(capacity, dtype=np.int64)
-        self.rows = np.empty((capacity, 5 * n))
+        self.t = _mapped((capacity,))
+        self.j = _mapped((capacity,), dtype=np.int64)
+        self.rows = _mapped((capacity, 5 * n))
         self.m = 0
 
     def push(self, t, j: int, rows: np.ndarray) -> None:
         """Append samples: one time and one (5n,) row, or an array of
         times and the matching (m, 5n) rows."""
         lo = self.m
-        hi = lo + np.size(t)
+        hi = lo + (rows.shape[0] if rows.ndim == 2 else 1)
         while hi > self.t.shape[0]:
             self.t = _grown(self.t, lo)
             self.j = _grown(self.j, lo)
@@ -157,13 +170,12 @@ class _Recorder:
         self.m = hi
 
 
-def _in_jump_set(scheme: QuadraticTrigger, psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """The jump set D given the trigger values psi and the (clamped) eta;
-    see :func:`jump_set`."""
+def _in_jump_set(psi, eta, theta, dynamic: bool):
+    """The jump set D given the trigger values psi, the (clamped) eta and
+    the dynamic rule's theta; see :func:`jump_set`. Plain arithmetic on
+    whole arrays or on one agent's floats, with the same bits either way."""
     due = psi <= -TRIGGER_TOL
-    if scheme.mode == "dynamic":
-        due &= eta + scheme.theta * psi <= TRIGGER_TOL
-    return due
+    return due & (eta + theta * psi <= TRIGGER_TOL) if dynamic else due
 
 
 def jump_set(scheme: QuadraticTrigger, state: HybridState, u: np.ndarray,
@@ -180,11 +192,11 @@ def jump_set(scheme: QuadraticTrigger, state: HybridState, u: np.ndarray,
     admissible, and the solver flows, because the persistently flowing
     solution is the one the guarantees speak about. Jump resolution,
     the block stepper, the refinement probes and the tests all decide
-    through this predicate.
+    through this predicate, :func:`_in_jump_set`.
     """
     e_tilde = state.e + state.what_w - w
     psi = scheme.psi_vec(u=u, e_tilde=e_tilde, tau=state.tau, y_tilde=state.x + w)
-    return psi, _in_jump_set(scheme, psi, state.eta)
+    return psi, _in_jump_set(psi, state.eta, scheme.theta, scheme.mode == "dynamic")
 
 
 def _eta_gain(eps: float, h: float) -> float:
@@ -230,7 +242,7 @@ def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
     y_tilde = x + w
     if scheme.mode != "dynamic":
         psi = scheme.psi_vec(u=u, e_tilde=e_tilde[1:], tau=tau[1:], y_tilde=y_tilde[1:])
-        return z.reshape(k + 1, 5 * n), _in_jump_set(scheme, psi, eta[1:])
+        return z.reshape(k + 1, 5 * n), _in_jump_set(psi, eta[1:], scheme.theta, False)
 
     # RK4 stage values of every step in one evaluation: psi at the step
     # starts (which, under the next window's noise, is also the jump-set
@@ -254,7 +266,8 @@ def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
     # eta_m = A^m (eta_0 + sum_{l<m} B_l A^-(l+1))
     scale = _eta_gain(eps, h) ** np.arange(1.0, k + 1.0)[:, None]
     eta[1:] = scale * (eta[0] + np.cumsum(b / scale, axis=0))
-    return z.reshape(k + 1, 5 * n), _in_jump_set(scheme, p[1 : k + 1], np.maximum(eta[1:], 0.0))
+    return z.reshape(k + 1, 5 * n), _in_jump_set(p[1 : k + 1], np.maximum(eta[1:], 0.0),
+                                                 scheme.theta, True)
 
 
 def _commit(state: HybridState, row: np.ndarray) -> None:
@@ -270,88 +283,124 @@ def _flow_to(state: HybridState, u: np.ndarray, dt: float, w: np.ndarray,
     _commit(state, _flow_block(state.row, u, dt, np.stack((w, w)), scheme)[0][1])
 
 
-def simulate(s: Scenario) -> SolutionTrace:
-    scheme = s.scheme
+def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, state: HybridState,
+                   log: EventLog):
+    """The jump resolution of one run, on its state and event log:
+    ``resolve(t, w)`` applies the jumps due at time t under the noise w
+    and returns how many it applied (module docstring). Raises
+    :class:`JumpStormError` past JUMPS_PER_INSTANT_FACTOR jumps per agent
+    at one instant."""
     n = scheme.n
-    h = s.step
-    fb = s.feedback
-    steps = int(round(s.t_final / h))
-    dec = s.decimation
-    longest = _block_limit(scheme, h)
-
-    n_windows = s.noise.window_index(s.t_final) + 2
-    table = s.noise.window_table(n_windows)
-    # noise window index at each step boundary
-    k_win = np.floor(np.arange(steps + 1) * (h * s.noise.sample_rate) * (1 + 1e-12)).astype(np.int64)
-
-    state = s.initial_state()
-    rec = _Recorder(n, steps // dec + 16)
-    log = EventLog(n)
-    last_event_t = [math.nan] * n  # a first event's gap is NaN
-    pre = np.empty(5 * n)  # the state row before the jump being logged
-    j = 0
+    neg_fb = -feedback
+    dynamic = scheme.mode == "dynamic"
+    drive_u = scheme.drive == "u"
+    a, b, c, gate, theta = (v.tolist() for v in (scheme.a, scheme.b, scheme.c,
+                                                  scheme.tau_miet, scheme.theta))
+    # per agent i, the rows r whose u a jump by i changes, with M[r, i]
+    column = [[(r, feedback.item(r, i)) for r in range(n) if r == i or feedback.item(r, i)]
+              for i in range(n)]
     storm_cap = n * JUMPS_PER_INSTANT_FACTOR
+    last_t = [math.nan] * n  # a first event's gap is NaN
+    pre = np.empty(5 * n)  # the state row before the jump being logged
 
-    def process_jumps_at(t: float, state: HybridState, w: np.ndarray) -> int:
-        """Apply the jumps due at time t in passes of ascending agent
-        order, repeated while any agent is due (a neighbor's transmission
-        changes u and can newly enable a jump). The jump set is
-        re-evaluated after every applied jump. Returns jumps applied."""
-        nonlocal j
-        psi, due = jump_set(scheme, state, -fb @ (state.x + state.e + state.what_w), w)
+    def resolve(t: float, w: np.ndarray) -> int:
+        u = neg_fb @ (state.x + state.e + state.what_w)
+        d = u if drive_u else state.x + w
+        e_tilde = state.e + state.what_w - w
+        psi = trigger_value(scheme.a, scheme.b, scheme.c, scheme.tau_miet, d, e_tilde, state.tau)
+        due = _in_jump_set(psi, state.eta, scheme.theta, dynamic)
+        if not due.any():
+            return 0
+        psi, due, u, e_tilde = psi.tolist(), due.tolist(), u.tolist(), e_tilde.tolist()
+        d = u if drive_u else d.tolist()
+        eta, tau = state.eta.tolist(), state.tau.tolist()
         total = 0
-        while due.any():
+        while any(due):
             for i in range(n):
                 if not due[i]:
                     continue
                 pre[:] = state.row
-                apply_jump(state, i, w, scheme)
-                j += 1
-                log.append(i, t, j, t - last_event_t[i], psi.item(i), pre,
-                           state.what_w.item(i), state.eta.item(i))
-                last_event_t[i] = t
+                eta[i] = apply_jump(state, i, w, scheme)
+                log.append(i, t, len(log) + 1, t - last_t[i], psi[i], pre, w.item(i), eta[i])
+                last_t[i] = t
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(
                         f"{total} jumps at t={t:.6f} exceed the cap of {storm_cap}"
                     )
-                psi, due = jump_set(scheme, state, -fb @ (state.x + state.e + state.what_w), w)
+                et_i, e_tilde[i], tau[i] = e_tilde[i], 0.0, 0.0
+                for r, m_ri in column[i]:
+                    u[r] += m_ri * et_i
+                    psi[r] = p = trigger_value(a[r], b[r], c[r], gate[r], d[r], e_tilde[r], tau[r])
+                    due[r] = _in_jump_set(p, eta[r], theta[r], dynamic)
         return total
 
+    return resolve
+
+
+def simulate(s: Scenario) -> SolutionTrace:
+    scheme = s.scheme
+    n = scheme.n
+    h = s.step
+    neg_fb = -s.feedback
+    steps = int(round(s.t_final / h))
+    dec = s.decimation
+    longest = _block_limit(scheme, h)
+    dynamic = scheme.mode == "dynamic"
+
+    # the noise at each step boundary, (steps + 1, n): row m is the window
+    # that step end m falls in
+    noise = s.noise.window_table(
+        np.floor(np.arange(steps + 1) * (h * s.noise.sample_rate) * (1 + 1e-12)).astype(np.int64)
+    ).T
+
+    state = s.initial_state()
+    rec = _Recorder(n, steps // dec + 16)
+    log = EventLog(n)
+    resolve = _jump_resolver(scheme, s.feedback, state, log)
+
     # jumps may already be due at t=0
-    process_jumps_at(0.0, state, table[:, k_win[0]])
-    rec.push(0.0, j, state.row)
+    resolve(0.0, noise[0])
+    rec.push(0.0, len(log), state.row)
 
     k, size = 0, BLOCK_MIN  # steps taken, length of the next block
     while k < steps:
         size = min(size, longest, steps - k)
-        u = -fb @ (state.x + state.e + state.what_w)
-        w = table[:, k_win[k : k + size + 1]].T
+        u = neg_fb @ (state.x + state.e + state.what_w)
+        w = noise[k : k + size + 1]
         rows, due = _flow_block(state.row, u, h, w, scheme)
-        stop = due.any(axis=1) | (rows[1:, 3 * n : 4 * n] < 0.0).any(axis=1)
-        m = int(stop.argmax()) + 1 if stop.any() else size
+        stop = due.any(axis=1)
+        if dynamic:
+            stop |= (rows[1:, 3 * n : 4 * n] < 0.0).any(axis=1)
+        m = int(stop.argmax()) + 1
+        stopped = bool(stop[m - 1])
+        if not stopped:
+            m = size
         if m > 1:
             # the steps before the block's last one end outside the jump set
             idx = np.arange(k + 1, k + m)
             keep = idx % dec == 0
-            rec.push(idx[keep] * h, j, rows[1:m][keep])
+            rec.push(idx[keep] * h, len(log), rows[1:m][keep])
+        # the block's check at the end of its last step gates the search
+        # for the crossing inside that step; a crossing at the step end
+        # itself is the unrefined instant
+        dt = h
         if s.detection_refinement and due[m - 1].any():
-            # the block's check at the end of its last step gates the
-            # search for the crossing inside that step
             _commit(state, rows[m - 1])
+            dt = _refine_instant(state, u, h, w[m - 1], scheme)
+        if dt < h:
             t0, w_step = (k + m - 1) * h, w[m - 1]
-            dt = _refine_instant(state, u, h, w_step, scheme)
             _flow_to(state, u, dt, w_step, scheme)
-            if process_jumps_at(t0 + dt, state, w[m] if dt >= h else w_step):
-                rec.push(t0 + dt, j, state.row)
-            _flow_to(state, -fb @ (state.x + state.e + state.what_w), h - dt, w_step, scheme)
+            if resolve(t0 + dt, w_step):
+                rec.push(t0 + dt, len(log), state.row)
+            _flow_to(state, neg_fb @ (state.x + state.e + state.what_w), h - dt, w_step, scheme)
         else:
             _commit(state, rows[m])
         k += m
-        applied = process_jumps_at(k * h, state, w[m]) if stop[m - 1] else 0
+        applied = resolve(k * h, w[m]) if stopped else 0
         if applied or k % dec == 0 or k == steps:
-            rec.push(k * h, j, state.row)
-        size = BLOCK_MIN if stop[m - 1] else 2 * size
+            rec.push(k * h, len(log), state.row)
+        size = BLOCK_MIN if stopped else 2 * size
 
     manifest = {
         "seed": s.noise.seed,

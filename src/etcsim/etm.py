@@ -40,6 +40,7 @@ __all__ = [
     "tau_miet",
     "gamma_sigma_from",
     "phi",
+    "trigger_value",
 ]
 
 Mode = Literal["static", "dynamic"]
@@ -220,6 +221,15 @@ def phi(tau, r, gamma, lam, dwell) -> np.ndarray:
 # the engine-facing trigger
 
 
+def trigger_value(a, b, c, tau_miet, d, e_tilde, tau):
+    """psi = a d^2 + c - g e~^2 with g = b once tau reaches tau_miet, else 0.
+
+    Plain arithmetic: the arguments are either whole per-agent arrays
+    (broadcasting over leading axes of d, e_tilde and tau) or one agent's
+    floats, and both give the same bits."""
+    return a * d * d + c - b * (tau >= tau_miet) * e_tilde * e_tilde
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticTrigger:
     """Per-agent coefficients of the quadratic trigger psi (module
@@ -261,8 +271,7 @@ class QuadraticTrigger:
 
     def psi_vec(self, u, e_tilde, tau, y_tilde) -> np.ndarray:
         d = u if self.drive == "u" else y_tilde
-        g = np.where(tau < self.tau_miet, 0.0, self.b)
-        return self.a * d * d + self.c - g * e_tilde * e_tilde
+        return trigger_value(self.a, self.b, self.c, self.tau_miet, d, e_tilde, tau)
 
     def c_lower_bound(self) -> np.ndarray:
         """Per-agent Zeno-freeness bound beta_i(2 w_bar_i); 0 where the

@@ -10,6 +10,7 @@ evolves as the exact negative of the state.
 from __future__ import annotations
 
 import math
+import mmap
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -64,9 +65,20 @@ class HybridTime(NamedTuple):
     j: int
 
 
+def _mapped(shape: tuple, dtype=float) -> np.ndarray:
+    """Uninitialised array in its own anonymous memory mapping, for the
+    buffers that grow with a run. Freeing one returns its memory to the OS
+    at once; a heap block of that size could stay resident, since glibc
+    raises its mmap threshold each time a large block is freed."""
+    count = math.prod(shape)
+    dtype = np.dtype(dtype)
+    mapping = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(mapping, dtype=dtype, count=count).reshape(shape)
+
+
 def _grown(buf: np.ndarray, used: int) -> np.ndarray:
     """A buffer of twice the length of ``buf`` holding its first ``used`` rows."""
-    out = np.empty((2 * buf.shape[0],) + buf.shape[1:], dtype=buf.dtype)
+    out = _mapped((2 * buf.shape[0],) + buf.shape[1:], dtype=buf.dtype)
     out[:used] = buf[:used]
     return out
 
@@ -206,15 +218,17 @@ class JumpEvent:
         return HybridState.from_row(self.log._post_rows(self.k, self.k + 1)[0])
 
 
-def apply_jump(state: HybridState, agent: int, w: np.ndarray, scheme) -> None:
+def apply_jump(state: HybridState, agent: int, w: np.ndarray, scheme) -> float:
     """Transmission by one agent, in place: reset its error, latch its
     noise, zero its clock, and apply the scheme's eta reset. All other
-    components (and x entirely) are unchanged."""
+    components (and x entirely) are unchanged. Returns the agent's new eta."""
     if not 0 <= agent < state.n:
         raise IndexError(f"agent {agent} out of range")
     w_i = w.item(agent)
     e_tilde_i = state.e.item(agent) + state.what_w.item(agent) - w_i
-    state.eta[agent] = scheme.eta_reset(state.eta.item(agent), e_tilde_i, agent)
+    eta_i = scheme.eta_reset(state.eta.item(agent), e_tilde_i, agent)
+    state.eta[agent] = eta_i
     state.e[agent] = 0.0
     state.what_w[agent] = w_i
     state.tau[agent] = 0.0
+    return eta_i

@@ -82,14 +82,15 @@ class NoiseSignal:
             out[i] = self.amplitude[i] * (2.0 * _uniform01(self.seed, i, k)[0] - 1.0)
         return out
 
-    def window_table(self, n_windows: int) -> np.ndarray:
-        """(n, n_windows) table of values for windows 0..n_windows-1.
+    def window_table(self, windows) -> np.ndarray:
+        """(n, m) table of the values in m windows: windows 0..m-1 for a
+        count m, or the windows of an integer index array of length m.
 
         Random-access precomputation used by the simulation engine;
         bit-identical to per-call sampling.
         """
-        windows = np.arange(n_windows, dtype=np.uint64)
-        table = np.empty((self.n, n_windows))
+        windows = np.arange(windows) if np.ndim(windows) == 0 else np.asarray(windows)
+        table = np.empty((self.n, windows.size))
         for i in range(self.n):
             table[i] = self.amplitude[i] * (2.0 * _uniform01(self.seed, i, windows) - 1.0)
         return table

@@ -356,6 +356,23 @@ def test_detection_refinement_locates_crossing():
     assert abs(b.psi_value) < abs(a.psi_value)
 
 
+@pytest.mark.parametrize("case", ["garcia-c2e-6", "two-agent"])
+def test_refined_samples_never_step_back_or_repeat(case):
+    # a crossing refined to the step end itself is the unrefined instant:
+    # its sample is k h once, not t0 + h (an ulp off) followed by k h again
+    if case == "garcia-c2e-6":
+        sc = build_preset(case)[0][1]
+        sc.t_final = 3.0
+        sc.detection_refinement = True
+    else:
+        sc = two_agent_scenario(c=1e-4, amp=1e-4, detection_refinement=True)
+    tr = simulate(sc)
+    assert len(tr.events) > 0
+    dt, dj = np.diff(tr.times), np.diff(tr.jumps)
+    assert np.all(dt >= 0.0)
+    assert not np.any((dt == 0.0) & (dj == 0))
+
+
 def test_step_halving_stability():
     s1 = two_agent_scenario(c=1e-4, amp=1e-4, t_final=2.0)
     s2 = two_agent_scenario(c=1e-4, amp=1e-4, t_final=2.0)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import etcsim
-from etcsim.engine import TRIGGER_TOL, _flow_block, jump_set
+from etcsim.engine import TRIGGER_TOL, _flow_block, _in_jump_set, jump_set
 from etcsim.etm import (
     BerneburgParams,
     BerneburgScheme,
@@ -24,6 +24,7 @@ from etcsim.etm import (
     gamma_sigma_from,
     phi,
     tau_miet,
+    trigger_value,
 )
 from etcsim.graph import Graph, benchmark_topology, laplacian
 from etcsim.hybrid import HybridState
@@ -279,6 +280,59 @@ def test_trigger_decision_scale_invariant(eta, psi, theta, scale):
     before = decision(eta, psi, theta, "dynamic")
     after = decision(scale * eta, scale * psi, theta, "dynamic")
     assert before == after
+
+
+AGREEMENT_SCHEMES = {
+    "garcia-static-u": lambda: GarciaScheme(bench(), GarciaParams(a=0.1, c=1e-6),
+                                            allow_zeno=True),
+    "dolk-dynamic-u": lambda: DolkScheme(bench(), DolkParams(a=0.1, theta=0.4, w_bar=1e-4)),
+    "single-static-y": lambda: SingleSystemScheme(SingleParams(delta_coef=0.0625, beta_coef=2.0,
+                                                               c=1e-7, w_bar=1e-4)),
+    "single-dynamic-y": lambda: SingleSystemScheme(SingleParams(
+        delta_coef=0.0625, beta_coef=2.0, c=1e-7, w_bar=1e-4, theta=0.7, mode="dynamic")),
+}
+
+
+@pytest.mark.parametrize("kind", list(AGREEMENT_SCHEMES))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_trigger_value_and_jump_set_agree_on_arrays_and_floats(kind, seed):
+    # the vector code (psi_vec, the block stepper) and the jump resolver's
+    # per-agent updates call the same two functions; entry by entry they
+    # must give the same bits
+    sch = AGREEMENT_SCHEMES[kind]()
+    dynamic = sch.mode == "dynamic"
+    rng = np.random.default_rng(seed)
+    shape = (16, sch.n)
+
+    def wide():
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 2.0, shape)
+
+    u, e_tilde, y_tilde = wide(), wide(), wide()
+    tau = rng.uniform(0.0, 2.0, shape) * np.maximum(sch.tau_miet, 1e-3)
+    tau[::3] = sch.tau_miet  # exactly at the dwell time, where the gate opens
+    tau[1::3] = np.nextafter(sch.tau_miet, -1.0)
+    eta = np.abs(wide())
+    eta[::4] = 0.0
+    psi = sch.psi_vec(u=u, e_tilde=e_tilde, tau=tau, y_tilde=y_tilde)
+    due = _in_jump_set(psi, eta, sch.theta, dynamic)
+    # the predicate also at its tolerance edges
+    edge = rng.choice([-TRIGGER_TOL, np.nextafter(-TRIGGER_TOL, 0.0), 0.0, TRIGGER_TOL,
+                       np.nextafter(-TRIGGER_TOL, -1.0)], size=shape)
+    due_edge = _in_jump_set(edge, eta, sch.theta, dynamic)
+    d = u if sch.drive == "u" else y_tilde
+    one_psi, one_due, one_edge = (np.empty(shape), np.empty(shape, dtype=bool),
+                                  np.empty(shape, dtype=bool))
+    for k, i in np.ndindex(shape):
+        p = trigger_value(sch.a.item(i), sch.b.item(i), sch.c.item(i), sch.tau_miet.item(i),
+                          d.item(k, i), e_tilde.item(k, i), tau.item(k, i))
+        assert type(p) is float
+        one_psi[k, i] = p
+        one_due[k, i] = _in_jump_set(p, eta.item(k, i), sch.theta.item(i), dynamic)
+        one_edge[k, i] = _in_jump_set(edge.item(k, i), eta.item(k, i), sch.theta.item(i), dynamic)
+    assert one_psi.tobytes() == psi.tobytes()
+    assert np.array_equal(one_due, due)
+    assert np.array_equal(one_edge, due_edge)
 
 
 def test_eta_reset_standard_and_remark5():

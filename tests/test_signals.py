@@ -45,7 +45,9 @@ def test_window_table_matches_pointwise():
     for i in range(4):
         for k in range(50):
             assert table[i, k] == sig.sample(i, k / sig.sample_rate)
-
+    # the same windows picked by index, repeats and any order included
+    idx = np.array([7, 7, 0, 49, 3, 3, 3])
+    assert np.array_equal(sig.window_table(idx), table[:, idx])
 
 def test_agents_distinct():
     sig = make_signal(n=2)
