@@ -13,7 +13,9 @@ import argparse
 import configparser
 import copy
 import math
+import os
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -48,7 +50,8 @@ BENCHMARK_GRAPH_KEYWORD = "paper-fig2"
 
 _FMT = "%.17g"
 # rows of states.csv and events.csv formatted per write, so that no
-# whole-run copy of a trace is made
+# whole-run copy of a trace is made; also the fewest rows a forked
+# writer process is given
 _CHUNK_ROWS = 4096
 
 
@@ -265,6 +268,67 @@ def scenario_to_config(s: Scenario, derived: dict | None = None) -> configparser
 # artifacts
 
 
+def _writer_count() -> int:
+    """CPUs in this process's affinity mask; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_range(fh, write_chunk, lo: int, hi: int) -> None:
+    for a in range(lo, hi, _CHUNK_ROWS):
+        write_chunk(fh, a, min(a + _CHUNK_ROWS, hi))
+
+
+def _write_part(part: Path, write_chunk, lo: int, hi: int) -> None:
+    with part.open("w") as fh:
+        _write_range(fh, write_chunk, lo, hi)
+
+
+def _write_rows(path: Path, header: str, nrows: int, write_chunk) -> None:
+    """Write ``header`` and then rows [0, nrows) to ``path``;
+    ``write_chunk(fh, lo, hi)`` formats rows lo..hi, at most
+    ``_CHUNK_ROWS`` of them per call.
+
+    The rows are split into one contiguous range per CPU, each of at
+    least ``_CHUNK_ROWS`` rows. This process writes the first range into
+    ``path``; a forked child writes each other range to a hidden part
+    file next to it, which is then appended in order, so the bytes do
+    not depend on the number of ranges. A fork shares the trace with the
+    child instead of pickling it; the child only slices and formats,
+    since the parent may hold BLAS threads. A child that fails raises
+    OSError.
+    """
+    w = max(1, min(_writer_count(), nrows // _CHUNK_ROWS))
+    bounds = [nrows * k // w for k in range(w + 1)]
+    children = []
+    try:
+        with path.open("w") as fh:
+            if w > 1:
+                import multiprocessing
+
+                ctx = multiprocessing.get_context("fork")
+                for k in range(1, w):
+                    part = path.with_name(f".{path.name}.{k}.part")
+                    proc = ctx.Process(target=_write_part,
+                                       args=(part, write_chunk, bounds[k], bounds[k + 1]))
+                    proc.start()
+                    children.append((proc, part))
+            fh.write(header)
+            _write_range(fh, write_chunk, 0, bounds[1])
+            fh.flush()
+            for proc, part in children:
+                proc.join()
+                if proc.exitcode != 0:
+                    raise OSError(f"the writer of {part.name} exited with code {proc.exitcode}")
+                with part.open("rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+    finally:
+        for proc, part in children:
+            proc.join()
+            part.unlink(missing_ok=True)
+
+
 def _write_states(path: Path, trace: SolutionTrace) -> None:
     n = trace.n
     cols = (["t", "j"]
@@ -272,25 +336,25 @@ def _write_states(path: Path, trace: SolutionTrace) -> None:
             + [f"what_w{i}" for i in range(n)] + [f"eta{i}" for i in range(n)]
             + [f"tau{i}" for i in range(n)])
     fmts = [_FMT, "%d"] + [_FMT] * (5 * n)
-    with path.open("w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for lo in range(0, trace.times.size, _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            data = np.column_stack([trace.times[lo:hi], trace.jumps[lo:hi].astype(float),
-                                    trace.states[lo:hi]])
-            np.savetxt(fh, data, fmt=fmts, delimiter=",")
+
+    def write_chunk(fh, lo, hi):
+        data = np.column_stack([trace.times[lo:hi], trace.jumps[lo:hi].astype(float),
+                                trace.states[lo:hi]])
+        np.savetxt(fh, data, fmt=fmts, delimiter=",")
+
+    _write_rows(path, ",".join(cols) + "\n", trace.times.size, write_chunk)
 
 
 def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> None:
     log = trace.events
     cols = (log.agent, log.t, log.j, log.gap, log.psi, delta_u)
-    with path.open("w") as fh:
-        fh.write("agent,t,j,gap,psi,delta_u\n")
-        for lo in range(0, len(log), _CHUNK_ROWS):
-            chunk = (c[lo : lo + _CHUNK_ROWS].tolist() for c in cols)
-            for agent, t, j, gap, psi, du in zip(*chunk):
-                gap_s = "" if math.isnan(gap) else _FMT % gap
-                fh.write(f"{agent},{_FMT % t},{j},{gap_s},{_FMT % psi},{_FMT % du}\n")
+
+    def write_chunk(fh, lo, hi):
+        for agent, t, j, gap, psi, du in zip(*(c[lo:hi].tolist() for c in cols)):
+            gap_s = "" if math.isnan(gap) else _FMT % gap
+            fh.write(f"{agent},{_FMT % t},{j},{gap_s},{_FMT % psi},{_FMT % du}\n")
+
+    _write_rows(path, "agent,t,j,gap,psi,delta_u\n", len(log), write_chunk)
 
 
 def _write_metrics(path: Path, trace: SolutionTrace, cons: dict) -> None:

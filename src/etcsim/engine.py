@@ -70,6 +70,9 @@ JUMPS_PER_INSTANT_FACTOR = 10
 # block lengths in steps: after an instant with jumps, and the cap of the doubling
 BLOCK_MIN = 8
 BLOCK_MAX = 512
+# events per storage evaluation in jump_storage_change, which bounds its
+# temporaries instead of rebuilding the whole (E, 5n) post-jump log at once
+STORAGE_BLOCK_ROWS = 4096
 
 
 class JumpStormError(RuntimeError):
@@ -476,9 +479,15 @@ def inter_event_stats(trace: SolutionTrace) -> dict[int, dict]:
 
 def jump_storage_change(trace: SolutionTrace, scheme: QuadraticTrigger,
                         feedback: np.ndarray) -> np.ndarray:
-    """Per-event ΔU = U(post) - U(pre) of the scheme's storage function."""
+    """Per-event ΔU = U(post) - U(pre) of the scheme's storage function,
+    evaluated in blocks of ``STORAGE_BLOCK_ROWS`` events."""
     log = trace.events
-    return scheme.storage(log.post, feedback) - scheme.storage(log.pre, feedback)
+    out = np.empty(len(log))
+    for lo in range(0, len(log), STORAGE_BLOCK_ROWS):
+        hi = min(lo + STORAGE_BLOCK_ROWS, len(log))
+        out[lo:hi] = (scheme.storage(log._post_rows(lo, hi), feedback)
+                      - scheme.storage(log._pre[lo:hi], feedback))
+    return out
 
 
 def lyapunov_series(trace: SolutionTrace, scheme: QuadraticTrigger, feedback: np.ndarray):

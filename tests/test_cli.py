@@ -264,3 +264,48 @@ def test_chunked_writers_match_a_one_shot_write(tmp_path, monkeypatch):
         chunked = (tmp_path / "chunked" / name).read_bytes()
         assert chunked == (tmp_path / "whole" / name).read_bytes()
         assert chunked.count(b"\n") == 1 + (tr.times.size if name == "states.csv" else len(tr.events))
+
+
+@pytest.fixture(scope="module")
+def short_garcia_c0():
+    sc = cli.build_preset("garcia-c0")[0][1]
+    sc.t_final = 0.3
+    tr = simulate(sc)
+    return tr, jump_storage_change(tr, sc.scheme, sc.feedback)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_writers_match_a_one_process_write(short_garcia_c0, tmp_path, monkeypatch, workers):
+    tr, du = short_garcia_c0
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    assert len(tr.events) >= 4 * workers and tr.times.size >= 4 * workers
+
+    def write(w, d):
+        monkeypatch.setattr(cli, "_writer_count", lambda: w)
+        d.mkdir()
+        cli._write_states(d / "states.csv", tr)
+        cli._write_events(d / "events.csv", tr, du)
+
+    write(1, tmp_path / "one")
+    write(workers, tmp_path / "forked")
+    for name in ("states.csv", "events.csv"):
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    assert not list(tmp_path.rglob("*.part"))
+
+
+def test_failed_writer_process_is_an_io_error(tmp_path, monkeypatch):
+    import multiprocessing
+
+    def broken(part, write_chunk, lo, hi):
+        part.write_text("partial")
+        raise RuntimeError("synthetic writer failure")
+
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(cli, "_writer_count", lambda: 2)
+    monkeypatch.setattr(cli, "_write_part", broken)
+    sc = cli.build_preset("garcia-c0")[0][1]
+    sc.t_final = 0.3
+    out = tmp_path / "o"
+    assert cli.run(sc, out) == 4
+    assert not list(out.glob("*.part"))
+    assert multiprocessing.active_children() == []

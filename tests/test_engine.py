@@ -475,3 +475,14 @@ def test_garcia_jumps_leave_w_unchanged():
         w_pre = 0.5 * ev.pre_state.x @ L @ ev.pre_state.x
         w_post = 0.5 * ev.post_state.x @ L @ ev.post_state.x
         assert w_pre == w_post  # x untouched by jumps
+
+
+@pytest.mark.parametrize("name", ["garcia-c2e-6", "dolk-c0"])
+def test_blocked_storage_change_matches_a_whole_log_evaluation(preset_runs, monkeypatch, name):
+    # dolk-c0 adds the certificate term to the storage function
+    [(_, sc, tr)] = preset_runs(name)
+    log, M = tr.events, sc.feedback
+    assert len(log) > 3 * 3
+    monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", 3)
+    whole = sc.scheme.storage(log.post, M) - sc.scheme.storage(log.pre, M)
+    assert np.array_equal(engine_mod.jump_storage_change(tr, sc.scheme, M), whole)
