@@ -8,9 +8,7 @@ from .engine import (
     SolutionTrace,
     consensus_metrics,
     inter_event_stats,
-    jump_set,
     jump_storage_change,
-    lyapunov_series,
     simulate,
     zeno_indicator,
 )
@@ -36,8 +34,8 @@ from .graph import (
     is_weight_balanced,
     laplacian,
 )
-from .hybrid import EventLog, HybridState, HybridTime, JumpEvent, apply_jump
-from .presets import PRESETS, build_preset, preset_names
+from .hybrid import EventLog, HybridTime, JumpEvent, apply_jump
+from .presets import PRESETS, build_preset
 from .signals import NoiseSignal
 
 __version__ = "0.1.0"

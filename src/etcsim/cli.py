@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import dataclasses
 import math
 import os
 import re
@@ -459,20 +460,12 @@ def _build_from_args(args) -> list[tuple[str | None, Scenario]]:
             raise FileNotFoundError(f"config file {args.config} not found")
         scenario = config_to_scenario(cp)
         if args.seed is not None:
-            noise = scenario.noise
-            scenario.noise = NoiseSignal(
-                seed=args.seed, amplitude=noise.amplitude,
-                sample_rate=noise.sample_rate, n=noise.n,
-            )
+            scenario.noise = dataclasses.replace(scenario.noise, seed=args.seed)
         pairs = [(None, scenario)]
-    for _, sc in pairs:
-        if args.t_final is not None:
-            sc.t_final = args.t_final
-        if args.step is not None:
-            sc.step = args.step
-        if args.decimate is not None:
-            sc.decimation = args.decimate
-    return pairs
+    # replace() re-runs the validation of each overridden scenario
+    given = {"t_final": args.t_final, "step": args.step, "decimation": args.decimate}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    return [(sub, dataclasses.replace(sc, **overrides)) for sub, sc in pairs]
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,12 @@
 """Hybrid simulation loop and trace metrics.
 
-Between two transmissions the closed loop flows affinely: the held
-output makes x + e invariant, so the control input u = -M(x + e + w_hat)
-is constant, x, e and tau are linear in t, and the noise is held per
-window. The engine therefore advances in blocks of up to BLOCK_MAX steps
-of length h (the noise-hold period by default) with u frozen at the
-start of the block:
+The run's state is one (5n,) row (x, e, w_hat, eta, tau), updated in
+place through its (5, n) view ``z``. Between two transmissions the
+closed loop flows affinely: the held output makes x + e invariant, so
+the control input u = -M(x + e + w_hat) is constant, x, e and tau are
+linear in t, and the noise is held per window. The engine therefore
+advances in blocks of up to BLOCK_MAX steps of length h (the noise-hold
+period by default) with u frozen at the start of the block:
 
 - x, e and tau at the step ends are one ``cumsum`` over the start row
   and K increments, which rounds as applying ``x += h*u`` once per step;
@@ -48,18 +49,16 @@ import numpy as np
 
 from .etm import QuadraticTrigger, trigger_value
 from .graph import Graph, laplacian
-from .hybrid import EventLog, HybridState, _grown, _mapped, apply_jump
+from .hybrid import EventLog, _grown, _mapped, apply_jump
 from .signals import NoiseSignal
 
 __all__ = [
     "Scenario",
     "SolutionTrace",
     "JumpStormError",
-    "jump_set",
     "simulate",
     "inter_event_stats",
     "jump_storage_change",
-    "lyapunov_series",
     "consensus_metrics",
     "zeno_indicator",
 ]
@@ -86,8 +85,8 @@ class Scenario:
 
     ``feedback`` defaults to the graph Laplacian (consensus loop); the
     single-plant demo passes its own gain matrix and no graph. The run
-    starts from x0 with zero errors, eta and clocks, and with each
-    agent's noise at t = 0 latched.
+    starts from x0 with zero errors, eta and clocks, and with row 0 of
+    the noise's step table, the noise at t = 0, latched.
     """
 
     scheme: QuadraticTrigger
@@ -119,10 +118,6 @@ class Scenario:
         if self.x0.shape != (n,):
             raise ValueError(f"x0 shape {self.x0.shape} != ({n},)")
 
-    def initial_state(self) -> HybridState:
-        z = np.zeros(self.scheme.n)
-        return HybridState(self.x0, z, self.noise.sample_vector(0.0), z, z)
-
 
 @dataclass
 class SolutionTrace:
@@ -137,16 +132,9 @@ class SolutionTrace:
     run_manifest: dict
     n: int
 
-    def state_at(self, k: int) -> HybridState:
-        return HybridState.from_row(self.states[k])
-
     @property
     def x_series(self) -> np.ndarray:
         return self.states[:, : self.n]
-
-    @property
-    def final_state(self) -> HybridState:
-        return self.state_at(len(self.times) - 1)
 
 
 class _Recorder:
@@ -175,16 +163,8 @@ class _Recorder:
 
 def _in_jump_set(psi, eta, theta, dynamic: bool):
     """The jump set D given the trigger values psi, the (clamped) eta and
-    the dynamic rule's theta; see :func:`jump_set`. Plain arithmetic on
-    whole arrays or on one agent's floats, with the same bits either way."""
-    due = psi <= -TRIGGER_TOL
-    return due & (eta + theta * psi <= TRIGGER_TOL) if dynamic else due
-
-
-def jump_set(scheme: QuadraticTrigger, state: HybridState, u: np.ndarray,
-             w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trigger values psi and the mask of agents in the jump set D, for
-    control input u and current noise w.
+    the dynamic rule's theta. Plain arithmetic on whole arrays or on one
+    agent's floats, with the same bits either way.
 
     Static rule: agent i is in D when psi_i <= -TRIGGER_TOL. Dynamic
     rule: additionally eta_i + theta_i psi_i <= TRIGGER_TOL; eta is
@@ -195,11 +175,16 @@ def jump_set(scheme: QuadraticTrigger, state: HybridState, u: np.ndarray,
     admissible, and the solver flows, because the persistently flowing
     solution is the one the guarantees speak about. Jump resolution,
     the block stepper, the refinement probes and the tests all decide
-    through this predicate, :func:`_in_jump_set`.
+    through this predicate.
     """
-    e_tilde = state.e + state.what_w - w
-    psi = scheme.psi_vec(u=u, e_tilde=e_tilde, tau=state.tau, y_tilde=state.x + w)
-    return psi, _in_jump_set(psi, state.eta, scheme.theta, scheme.mode == "dynamic")
+    due = psi <= -TRIGGER_TOL
+    return due & (eta + theta * psi <= TRIGGER_TOL) if dynamic else due
+
+
+def _control_law(feedback: np.ndarray, z: np.ndarray):
+    """u = -M (x + e + w_hat), as a function reading the state view z."""
+    neg_fb, (x, e, what_w) = -feedback, z[:3]
+    return lambda: neg_fb @ (x + e + what_w)
 
 
 def _eta_gain(eps: float, h: float) -> float:
@@ -222,9 +207,9 @@ def _block_limit(scheme: QuadraticTrigger, h: float) -> int:
 
 def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
                 scheme: QuadraticTrigger) -> tuple[np.ndarray, np.ndarray]:
-    """Flow the state ``row`` for K = len(w) - 1 steps of length h with u
-    frozen; w[m] is the noise at the m-th step end (w[0] at the start),
-    and step m + 1 flows under w[m].
+    """Flow the state ``row``, or its (5, n) view, for K = len(w) - 1
+    steps of length h with u frozen; w[m] is the noise at the m-th step
+    end (w[0] at the start), and step m + 1 flows under w[m].
 
     Returns the (K + 1, 5n) rows at the step ends, row 0 being the start
     and eta not yet clamped at 0, and the (K, n) mask of agents in the
@@ -242,9 +227,8 @@ def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
     z = np.cumsum(z, axis=0)
     x, e, what_w, eta, tau = z.transpose(1, 0, 2)
     e_tilde = e + what_w - w
-    y_tilde = x + w
     if scheme.mode != "dynamic":
-        psi = scheme.psi_vec(u=u, e_tilde=e_tilde[1:], tau=tau[1:], y_tilde=y_tilde[1:])
+        psi = scheme.psi_vec(u=u, e_tilde=e_tilde[1:], tau=tau[1:], x=x[1:], w=w[1:])
         return z.reshape(k + 1, 5 * n), _in_jump_set(psi, eta[1:], scheme.theta, False)
 
     # RK4 stage values of every step in one evaluation: psi at the step
@@ -257,7 +241,8 @@ def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
         u=u,
         e_tilde=np.concatenate((e_tilde, et0 - half * u, et0 - h * u)),
         tau=np.concatenate((tau, tau0 + half, tau0 + h)),
-        y_tilde=np.concatenate((y_tilde, x0 + half * u + w0, x0 + h * u + w0)),
+        x=np.concatenate((x, x0 + half * u, x0 + h * u)),
+        w=np.concatenate((w, w0, w0)),
     )
     p1, p2, p4 = p[:k], p[k + 1 : 2 * k + 1], p[2 * k + 1 :]
     eps = scheme.eps_eta
@@ -273,30 +258,29 @@ def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
                                                  scheme.theta, True)
 
 
-def _commit(state: HybridState, row: np.ndarray) -> None:
-    """Make ``row`` the current state, with eta clamped at 0 (discrete
-    detection lets eta undershoot slightly)."""
-    state.row[:] = row
-    np.maximum(state.eta, 0.0, out=state.eta)
+def _commit(z: np.ndarray, row: np.ndarray) -> None:
+    """Make ``row`` the current state of the view z, with eta clamped at 0
+    (discrete detection lets eta undershoot slightly)."""
+    z.flat = row
+    np.maximum(z[3], 0.0, out=z[3])
 
 
-def _flow_to(state: HybridState, u: np.ndarray, dt: float, w: np.ndarray,
+def _flow_to(z: np.ndarray, u: np.ndarray, dt: float, w: np.ndarray,
              scheme: QuadraticTrigger) -> None:
-    """Flow the state in place for one step of length dt under the noise w."""
-    _commit(state, _flow_block(state.row, u, dt, np.stack((w, w)), scheme)[0][1])
+    """Flow the state view z in place for one step of length dt under the noise w."""
+    _commit(z, _flow_block(z, u, dt, np.stack((w, w)), scheme)[0][1])
 
 
-def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, state: HybridState,
+def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray,
                    log: EventLog):
-    """The jump resolution of one run, on its state and event log:
-    ``resolve(t, w)`` applies the jumps due at time t under the noise w
-    and returns how many it applied (module docstring). Raises
+    """The jump resolution of one run, on its (5, n) state view z and event
+    log: ``resolve(t, w)`` applies the jumps due at time t under the noise
+    w and returns how many it applied (module docstring). Raises
     :class:`JumpStormError` past JUMPS_PER_INSTANT_FACTOR jumps per agent
     at one instant."""
     n = scheme.n
-    neg_fb = -feedback
+    control = _control_law(feedback, z)
     dynamic = scheme.mode == "dynamic"
-    drive_u = scheme.drive == "u"
     a, b, c, gate, theta = (v.tolist() for v in (scheme.a, scheme.b, scheme.c,
                                                   scheme.tau_miet, scheme.theta))
     # per agent i, the rows r whose u a jump by i changes, with M[r, i]
@@ -304,26 +288,29 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, state: Hybrid
               for i in range(n)]
     storm_cap = n * JUMPS_PER_INSTANT_FACTOR
     last_t = [math.nan] * n  # a first event's gap is NaN
+    x, e, what_w, eta_v, tau_v = z
+    row = z.reshape(-1)  # the flat view of the state
     pre = np.empty(5 * n)  # the state row before the jump being logged
 
     def resolve(t: float, w: np.ndarray) -> int:
-        u = neg_fb @ (state.x + state.e + state.what_w)
-        d = u if drive_u else state.x + w
-        e_tilde = state.e + state.what_w - w
-        psi = trigger_value(scheme.a, scheme.b, scheme.c, scheme.tau_miet, d, e_tilde, state.tau)
-        due = _in_jump_set(psi, state.eta, scheme.theta, dynamic)
+        u = control()
+        d = scheme.driver(u, x, w)
+        e_tilde = e + what_w - w
+        psi = trigger_value(scheme.a, scheme.b, scheme.c, scheme.tau_miet, d, e_tilde, tau_v)
+        due = _in_jump_set(psi, eta_v, scheme.theta, dynamic)
         if not due.any():
             return 0
-        psi, due, u, e_tilde = psi.tolist(), due.tolist(), u.tolist(), e_tilde.tolist()
-        d = u if drive_u else d.tolist()
-        eta, tau = state.eta.tolist(), state.tau.tolist()
+        psi, due, e_tilde, d_list = psi.tolist(), due.tolist(), e_tilde.tolist(), d.tolist()
+        # for consensus d is u: one shared list, so the updates of u below reach d
+        u, d = d_list if d is u else u.tolist(), d_list
+        eta, tau = eta_v.tolist(), tau_v.tolist()
         total = 0
         while any(due):
             for i in range(n):
                 if not due[i]:
                     continue
-                pre[:] = state.row
-                eta[i] = apply_jump(state, i, w, scheme)
+                pre[:] = row
+                eta[i] = apply_jump(z, i, w, scheme)
                 log.append(i, t, len(log) + 1, t - last_t[i], psi[i], pre, w.item(i), eta[i])
                 last_t[i] = t
                 total += 1
@@ -345,33 +332,30 @@ def simulate(s: Scenario) -> SolutionTrace:
     scheme = s.scheme
     n = scheme.n
     h = s.step
-    neg_fb = -s.feedback
     steps = int(round(s.t_final / h))
     dec = s.decimation
     longest = _block_limit(scheme, h)
     dynamic = scheme.mode == "dynamic"
 
-    # the noise at each step boundary, (steps + 1, n): row m is the window
-    # that step end m falls in
-    noise = s.noise.window_table(
-        np.floor(np.arange(steps + 1) * (h * s.noise.sample_rate) * (1 + 1e-12)).astype(np.int64)
-    ).T
-
-    state = s.initial_state()
+    noise = s.noise.step_table(steps, h)
+    z = np.zeros((5, n))
+    z[0], z[2] = s.x0, noise[0]
+    row = z.reshape(-1)  # the flat view of z, in the layout of the samples
+    control = _control_law(s.feedback, z)
     rec = _Recorder(n, steps // dec + 16)
     log = EventLog(n)
-    resolve = _jump_resolver(scheme, s.feedback, state, log)
+    resolve = _jump_resolver(scheme, s.feedback, z, log)
 
     # jumps may already be due at t=0
     resolve(0.0, noise[0])
-    rec.push(0.0, len(log), state.row)
+    rec.push(0.0, len(log), row)
 
     k, size = 0, BLOCK_MIN  # steps taken, length of the next block
     while k < steps:
         size = min(size, longest, steps - k)
-        u = neg_fb @ (state.x + state.e + state.what_w)
+        u = control()
         w = noise[k : k + size + 1]
-        rows, due = _flow_block(state.row, u, h, w, scheme)
+        rows, due = _flow_block(row, u, h, w, scheme)
         stop = due.any(axis=1)
         if dynamic:
             stop |= (rows[1:, 3 * n : 4 * n] < 0.0).any(axis=1)
@@ -389,20 +373,20 @@ def simulate(s: Scenario) -> SolutionTrace:
         # itself is the unrefined instant
         dt = h
         if s.detection_refinement and due[m - 1].any():
-            _commit(state, rows[m - 1])
-            dt = _refine_instant(state, u, h, w[m - 1], scheme)
+            _commit(z, rows[m - 1])
+            dt = _refine_instant(z, u, h, w[m - 1], scheme)
         if dt < h:
             t0, w_step = (k + m - 1) * h, w[m - 1]
-            _flow_to(state, u, dt, w_step, scheme)
+            _flow_to(z, u, dt, w_step, scheme)
             if resolve(t0 + dt, w_step):
-                rec.push(t0 + dt, len(log), state.row)
-            _flow_to(state, neg_fb @ (state.x + state.e + state.what_w), h - dt, w_step, scheme)
+                rec.push(t0 + dt, len(log), row)
+            _flow_to(z, control(), h - dt, w_step, scheme)
         else:
-            _commit(state, rows[m])
+            _commit(z, rows[m])
         k += m
         applied = resolve(k * h, w[m]) if stopped else 0
         if applied or k % dec == 0 or k == steps:
-            rec.push(k * h, len(log), state.row)
+            rec.push(k * h, len(log), row)
         size = BLOCK_MIN if stopped else 2 * size
 
     manifest = {
@@ -427,13 +411,7 @@ def simulate(s: Scenario) -> SolutionTrace:
     )
 
 
-def _due_after(state, u, dt, w_flow, w_check, scheme) -> bool:
-    """Would any agent be in the jump set after flowing dt with the noise
-    w_flow, judged against the noise w_check?"""
-    return bool(_flow_block(state.row, u, dt, np.stack((w_flow, w_check)), scheme)[1].any())
-
-
-def _refine_instant(state, u, h, w_step, scheme) -> float:
+def _refine_instant(z, u, h, w_step, scheme) -> float:
     """Bisect the earliest trigger crossing inside (t_k, t_k + h], given
     that some agent is due at t_k + h under the next window's noise.
 
@@ -441,14 +419,16 @@ def _refine_instant(state, u, h, w_step, scheme) -> float:
     due at t_k + h under it, the crossing is the noise switch at the
     boundary itself. Returns the offset from the step start; the caller
     adds it to the step-start time."""
-    if _due_after(state, u, 0.0, w_step, w_step, scheme):
+    def due_after(dt: float) -> bool:  # is any agent of z in the jump set after flowing dt?
+        return bool(_flow_block(z, u, dt, np.stack((w_step, w_step)), scheme)[1].any())
+    if due_after(0.0):
         return 0.0
-    if not _due_after(state, u, h, w_step, w_step, scheme):
+    if not due_after(h):
         return h
     lo, hi = 0.0, h
     while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        if _due_after(state, u, mid, w_step, w_step, scheme):
+        if due_after(mid):
             hi = mid
         else:
             lo = mid
@@ -488,18 +468,6 @@ def jump_storage_change(trace: SolutionTrace, scheme: QuadraticTrigger,
         out[lo:hi] = (scheme.storage(log._post_rows(lo, hi), feedback)
                       - scheme.storage(log._pre[lo:hi], feedback))
     return out
-
-
-def lyapunov_series(trace: SolutionTrace, scheme: QuadraticTrigger, feedback: np.ndarray):
-    """(V, U) per sample plus per-event ΔU = U(post) - U(pre).
-
-    V = x'Mx/2 is the quadratic part alone, with M the scenario's
-    feedback matrix; U is the scheme's full storage function.
-    """
-    x = trace.x_series
-    v_series = 0.5 * np.einsum("mi,ij,mj->m", x, feedback, x)
-    u_series = scheme.storage(trace.states, feedback)
-    return v_series, u_series, jump_storage_change(trace, scheme, feedback)
 
 
 def consensus_metrics(trace: SolutionTrace) -> dict:

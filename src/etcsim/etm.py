@@ -24,7 +24,6 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .graph import Graph
-from .hybrid import HybridState
 
 __all__ = [
     "GarciaParams",
@@ -269,8 +268,12 @@ class QuadraticTrigger:
     def n(self) -> int:
         return self.a.size
 
-    def psi_vec(self, u, e_tilde, tau, y_tilde) -> np.ndarray:
-        d = u if self.drive == "u" else y_tilde
+    def driver(self, u, x, w):
+        """The trigger's d: u for consensus, else y~ = x + w (formed only then)."""
+        return u if self.drive == "u" else x + w
+
+    def psi_vec(self, u, e_tilde, tau, x, w) -> np.ndarray:
+        d = self.driver(u, x, w)
         return trigger_value(self.a, self.b, self.c, self.tau_miet, d, e_tilde, tau)
 
     def c_lower_bound(self) -> np.ndarray:
@@ -291,15 +294,15 @@ class QuadraticTrigger:
         excess = max(abs(e_tilde_i) - 2.0 * self.w_bar.item(agent), 0.0)
         return eta_i + self.reset_gain.item(agent) * (excess * excess)
 
-    def storage(self, state, feedback: np.ndarray):
+    def storage(self, rows, feedback: np.ndarray):
         """U = x'Mx/2 + sum_i gamma_i phi_i(tau_i) e_i^2 + sum_i eta_i, with M
         the scenario's feedback matrix; the certificate term is present
         only for the timer scheme, the one with certificate gains.
 
-        ``state`` is a HybridState or one (5n,) row, giving a float, or an
-        (m, 5n) block of rows, giving one value per row. Each row's value
-        does not depend on the other rows of the block."""
-        rows = state.row if isinstance(state, HybridState) else np.asarray(state, dtype=float)
+        ``rows`` is one (5n,) row, giving a float, or an (m, 5n) block of
+        rows, giving one value per row. Each row's value does not depend
+        on the other rows of the block."""
+        rows = np.asarray(rows, dtype=float)
         z = rows.reshape(-1, 5, self.n)
         x, e, eta, tau = z[:, 0], z[:, 1], z[:, 3], z[:, 4]
         cert = 0.0

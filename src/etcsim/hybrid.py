@@ -1,61 +1,29 @@
-"""Hybrid closed-loop state, the jump map and the transmission log.
+"""The hybrid state's layout, the jump map and the transmission log.
 
-The concrete plant is the single-integrator consensus loop with
-zero-order hold: each agent's state feeds back through the graph
-Laplacian applied to the latest transmitted (noisy) outputs. Along a
-flow interval the sampled output is held, so the network-induced error
-evolves as the exact negative of the state.
+The state is one flat (5n,) row, laid out as the trace's samples, and
+``row.reshape(5, n)`` its (5, n) view: agent states x, noise-free
+network-induced errors e (sampled minus current output), noise w_hat
+latched at each agent's last transmission, dynamic-trigger variables
+eta and per-agent clocks tau. The plant is the single-integrator
+consensus loop with zero-order hold: each agent's state feeds back
+through the graph Laplacian applied to the latest transmitted (noisy)
+outputs. Along a flow interval the sampled output is held, so the
+network-induced error evolves as the exact negative of the state.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["HybridState", "HybridTime", "EventLog", "JumpEvent", "apply_jump"]
+__all__ = ["HybridTime", "EventLog", "JumpEvent", "apply_jump"]
 
 
 class HybridState:
-    """Full state (x, e, w_hat, eta, tau) of the networked closed loop,
-    held as one flat (5n,) ``row`` in the trace's layout.
-
-    x: agent states; e: ideal network-induced errors (sampled output
-    minus current output, noise-free); what_w: noise values latched at
-    each agent's last transmission; eta: dynamic-trigger variables;
-    tau: per-agent clocks (used by timer-regularized schemes only).
-    The five components are views of the row: update them in place
-    (``state.x += dx``, ``state.e[i] = 0.0``), never rebind them.
-    """
-
-    __slots__ = ("row", "x", "e", "what_w", "eta", "tau")
-
-    def __init__(self, x, e, what_w, eta, tau) -> None:
-        self._bind(np.concatenate([x, e, what_w, eta, tau], dtype=float))
-
-    def _bind(self, row: np.ndarray) -> "HybridState":
-        self.row = row
-        self.x, self.e, self.what_w, self.eta, self.tau = row.reshape(5, -1)
-        return self
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    def copy(self) -> "HybridState":
-        return HybridState.from_row(self.row)
-
-    def as_row(self) -> np.ndarray:
-        """Copy of the flat (5n,) row: x, e, w_hat, eta, tau."""
-        return self.row.copy()
-
-    @classmethod
-    def from_row(cls, row: np.ndarray) -> "HybridState":
-        """State holding a copy of ``row``."""
-        return cls.__new__(cls)._bind(np.array(row, dtype=float))
+    """Retired, member-less: ``bench/spans.py`` still looks the name up."""
 
 
 class HybridTime(NamedTuple):
@@ -93,7 +61,7 @@ class _Column:
         return getattr(log, self.buf)[: log._size]
 
 
-class EventLog(Sequence):
+class EventLog:
     """Transmissions in hybrid-time order, stored as columns.
 
     ``agent``, ``t`` and ``j`` say who jumped and when; ``gap`` is the time
@@ -102,8 +70,8 @@ class EventLog(Sequence):
     state rows just before it. A jump changes only the transmitting
     agent's e, w_hat, eta and tau, so the log keeps just two scalars of
     the post-jump state, the latched noise and eta, and ``post`` rebuilds
-    the (E, 5n) rows just after each jump from them. ``len()``, indexing
-    and iteration give :class:`JumpEvent` views.
+    the (E, 5n) rows just after each jump from them. ``len()`` counts
+    the jumps, and iteration gives a :class:`JumpEvent` view of each.
     """
 
     _INITIAL_CAPACITY = 64
@@ -168,22 +136,13 @@ class EventLog(Sequence):
     def __len__(self) -> int:
         return self._size
 
-    def __getitem__(self, k: int) -> "JumpEvent":
-        k = int(k)
-        if k < 0:
-            k += self._size
-        if not 0 <= k < self._size:
-            raise IndexError(f"event {k} out of range for {self._size} events")
-        return JumpEvent(self, k)
-
     def __iter__(self):
         for k in range(self._size):
             yield JumpEvent(self, k)
 
 
 class JumpEvent:
-    """One transmission, read from entry ``k`` of an :class:`EventLog`;
-    ``pre_state`` and ``post_state`` are copies of its rows."""
+    """One transmission, read from entry ``k`` of an :class:`EventLog`."""
 
     __slots__ = ("log", "k")
 
@@ -205,30 +164,18 @@ class JumpEvent:
         gap = self.log._gap.item(self.k)
         return None if math.isnan(gap) else gap
 
-    @property
-    def psi_value(self) -> float:
-        return self.log._psi.item(self.k)
 
-    @property
-    def pre_state(self) -> HybridState:
-        return HybridState.from_row(self.log._pre[self.k])
-
-    @property
-    def post_state(self) -> HybridState:
-        return HybridState.from_row(self.log._post_rows(self.k, self.k + 1)[0])
-
-
-def apply_jump(state: HybridState, agent: int, w: np.ndarray, scheme) -> float:
-    """Transmission by one agent, in place: reset its error, latch its
-    noise, zero its clock, and apply the scheme's eta reset. All other
-    components (and x entirely) are unchanged. Returns the agent's new eta."""
-    if not 0 <= agent < state.n:
+def apply_jump(z: np.ndarray, agent: int, w: np.ndarray, scheme) -> float:
+    """Transmission by one agent, in place on the (5, n) state view ``z``:
+    reset its error, latch its noise, zero its clock, and apply the
+    scheme's eta reset. All other components (and x entirely) are
+    unchanged. Returns the agent's new eta."""
+    if not 0 <= agent < z.shape[1]:
         raise IndexError(f"agent {agent} out of range")
     w_i = w.item(agent)
-    e_tilde_i = state.e.item(agent) + state.what_w.item(agent) - w_i
-    eta_i = scheme.eta_reset(state.eta.item(agent), e_tilde_i, agent)
-    state.eta[agent] = eta_i
-    state.e[agent] = 0.0
-    state.what_w[agent] = w_i
-    state.tau[agent] = 0.0
+    e_tilde_i = z.item(1, agent) + z.item(2, agent) - w_i
+    eta_i = scheme.eta_reset(z.item(3, agent), e_tilde_i, agent)
+    z[1, agent] = z[4, agent] = 0.0
+    z[2, agent] = w_i
+    z[3, agent] = eta_i
     return eta_i

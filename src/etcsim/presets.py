@@ -27,7 +27,7 @@ from .etm import (
 from .graph import benchmark_topology
 from .signals import NoiseSignal
 
-__all__ = ["Preset", "PRESETS", "build_preset", "preset_names"]
+__all__ = ["Preset", "PRESETS", "build_preset"]
 
 DEFAULT_SEED = 2024
 W_BAR = 1e-4
@@ -148,10 +148,6 @@ PRESETS: dict[str, Preset] = {
         ],
     ),
 }
-
-
-def preset_names() -> list[str]:
-    return list(PRESETS)
 
 
 def build_preset(name: str, seed: int | None = None) -> list[tuple[str | None, Scenario]]:

@@ -1,8 +1,8 @@
 """Seeded, bounded, piecewise-constant measurement-noise signals.
 
-The generator is counter-based: every sample is a pure function of
-(seed, agent, window index), so noise can be queried at arbitrary times
-in any order without coupling to integrator internals. The mixing
+The generator is counter-based: every value is a pure function of
+(seed, agent, window index), so windows can be tabulated in any order
+without coupling to integrator internals. The mixing
 function is the SplitMix64 finalizer applied twice over the keyed
 counter, which passes the statistical checks in the test suite.
 """
@@ -60,34 +60,12 @@ class NoiseSignal:
         amp.setflags(write=False)
         object.__setattr__(self, "amplitude", amp)
 
-    def window_index(self, t: float) -> int:
-        if t < 0:
-            raise ValueError(f"t={t} must be nonnegative")
-        # nudge guards against boundary times computed as k*h landing a ulp low
-        return int(np.floor(t * self.sample_rate * (1 + 1e-12)))
-
-    def sample(self, agent: int, t: float) -> float:
-        """Noise value for one agent at time t."""
-        if not 0 <= agent < self.n:
-            raise IndexError(f"agent {agent} out of range for n={self.n}")
-        k = np.array([self.window_index(t)])
-        u = _uniform01(self.seed, agent, k)[0]
-        return float(self.amplitude[agent] * (2.0 * u - 1.0))
-
-    def sample_vector(self, t: float) -> np.ndarray:
-        """Noise values for all agents at time t."""
-        k = np.array([self.window_index(t)])
-        out = np.empty(self.n)
-        for i in range(self.n):
-            out[i] = self.amplitude[i] * (2.0 * _uniform01(self.seed, i, k)[0] - 1.0)
-        return out
-
     def window_table(self, windows) -> np.ndarray:
         """(n, m) table of the values in m windows: windows 0..m-1 for a
         count m, or the windows of an integer index array of length m.
 
-        Random-access precomputation used by the simulation engine;
-        bit-identical to per-call sampling.
+        A window's value does not depend on which other windows are
+        tabulated with it.
         """
         windows = np.arange(windows) if np.ndim(windows) == 0 else np.asarray(windows)
         table = np.empty((self.n, windows.size))
@@ -95,3 +73,9 @@ class NoiseSignal:
             table[i] = self.amplitude[i] * (2.0 * _uniform01(self.seed, i, windows) - 1.0)
         return table
 
+    def step_table(self, steps: int, h: float) -> np.ndarray:
+        """(steps + 1, n) noise at the step boundaries k h, k = 0..steps:
+        row k is the window that k h falls in, held along step k + 1. The
+        nudge keeps a boundary whose product rounds a ulp low in window k."""
+        k = np.floor(np.arange(steps + 1) * (h * self.sample_rate) * (1 + 1e-12)).astype(np.int64)
+        return self.window_table(k).T

@@ -129,6 +129,16 @@ def test_missing_config_exit_code(tmp_path):
     assert run_main("--config", str(tmp_path / "absent.ini")) == 4
 
 
+@pytest.mark.parametrize("override", ["--decimate=0", "--step=0", "--step=-1e-4",
+                                      "--t-final=-1", "--decimate=-3"])
+def test_bad_override_is_a_validation_error(tmp_path, capsys, override):
+    # an override goes through the scenario's own validation
+    out = tmp_path / "o"
+    assert run_main("--preset", "dolk-c0", override, "--out", str(out)) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_jump_storm_exit_code(tmp_path, monkeypatch):
     def storm(_):
         raise JumpStormError("synthetic")

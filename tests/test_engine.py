@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,15 @@ from etcsim.engine import (
     JumpStormError,
     Scenario,
     SolutionTrace,
+    _in_jump_set,
     consensus_metrics,
     inter_event_stats,
-    jump_set,
-    lyapunov_series,
     simulate,
     zeno_indicator,
 )
 from etcsim.etm import DolkParams, DolkScheme, GarciaParams, GarciaScheme
 from etcsim.graph import Graph, benchmark_topology, laplacian
-from etcsim.hybrid import EventLog, HybridState
+from etcsim.hybrid import EventLog
 from etcsim.presets import build_preset
 from etcsim.signals import NoiseSignal
 
@@ -37,98 +38,106 @@ def small_dolk_scenario(t_final=1.0, amp=1e-4, seed=9):
     return Scenario(scheme=sch, noise=noise, x0=x0, graph=g, t_final=t_final, step=1e-4)
 
 
+def first_state(sc):
+    """(5, n) view of the scenario's first recorded state: x0 and the t = 0
+    noise latched, since no agent is due at t = 0 in these scenarios."""
+    return simulate(dataclasses.replace(sc, t_final=sc.step)).states[0].reshape(5, -1)
+
+
+def control(sc, z):
+    return -sc.feedback @ (z[0] + z[1] + z[2])
+
+
 # ---------------------------------------------------------------------------
 # stepper correctness
 
 
-def flow_advance(state, u, h, w, scheme) -> None:
-    """Per-step RK4 oracle of the flow: advance the state in place by one
-    interval of length h with frozen noise w. x, e and tau flow exactly
-    linearly, so only eta needs stage evaluations; eta is clamped at 0."""
+def flow_advance(z, u, h, w, scheme) -> None:
+    """Per-step RK4 oracle of the flow: advance the (5, n) state view z in
+    place by one interval of length h with frozen noise w. x, e and tau
+    flow exactly linearly, so only eta needs stage evaluations; eta is
+    clamped at 0."""
+    x, e, what_w, eta, tau = z
     if scheme.mode == "dynamic":
-        e_tilde0 = state.e + state.what_w - w
+        e_tilde0 = e + what_w - w
         half = 0.5 * h
-        p1 = scheme.psi_vec(u=u, e_tilde=e_tilde0, tau=state.tau, y_tilde=state.x + w)
+        p1 = scheme.psi_vec(u=u, e_tilde=e_tilde0, tau=tau, x=x, w=w)
         # stages 2 and 3 share the midpoint inputs (u is stage-invariant)
         mid_et = e_tilde0 - half * u
-        mid_y = state.x + half * u + w
-        p2 = scheme.psi_vec(u=u, e_tilde=mid_et, tau=state.tau + half, y_tilde=mid_y)
-        p4 = scheme.psi_vec(u=u, e_tilde=e_tilde0 - h * u, tau=state.tau + h,
-                            y_tilde=state.x + h * u + w)
+        mid_x = x + half * u
+        p2 = scheme.psi_vec(u=u, e_tilde=mid_et, tau=tau + half, x=mid_x, w=w)
+        p4 = scheme.psi_vec(u=u, e_tilde=e_tilde0 - h * u, tau=tau + h,
+                            x=x + h * u, w=w)
         eps = scheme.eps_eta
-        eta = state.eta
         k1 = p1 - eps * eta
         k2 = p2 - eps * (eta + half * k1)
         k3 = p2 - eps * (eta + half * k2)
         k4 = p4 - eps * (eta + h * k3)
         eta += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         np.maximum(eta, 0.0, out=eta)
-    state.x += h * u
-    state.e -= h * u
-    state.tau += h
+    x += h * u
+    e -= h * u
+    tau += h
 
 
-def flow_derivative(feedback, state, scheme, w) -> HybridState:
+def flow_derivative(feedback, row, scheme, w) -> np.ndarray:
     """Textbook right-hand side of the flow map: (u, -u, 0, eta', 1) with
     u = -M (x + e + w_hat) and eta' = psi - eps * eta for dynamic rules.
     With a zero-order hold the held output is constant, so the error
     derivative is the exact negative of the state derivative."""
-    u = -feedback @ (state.x + state.e + state.what_w)
-    psi = scheme.psi_vec(u=u, e_tilde=state.e + state.what_w - w, tau=state.tau,
-                         y_tilde=state.x + w)
-    eta_dot = psi - scheme.eps_eta * state.eta if scheme.mode == "dynamic" else np.zeros(state.n)
-    return HybridState(x=u, e=-u, what_w=np.zeros(state.n), eta=eta_dot, tau=np.ones(state.n))
+    x, e, what_w, eta, tau = row.reshape(5, -1)
+    u = -feedback @ (x + e + what_w)
+    psi = scheme.psi_vec(u=u, e_tilde=e + what_w - w, tau=tau, x=x, w=w)
+    eta_dot = psi - scheme.eps_eta * eta if scheme.mode == "dynamic" else np.zeros(x.size)
+    return np.concatenate([u, -u, np.zeros(x.size), eta_dot, np.ones(x.size)])
 
 
 def test_flow_step_matches_generic_rk4():
     # one 50-step block must agree with textbook RK4 on the stacked state
     # (the held output makes u stage-invariant)
     s = small_dolk_scenario()
-    state = s.initial_state()
+    z = first_state(s)
     L = laplacian(s.graph)
-    w = s.noise.sample_vector(0.0)
+    w = s.noise.step_table(0, s.step)[0]
     h = s.step
 
-    generic = state.copy()
+    def f(r):
+        return flow_derivative(L, r, s.scheme, w)
+
+    row = z.ravel()
     for _ in range(50):
-        row = generic.as_row()
-
-        def f(r):
-            d = flow_derivative(L, HybridState.from_row(r), s.scheme, w)
-            return d.as_row()
-
         k1 = f(row)
         k2 = f(row + 0.5 * h * k1)
         k3 = f(row + 0.5 * h * k2)
         k4 = f(row + h * k3)
-        generic = HybridState.from_row(row + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+        row = row + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    generic = row.reshape(5, 8)
 
-    u = -L @ (state.x + state.e + state.what_w)
-    rows, _ = engine_mod._flow_block(state.row, u, h, np.tile(w, (51, 1)), s.scheme)
-    fast = HybridState.from_row(rows[50])
+    rows, _ = engine_mod._flow_block(z, control(s, z), h, np.tile(w, (51, 1)), s.scheme)
+    fast = rows[50].reshape(5, 8)
 
-    assert np.allclose(fast.x, generic.x, rtol=1e-12, atol=1e-14)
-    assert np.allclose(fast.e, generic.e, rtol=1e-12, atol=1e-14)
-    assert np.allclose(fast.eta, generic.eta, rtol=1e-9, atol=1e-16)
-    assert np.allclose(fast.tau, generic.tau, rtol=1e-12)
+    assert np.allclose(fast[0], generic[0], rtol=1e-12, atol=1e-14)  # x
+    assert np.allclose(fast[1], generic[1], rtol=1e-12, atol=1e-14)  # e
+    assert np.allclose(fast[3], generic[3], rtol=1e-9, atol=1e-16)  # eta
+    assert np.allclose(fast[4], generic[4], rtol=1e-12)  # tau
 
 
-def _block_and_oracle(sc, state, steps):
-    """One block of ``steps`` steps from ``state`` under the scenario's
-    noise windows, and the per-step oracle's rows and jump-set masks."""
+def _block_and_oracle(sc, z, steps):
+    """One block of ``steps`` steps from the state view ``z`` under the
+    scenario's step-boundary noise, and the per-step oracle's rows and
+    jump-set masks."""
     h = sc.step
-    k = np.arange(steps + 1)
-    w = sc.noise.window_table(steps + 2)[:, np.floor(k * h * sc.noise.sample_rate
-                                                     * (1 + 1e-12)).astype(int)].T
-    u = -sc.feedback @ (state.x + state.e + state.what_w)
-    rows, due = engine_mod._flow_block(state.row, u, h, w, sc.scheme)
-    ref, ref_due = [state.row.copy()], []
-    st = state.copy()
+    w = sc.noise.step_table(steps, h)
+    rows, due = engine_mod._flow_block(z, control(sc, z), h, w, sc.scheme)
+    ref, ref_due = [z.ravel().copy()], []
+    st = z.copy()
+    x, e, what_w, eta, tau = st
     for m in range(steps):
-        flow_advance(st, -sc.feedback @ (st.x + st.e + st.what_w), h, w[m], sc.scheme)
-        ref.append(st.row.copy())
-        ref_due.append(jump_set(sc.scheme, st, -sc.feedback @ (st.x + st.e + st.what_w),
-                                w[m + 1])[1])
+        flow_advance(st, control(sc, st), h, w[m], sc.scheme)
+        ref.append(st.ravel().copy())
+        psi = sc.scheme.psi_vec(u=control(sc, st), e_tilde=e + what_w - w[m + 1], tau=tau,
+                                x=x, w=w[m + 1])
+        ref_due.append(_in_jump_set(psi, eta, sc.scheme.theta, sc.scheme.mode == "dynamic"))
     return rows, due, np.array(ref), np.array(ref_due)
 
 
@@ -139,10 +148,10 @@ def test_block_matches_per_step_oracle(rule):
     # event at 0.2449 s) inside the block
     if rule == "static":
         sc = two_agent_scenario(c=1e-4, amp=1e-4, t_final=0.2)
-        start = simulate(sc).final_state
+        start = simulate(sc).states[-1].reshape(5, -1)
     else:
         sc = small_dolk_scenario()
-        start = sc.initial_state()
+        start = first_state(sc)
     steps = engine_mod.BLOCK_MAX
     rows, due, ref, ref_due = _block_and_oracle(sc, start, steps)
     assert rows.shape == ref.shape == (steps + 1, 5 * sc.scheme.n)
@@ -159,33 +168,33 @@ def test_block_stops_where_eta_reaches_the_clamp():
     # so eta runs from 1e-3 into the clamp within a few steps
     sc = small_dolk_scenario()
     n = 8
-    st = HybridState(np.ones(n), np.full(n, 0.5), np.zeros(n), np.full(n, 1e-3), np.ones(n))
+    st = np.array([np.ones(n), np.full(n, 0.5), np.zeros(n), np.full(n, 1e-3), np.ones(n)])
     rows, due, ref, _ = _block_and_oracle(sc, st, 8)
     eta = rows[1:, 3 * n : 4 * n]
     clamp = int((eta < 0.0).any(axis=1).argmax()) + 1
     assert 1 < clamp < 8
     assert np.all(eta[: clamp - 1] >= 0.0)
     assert np.allclose(rows[:clamp], ref[:clamp], rtol=0.0, atol=1e-12)
-    committed = HybridState.from_row(rows[clamp])
-    np.maximum(committed.eta, 0.0, out=committed.eta)
-    assert np.allclose(committed.row, ref[clamp], rtol=0.0, atol=1e-12)
-    assert committed.eta.min() == 0.0 and due[clamp - 1].any()
+    committed = rows[clamp].copy()
+    committed_eta = committed[3 * n : 4 * n]
+    np.maximum(committed_eta, 0.0, out=committed_eta)
+    assert np.allclose(committed, ref[clamp], rtol=0.0, atol=1e-12)
+    assert committed_eta.min() == 0.0 and due[clamp - 1].any()
 
 
 def _replay_against_oracle(sc, tr):
     """Flow the per-step oracle from every sample to the next one; it must
     reach that sample, or, when jumps lie between, the first pre-jump row."""
     h = sc.step
-    table = sc.noise.window_table(sc.noise.window_index(sc.t_final) + 2)
+    noise = sc.noise.step_table(round(sc.t_final / h), h)
     log = tr.events
     for k in range(len(tr.times) - 1):
-        st = tr.state_at(k)
+        st = tr.states[k].reshape(5, -1).copy()
         k0 = round(tr.times[k] / h)
         for step in range(k0, round(tr.times[k + 1] / h)):
-            w = table[:, sc.noise.window_index(step * h)]
-            flow_advance(st, -sc.feedback @ (st.x + st.e + st.what_w), h, w, sc.scheme)
+            flow_advance(st, control(sc, st), h, noise[step], sc.scheme)
         target = log.pre[tr.jumps[k]] if tr.jumps[k + 1] > tr.jumps[k] else tr.states[k + 1]
-        assert np.allclose(st.row, target, rtol=1e-12, atol=1e-12), f"sample {k + 1}"
+        assert np.allclose(st.ravel(), target, rtol=1e-12, atol=1e-12), f"sample {k + 1}"
 
 
 def test_decimated_run_matches_per_step_oracle():
@@ -226,7 +235,7 @@ def test_determinism_bit_exact():
     assert len(t1.events) == len(t2.events)
     for a, b in zip(t1.events, t2.events):
         assert a.agent == b.agent and a.time == b.time
-        assert np.array_equal(a.pre_state.as_row(), b.pre_state.as_row())
+    assert np.array_equal(t1.events.pre, t2.events.pre)
 
 
 def test_event_log_keeps_every_row_past_its_initial_capacity():
@@ -304,24 +313,23 @@ def test_trigger_consistency_and_flow_membership():
     tr = simulate(s)
     sch = s.scheme
     tol = engine_mod.TRIGGER_TOL
-    for ev in tr.events:
-        assert ev.psi_value <= tol
-        pre = ev.pre_state
-        w = s.noise.sample_vector(ev.time.t)
-        u = -(s.feedback @ (pre.x + pre.e + pre.what_w))
-        psi = sch.psi_vec(u=u, e_tilde=pre.e + pre.what_w - w, tau=pre.tau,
-                          y_tilde=pre.x + w)
+    noise = s.noise.step_table(round(s.t_final / s.step), s.step)
+    log = tr.events
+    for k, ev in enumerate(log):
+        assert log.psi[k] <= tol
+        x, e, what_w, _, tau = pre = log.pre[k].reshape(5, -1)
+        w = noise[round(ev.time.t / s.step)]
+        psi = sch.psi_vec(u=control(s, pre), e_tilde=e + what_w - w, tau=tau, x=x, w=w)
         assert psi[ev.agent] <= tol
     # flow-set membership at samples away from event instants
     ev_times = {round(ev.time.t, 12) for ev in tr.events}
     for k in range(len(tr.times)):
         if round(float(tr.times[k]), 12) in ev_times:
             continue
-        st = tr.state_at(k)
-        w = s.noise.sample_vector(float(tr.times[k]))
-        u = -(s.feedback @ (st.x + st.e + st.what_w))
-        psi = sch.psi_vec(u=u, e_tilde=st.e + st.what_w - w, tau=st.tau,
-                          y_tilde=st.x + w)
+        st = tr.states[k].reshape(5, -1)
+        x, e, what_w, _, tau = st
+        w = noise[round(tr.times[k] / s.step)]
+        psi = sch.psi_vec(u=control(s, st), e_tilde=e + what_w - w, tau=tau, x=x, w=w)
         assert np.all(psi >= -tol)
 
 
@@ -348,12 +356,12 @@ def test_detection_refinement_locates_crossing():
     fine = simulate(two_agent_scenario(detection_refinement=True))
     assert len(fine.events) > 0
     # the first crossing is refined to within the original step, never later
-    a, b = base.events[0], fine.events[0]
-    assert a.agent == b.agent
-    assert abs(a.time.t - b.time.t) <= 1e-4 + 1e-12
-    assert b.time.t <= a.time.t + 1e-12
+    a, b = base.events, fine.events
+    assert a.agent[0] == b.agent[0]
+    assert abs(a.t[0] - b.t[0]) <= 1e-4 + 1e-12
+    assert b.t[0] <= a.t[0] + 1e-12
     # refined instants sit much closer to the zero crossing of psi
-    assert abs(b.psi_value) < abs(a.psi_value)
+    assert abs(b.psi[0]) < abs(a.psi[0])
 
 
 @pytest.mark.parametrize("case", ["garcia-c2e-6", "two-agent"])
@@ -453,7 +461,7 @@ def test_consensus_metrics_on_agreement():
     assert cm["final_max_deviation"] == 0.0
 
 
-def test_lyapunov_series_zero_on_consensus():
+def test_storage_zero_on_consensus():
     g = benchmark_topology()
     sch = GarciaScheme(g, GarciaParams(a=0.1, c=2e-6, w_bar=1e-4))
     n = 8
@@ -461,8 +469,8 @@ def test_lyapunov_series_zero_on_consensus():
     states[:, :n] = 1.0  # on the agreement subspace
     tr = SolutionTrace(times=np.array([0.0, 1.0]), jumps=np.zeros(2, dtype=int),
                        states=states, events=EventLog(n), run_manifest={}, n=n)
-    v, u, du = lyapunov_series(tr, sch, laplacian(g))
-    assert np.allclose(v, 0.0)
+    u = sch.storage(tr.states, laplacian(g))
+    du = engine_mod.jump_storage_change(tr, sch, laplacian(g))
     assert np.allclose(u, 0.0)
     assert du.size == 0
 
@@ -471,9 +479,10 @@ def test_garcia_jumps_leave_w_unchanged():
     s = two_agent_scenario(c=1e-4, amp=1e-4)
     tr = simulate(s)
     L = s.feedback
-    for ev in tr.events:
-        w_pre = 0.5 * ev.pre_state.x @ L @ ev.pre_state.x
-        w_post = 0.5 * ev.post_state.x @ L @ ev.post_state.x
+    n = tr.n
+    for pre, post in zip(tr.events.pre, tr.events.post):
+        w_pre = 0.5 * pre[:n] @ L @ pre[:n]
+        w_post = 0.5 * post[:n] @ L @ post[:n]
         assert w_pre == w_post  # x untouched by jumps
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import etcsim
-from etcsim.engine import TRIGGER_TOL, _flow_block, _in_jump_set, jump_set
+from etcsim.engine import TRIGGER_TOL, _flow_block, _in_jump_set
 from etcsim.etm import (
     BerneburgParams,
     BerneburgScheme,
@@ -27,7 +27,6 @@ from etcsim.etm import (
     trigger_value,
 )
 from etcsim.graph import Graph, benchmark_topology, laplacian
-from etcsim.hybrid import HybridState
 
 N_BENCH = np.array([2, 3, 3, 2, 3, 2, 2, 3])  # neighbor counts of the benchmark topology
 
@@ -41,9 +40,10 @@ def dolk_bench():
 
 
 def psi_at(scheme, u=0.0, e_tilde=0.0, tau=1.0, y_tilde=0.0):
-    """psi of every agent, each fed the same scalar inputs."""
+    """psi of every agent, each fed the same scalar inputs; y~ enters as x
+    with zero noise."""
     full = [np.full(scheme.n, float(v)) for v in (u, e_tilde, tau, y_tilde)]
-    return scheme.psi_vec(u=full[0], e_tilde=full[1], tau=full[2], y_tilde=full[3])
+    return scheme.psi_vec(u=full[0], e_tilde=full[1], tau=full[2], x=full[3], w=0.0)
 
 
 def constant_psi_trigger(psi, theta=0.0, mode="static"):
@@ -55,8 +55,8 @@ def constant_psi_trigger(psi, theta=0.0, mode="static"):
 def decision(eta, psi, theta, mode):
     """'jump' or 'flow' from the engine's jump-set predicate."""
     sch = constant_psi_trigger(psi, theta, mode)
-    state = HybridState(*(np.array([v]) for v in (0.0, 0.0, 0.0, eta, 0.0)))
-    got, due = jump_set(sch, state, np.zeros(1), np.zeros(1))
+    got = psi_at(sch, tau=0.0)
+    due = _in_jump_set(got, np.array([eta]), sch.theta, sch.mode == "dynamic")
     assert got[0] == psi
     return "jump" if due[0] else "flow"
 
@@ -233,8 +233,8 @@ def _eta_after_flow(eta0, psi, eps_eta, h=1e-3):
     # psi stays constant along this flow: u = 0 and e~ = 0 on one agent
     sch = SingleSystemScheme(SingleParams(delta_coef=0.0, beta_coef=1.0, c=psi, mode="dynamic",
                                           eps_eta=eps_eta), allow_zeno=True)
-    state = HybridState(*(np.array([v]) for v in (0.0, 0.0, 0.0, eta0, 0.0)))
-    rows, _ = _flow_block(state.row, np.zeros(1), h, np.zeros((2, 1)), sch)
+    row = np.array([0.0, 0.0, 0.0, eta0, 0.0])
+    rows, _ = _flow_block(row, np.zeros(1), h, np.zeros((2, 1)), sch)
     return rows[1, 3]
 
 
@@ -308,19 +308,19 @@ def test_trigger_value_and_jump_set_agree_on_arrays_and_floats(kind, seed):
     def wide():
         return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 2.0, shape)
 
-    u, e_tilde, y_tilde = wide(), wide(), wide()
+    u, e_tilde, x, w = wide(), wide(), wide(), wide()
     tau = rng.uniform(0.0, 2.0, shape) * np.maximum(sch.tau_miet, 1e-3)
     tau[::3] = sch.tau_miet  # exactly at the dwell time, where the gate opens
     tau[1::3] = np.nextafter(sch.tau_miet, -1.0)
     eta = np.abs(wide())
     eta[::4] = 0.0
-    psi = sch.psi_vec(u=u, e_tilde=e_tilde, tau=tau, y_tilde=y_tilde)
+    psi = sch.psi_vec(u=u, e_tilde=e_tilde, tau=tau, x=x, w=w)
     due = _in_jump_set(psi, eta, sch.theta, dynamic)
     # the predicate also at its tolerance edges
     edge = rng.choice([-TRIGGER_TOL, np.nextafter(-TRIGGER_TOL, 0.0), 0.0, TRIGGER_TOL,
                        np.nextafter(-TRIGGER_TOL, -1.0)], size=shape)
     due_edge = _in_jump_set(edge, eta, sch.theta, dynamic)
-    d = u if sch.drive == "u" else y_tilde
+    d = u if sch.drive == "u" else x + w
     one_psi, one_due, one_edge = (np.empty(shape), np.empty(shape, dtype=bool),
                                   np.empty(shape, dtype=bool))
     for k, i in np.ndindex(shape):
@@ -397,9 +397,9 @@ def test_dolk_psi_vec_gate():
     sch = DolkScheme(bench(), DolkParams(a=0.1, w_bar=1e-4))
     u = np.zeros(8)
     et = np.ones(8)
-    inside = sch.psi_vec(u=u, e_tilde=et, tau=np.zeros(8), y_tilde=None)
+    inside = sch.psi_vec(u=u, e_tilde=et, tau=np.zeros(8), x=None, w=None)
     assert np.all(inside >= 0.0)
-    beyond = sch.psi_vec(u=u, e_tilde=et, tau=np.full(8, 1.0), y_tilde=None)
+    beyond = sch.psi_vec(u=u, e_tilde=et, tau=np.full(8, 1.0), x=None, w=None)
     assert np.all(beyond < 0.0)
     # agent 0 has N=2: coefficient gamma^2 (lam^2/(alpha sigma) + 1)
     coef = 20.05 * (0.04 / (0.5 * 0.76) + 1.0)
@@ -411,11 +411,11 @@ def test_dolk_storage_uses_phi():
     x = np.zeros(8)
     e = np.zeros(8)
     e[0] = 1.0
-    st0 = HybridState(x, e, np.zeros(8), np.zeros(8), np.zeros(8))
+    st0 = np.concatenate([x, e, np.zeros(8), np.zeros(8), np.zeros(8)])
     L = laplacian(bench())
     # at tau=0 phi=1/lam=5, beyond the dwell time phi=lam=0.2
     assert sch.storage(st0, L) == pytest.approx(sch.derived["gamma"][0] * 5.0)
-    st1 = HybridState(x, e, np.zeros(8), np.zeros(8), np.full(8, 1.0))
+    st1 = np.concatenate([x, e, np.zeros(8), np.zeros(8), np.full(8, 1.0)])
     assert sch.storage(st1, L) == pytest.approx(sch.derived["gamma"][0] * 0.2)
 
 
@@ -440,7 +440,7 @@ def test_storage_block_equals_per_row_storage():
         assert block.shape == (50,)
         per_row = np.array([sch.storage(r, fb) for r in rows])
         assert np.array_equal(block, per_row)
-        assert sch.storage(HybridState.from_row(rows[7]), fb) == block[7]
+        assert sch.storage(rows[7].copy(), fb) == block[7]
         # against the textbook sum, one agent at a time
         for r, got in zip(rows, block):
             x, e, eta, tau = r[:n], r[n : 2 * n], r[3 * n : 4 * n], r[4 * n :]
@@ -513,6 +513,6 @@ def test_fresh_transmission_reenables_flow():
         DolkScheme(bench(), DolkParams(a=0.1, c=1e-7, w_bar=1e-4)),
         BerneburgScheme(bench(), BerneburgParams(c=2e-6, w_bar=1e-4)),
     ):
-        psi = sch.psi_vec(u=z, e_tilde=z, tau=np.full(8, 1.0), y_tilde=z)
+        psi = sch.psi_vec(u=z, e_tilde=z, tau=np.full(8, 1.0), x=z, w=z)
         assert np.allclose(psi, sch.c)
         assert np.all(psi >= 0.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import etcsim.engine as engine_mod
-from etcsim.engine import JumpStormError, Scenario, jump_set, simulate
+from etcsim.engine import JumpStormError, Scenario, _in_jump_set, simulate
 from etcsim.etm import (
     BerneburgParams,
     BerneburgScheme,
@@ -25,7 +25,7 @@ from etcsim.presets import build_preset
 from etcsim.signals import NoiseSignal
 
 
-def jump_resolver_oracle(scheme, feedback, state, log):
+def jump_resolver_oracle(scheme, feedback, z, log):
     """Per-jump reference of ``engine._jump_resolver``, same interface:
     the full jump set, u = -M(x + e + w_hat) included, is evaluated
     afresh after every applied jump."""
@@ -33,24 +33,29 @@ def jump_resolver_oracle(scheme, feedback, state, log):
     storm_cap = n * engine_mod.JUMPS_PER_INSTANT_FACTOR
     last_t = [math.nan] * n
     pre = np.empty(5 * n)
+    x, e, what_w, eta, tau = z
+
+    def judge(w):
+        u = -feedback @ (x + e + what_w)
+        psi = scheme.psi_vec(u=u, e_tilde=e + what_w - w, tau=tau, x=x, w=w)
+        return psi, _in_jump_set(psi, eta, scheme.theta, scheme.mode == "dynamic")
 
     def resolve(t, w):
-        psi, due = jump_set(scheme, state, -feedback @ (state.x + state.e + state.what_w), w)
+        psi, due = judge(w)
         total = 0
         while due.any():
             for i in range(n):
                 if not due[i]:
                     continue
-                pre[:] = state.row
-                apply_jump(state, i, w, scheme)
+                pre[:] = z.ravel()
+                apply_jump(z, i, w, scheme)
                 log.append(i, t, len(log) + 1, t - last_t[i], psi.item(i), pre,
-                           state.what_w.item(i), state.eta.item(i))
+                           what_w.item(i), eta.item(i))
                 last_t[i] = t
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(f"{total} jumps at t={t:.6f}")
-                psi, due = jump_set(scheme, state,
-                                    -feedback @ (state.x + state.e + state.what_w), w)
+                psi, due = judge(w)
         return total
 
     return resolve
