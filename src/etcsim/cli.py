@@ -19,6 +19,7 @@ import re
 import shutil
 import sys
 from pathlib import Path
+from typing import Literal, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .etm import (
     SingleSystemScheme,
     ZenoGuaranteeError,
 )
-from .graph import Graph, benchmark_topology
+from .graph import Graph, benchmark_topology, laplacian
 from .presets import PRESETS, build_preset
 from .signals import NoiseSignal
 
@@ -69,129 +70,118 @@ def _vec_str(v) -> str:
     return ", ".join(_fmt(x) for x in np.atleast_1d(v))
 
 
+def _required(section, key: str) -> str:
+    if key not in section:
+        raise ValueError(f"[{section.name}] needs the key {key!r}")
+    return section[key]
+
+
+def _edge_lines(text: str, weighted: bool) -> list[tuple]:
+    """(i, j[, w]) per nonblank ``i j w`` line; w may be left out unless
+    ``weighted``."""
+    out = []
+    for line in text.splitlines():
+        toks = line.split()
+        if not toks:
+            continue
+        if not (3 if weighted else 2) <= len(toks) <= 3:
+            raise ValueError(f"bad edge line {line!r}: expected 'i j {'w' if weighted else '[w]'}'")
+        out.append((int(toks[0]), int(toks[1]), *(float(t) for t in toks[2:])))
+    return out
+
+
+def _edge_text(triples) -> str:
+    return "\n" + "\n".join(f"{i} {j} {_fmt(w)}" for i, j, w in triples)
+
+
 # ---------------------------------------------------------------------------
 # config <-> scenario
+#
+# The [etm] keys are kind, allow_zeno and the fields of the kind's params
+# dataclass, written in field order; each field's type hint picks its
+# text form, and an absent key takes the dataclass default.
+
+_SCHEMES = {  # kind -> (params class, constructor(graph, params, allow_zeno))
+    "garcia": (GarciaParams, GarciaScheme),
+    "dolk": (DolkParams, DolkScheme),
+    "berneburg": (BerneburgParams, BerneburgScheme),
+    "single": (SingleParams, lambda _graph, p, allow_zeno: SingleSystemScheme(p, allow_zeno)),
+}
+# field type -> (value -> text, or None to leave the key out; text -> value)
+_CODEC = {
+    float: (lambda v, n: _fmt(v), float),
+    float | np.ndarray: (lambda v, n: _vec_str(np.broadcast_to(v, (n,))), _parse_vector),
+    str: (lambda v, n: v, str),  # a Literal choice, checked by the params class
+    dict[tuple[int, int], float] | None: (  # Berneburg's rho_edge
+        lambda rho, n: None if rho is None else _edge_text(
+            (i, j, r) for (i, j), r in sorted(rho.items())),
+        lambda text: {(i, j): r for i, j, r in _edge_lines(text, weighted=True)}),
+}
+
+
+def _codec(hint):
+    return _CODEC[str if get_origin(hint) is Literal else hint]
 
 
 def _parse_graph(section) -> Graph:
     edges_text = section.get("edges", BENCHMARK_GRAPH_KEYWORD).strip()
     if edges_text == BENCHMARK_GRAPH_KEYWORD:
         return benchmark_topology()
-    n = section.getint("n")
-    undirected = section.getboolean("undirected", fallback=True)
-    edges = []
-    for line in edges_text.splitlines():
-        toks = line.split()
-        if not toks:
-            continue
-        if len(toks) == 2:
-            edges.append((int(toks[0]), int(toks[1])))
-        elif len(toks) == 3:
-            edges.append((int(toks[0]), int(toks[1]), float(toks[2])))
-        else:
-            raise ValueError(f"bad edge line {line!r}: expected 'i j [weight]'")
-    return Graph.from_edge_list(n, edges, undirected=undirected)
+    return Graph.from_edge_list(int(_required(section, "n")),
+                                _edge_lines(edges_text, weighted=False),
+                                undirected=section.getboolean("undirected", fallback=True))
 
 
-def _parse_rho_edge(text: str | None) -> dict[tuple[int, int], float] | None:
-    """Berneburg split weights from ``i j rho`` lines; None when absent."""
-    if text is None:
-        return None
-    rho = {}
-    for line in text.splitlines():
-        toks = line.split()
-        if not toks:
-            continue
-        if len(toks) != 3:
-            raise ValueError(f"bad rho_edge line {line!r}: expected 'i j rho'")
-        rho[(int(toks[0]), int(toks[1]))] = float(toks[2])
-    return rho
-
-
-def _scheme_from_config(cp: configparser.ConfigParser, graph: Graph | None):
-    etm = cp["etm"]
-    kind = etm.get("kind")
-    allow_zeno = etm.getboolean("allow_zeno", fallback=False)
-
-    def vec(key, default):
-        raw = etm.get(key, fallback=None)
-        return default if raw is None else _parse_vector(raw)
-
-    if kind == "garcia":
-        p = GarciaParams(
-            a=etm.getfloat("a"),
-            sigma=vec("sigma", 0.5), c=vec("c", 0.0), theta=vec("theta", 0.0),
-            w_bar=vec("w_bar", 0.0), mode=etm.get("mode", "static"),
-            eps_eta=etm.getfloat("eps_eta", fallback=0.05),
-            form=etm.get("form", "modified"),
-        )
-        return GarciaScheme(graph, p, allow_zeno=allow_zeno)
-    if kind == "dolk":
-        p = DolkParams(
-            a=etm.getfloat("a"),
-            varrho=etm.getfloat("varrho", fallback=0.05),
-            mu=vec("mu", 0.05), alpha=vec("alpha", 0.5), lam=vec("lam", 0.2),
-            c=vec("c", 0.0), theta=vec("theta", 0.0), w_bar=vec("w_bar", 0.0),
-            eps_eta=etm.getfloat("eps_eta", fallback=0.05),
-            reset_mode=etm.get("reset_mode", "standard"),
-            sigma_form=etm.get("sigma_form", "original"),
-        )
-        return DolkScheme(graph, p, allow_zeno=allow_zeno)
-    if kind == "berneburg":
-        p = BerneburgParams(
-            rho_edge=_parse_rho_edge(etm.get("rho_edge", fallback=None)),
-            sigma=vec("sigma", 0.5), c=vec("c", 0.0), theta=vec("theta", 0.0),
-            w_bar=vec("w_bar", 0.0), mode=etm.get("mode", "static"),
-            eps_eta=etm.getfloat("eps_eta", fallback=0.05),
-        )
-        return BerneburgScheme(graph, p, allow_zeno=allow_zeno)
-    if kind == "single":
-        p = SingleParams(
-            delta_coef=etm.getfloat("delta_coef"),
-            beta_coef=etm.getfloat("beta_coef"),
-            c=etm.getfloat("c", fallback=0.0),
-            w_bar=etm.getfloat("w_bar", fallback=0.0),
-            mode=etm.get("mode", "static"),
-            theta=etm.getfloat("theta", fallback=0.0),
-            eps_eta=etm.getfloat("eps_eta", fallback=0.05),
-        )
-        return SingleSystemScheme(p, allow_zeno=allow_zeno)
-    raise ValueError(f"unknown etm kind {kind!r}")
+def _scheme_from_config(etm, graph: Graph | None):
+    kind = etm["kind"]
+    if kind not in _SCHEMES:
+        raise ValueError(f"unknown etm kind {kind!r}")
+    cls, build = _SCHEMES[kind]
+    hints = get_type_hints(cls)
+    unknown = sorted(set(etm) - set(hints) - {"kind", "allow_zeno"})
+    if unknown:
+        raise ValueError(f"unknown [etm] key {unknown[0]!r} for kind {kind}; "
+                         f"expected kind, allow_zeno or one of {', '.join(hints)}")
+    params = cls(**{f.name: _codec(hints[f.name])[1](_required(etm, f.name))
+                    for f in dataclasses.fields(cls)
+                    if f.name in etm or f.default is dataclasses.MISSING})
+    return build(graph, params, allow_zeno=etm.getboolean("allow_zeno", fallback=False))
 
 
 def config_to_scenario(cp: configparser.ConfigParser) -> Scenario:
-    kind = cp["etm"].get("kind")
+    etm = cp["etm"]
     graph = None
-    if kind != "single":
+    if _required(etm, "kind") != "single":
         if not cp.has_section("graph"):
             raise ValueError("config needs a [graph] section for consensus schemes")
         graph = _parse_graph(cp["graph"])
-    scheme = _scheme_from_config(cp, graph)
+    scheme = _scheme_from_config(etm, graph)
+    n = scheme.n
 
     noise_sec = cp["noise"]
     noise = NoiseSignal(
-        seed=noise_sec.getint("seed"),
-        amplitude=_parse_vector(noise_sec.get("amplitude")),
-        sample_rate=noise_sec.getfloat("sample_rate_hz"),
-        n=scheme.n,
+        seed=int(_required(noise_sec, "seed")),
+        amplitude=_parse_vector(_required(noise_sec, "amplitude")),
+        sample_rate=float(_required(noise_sec, "sample_rate_hz")),
+        n=n,
     )
 
     sim = cp["sim"]
-    kwargs = {}
-    if kind == "single":
-        n = scheme.n
-        kwargs["feedback"] = _parse_vector(sim.get("feedback", "1")).reshape(n, n)
-    else:
-        kwargs["graph"] = graph
+    feedback = sim.get("feedback")
+    if feedback is not None:
+        feedback = _parse_vector(feedback).reshape(n, n)
+    elif graph is None:
+        feedback = np.eye(n)  # the single plant's unit gain
     return Scenario(
         scheme=scheme,
         noise=noise,
-        x0=_parse_vector(sim.get("x0")),
-        t_final=sim.getfloat("t_final"),
-        step=sim.getfloat("step"),
+        x0=_parse_vector(_required(sim, "x0")),
+        graph=graph,
+        feedback=feedback,
+        t_final=float(_required(sim, "t_final")),
+        step=float(_required(sim, "step")),
         decimation=sim.getint("decimation", fallback=1),
         detection_refinement=sim.getboolean("detection_refinement", fallback=False),
-        **kwargs,
     )
 
 
@@ -201,48 +191,24 @@ def scenario_to_config(s: Scenario, derived: dict | None = None) -> configparser
     cp = configparser.ConfigParser()
     cp.optionxform = str
     scheme = s.scheme
-    kind = scheme.kind
 
-    if kind != "single":
+    if scheme.kind != "single":
         if s.graph is None:
-            raise ValueError(f"a {kind} scenario needs a graph: the manifest rebuilds "
+            raise ValueError(f"a {scheme.kind} scenario needs a graph: the manifest rebuilds "
                              "its trigger from the graph, not from a feedback matrix")
-        cp["graph"] = {}
         g = s.graph
         if g.edges == benchmark_topology().edges and g.undirected:
-            cp["graph"]["edges"] = BENCHMARK_GRAPH_KEYWORD
+            cp["graph"] = {"edges": BENCHMARK_GRAPH_KEYWORD}
         else:
-            cp["graph"]["n"] = str(g.n)
-            cp["graph"]["undirected"] = str(g.undirected).lower()
-            cp["graph"]["edges"] = "\n" + "\n".join(
-                f"{i} {j} {_fmt(w)}" for i, j, w in g.edges
-            )
+            cp["graph"] = {"n": str(g.n), "undirected": str(g.undirected).lower(),
+                           "edges": _edge_text(g.edges)}
 
-    etm = {"kind": kind, "allow_zeno": str(scheme.allow_zeno).lower()}
     p = scheme.params
-
-    def per_agent(v) -> str:
-        return _vec_str(np.broadcast_to(v, (scheme.n,)))
-
-    if kind == "single":
-        etm.update(delta_coef=_fmt(p.delta_coef), beta_coef=_fmt(p.beta_coef), c=_fmt(p.c),
-                   w_bar=_fmt(p.w_bar), theta=_fmt(p.theta), mode=p.mode,
-                   eps_eta=_fmt(p.eps_eta))
-    else:
-        etm.update(c=_vec_str(scheme.c), theta=_vec_str(scheme.theta),
-                   w_bar=_vec_str(scheme.w_bar), eps_eta=_fmt(p.eps_eta))
-        if kind == "garcia":
-            etm.update(a=_fmt(p.a), sigma=per_agent(p.sigma), mode=p.mode, form=p.form)
-        elif kind == "dolk":
-            etm.update(a=_fmt(p.a), varrho=_fmt(p.varrho), mu=per_agent(p.mu),
-                       alpha=per_agent(p.alpha), lam=per_agent(p.lam),
-                       reset_mode=p.reset_mode, sigma_form=p.sigma_form)
-        elif kind == "berneburg":
-            etm.update(sigma=per_agent(p.sigma), mode=p.mode)
-            if p.rho_edge is not None:
-                etm["rho_edge"] = "\n" + "\n".join(
-                    f"{i} {j} {_fmt(r)}" for (i, j), r in sorted(p.rho_edge.items())
-                )
+    etm = {"kind": scheme.kind, "allow_zeno": str(scheme.allow_zeno).lower()}
+    for name, hint in get_type_hints(type(p)).items():
+        text = _codec(hint)[0](getattr(p, name), scheme.n)
+        if text is not None:
+            etm[name] = text
     cp["etm"] = etm
 
     cp["noise"] = {
@@ -257,7 +223,7 @@ def scenario_to_config(s: Scenario, derived: dict | None = None) -> configparser
         "decimation": str(s.decimation),
         "detection_refinement": str(s.detection_refinement).lower(),
     }
-    if s.graph is None:
+    if s.graph is None or not np.array_equal(s.feedback, laplacian(s.graph)):
         cp["sim"]["feedback"] = _vec_str(s.feedback.ravel())
     if derived:
         cp["derived"] = {k: _vec_str(v) if np.ndim(v) else _fmt(v)

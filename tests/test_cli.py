@@ -1,17 +1,22 @@
 import configparser
+import dataclasses
 import io
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etcsim.cli as cli
 from etcsim.engine import JumpStormError, Scenario, jump_storage_change, simulate
-from etcsim.etm import (BerneburgParams, BerneburgScheme, GarciaParams, GarciaScheme,
-                        SingleParams, SingleSystemScheme)
+from etcsim.etm import (BerneburgParams, BerneburgScheme, DolkParams, DolkScheme, GarciaParams,
+                        GarciaScheme, SingleParams, SingleSystemScheme, ZenoGuaranteeError)
 from etcsim.graph import Graph, laplacian
 from etcsim.presets import PRESETS
 from etcsim.signals import NoiseSignal
+from test_resolver import small_graph
 
 
 def run_main(*argv):
@@ -253,6 +258,131 @@ def test_graphless_consensus_scenario_is_refused_before_simulating(tmp_path, mon
     out = tmp_path / "o"
     assert cli.run(sc, out) == 2
     assert not out.exists()
+
+
+def test_custom_consensus_feedback_survives_the_manifest():
+    g = Graph.from_edge_list(3, [(0, 1), (1, 2)], undirected=True)
+    sch = GarciaScheme(g, GarciaParams(a=0.2, c=1e-3, w_bar=1e-4))
+    noise = NoiseSignal(seed=5, amplitude=np.full(3, 1e-4), sample_rate=1e4, n=3)
+    sc = Scenario(scheme=sch, noise=noise, x0=np.array([1.0, 0.0, -1.0]), graph=g,
+                  feedback=2 * laplacian(g), t_final=0.2)
+    text, back = _reparse(sc)
+    assert np.array_equal(back.feedback, 2 * laplacian(g))
+    assert _reparse(back)[0] == text
+    assert np.array_equal(simulate(back).states, simulate(sc).states)
+    # the graph's own Laplacian is left out, as in every consensus preset
+    assert "feedback" not in _reparse(dataclasses.replace(sc, feedback=None))[0]
+
+
+def _write_ini(cp, path):
+    with path.open("w") as fh:
+        cp.write(fh)
+    return path
+
+
+def test_unknown_etm_key_is_a_validation_error(tmp_path, capsys):
+    # a misspelled key must not re-run silently under the default
+    cp = cli.scenario_to_config(cli.build_preset("dolk-remark5")[0][1])
+    cp["etm"]["reset_mod"] = cp["etm"].pop("reset_mode")
+    cfg = _write_ini(cp, tmp_path / "typo.ini")
+    assert run_main("--config", str(cfg), "--validate-only") == 2
+    assert run_main("--config", str(cfg), "--t-final", "0.1", "--out", str(tmp_path / "o")) == 2
+    assert "'reset_mod'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+_INLINE_GARCIA = (
+    "[graph]\nn = 3\nedges =\n  0 1\n  1 2\n\n"
+    "[etm]\nkind = garcia\na = 0.2\nc = 0.001\nw_bar = 0.0001\n\n"
+    "[noise]\nseed = 4\namplitude = 0.0001\nsample_rate_hz = 10000\n\n"
+    "[sim]\nx0 = 1, 0, -1\nt_final = 0.5\nstep = 0.0001\n"
+)
+
+
+@pytest.mark.parametrize("section,key", [("graph", "n"), ("noise", "seed"), ("sim", "x0"),
+                                         ("etm", "a"), ("sim", "t_final"),
+                                         ("etm", "delta_coef")])
+def test_missing_required_key_is_a_validation_error(tmp_path, capsys, section, key):
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    if key == "delta_coef":
+        cp.read_dict(cli.scenario_to_config(cli.build_preset("single-scalar-demo")[0][1]))
+    else:
+        cp.read_string(_INLINE_GARCIA)
+    assert cp.remove_option(section, key)
+    cfg = _write_ini(cp, tmp_path / "missing.ini")
+    assert run_main("--config", str(cfg), "--validate-only") == 2
+    assert f"[{section}] needs the key '{key}'" in capsys.readouterr().err
+
+
+@st.composite
+def codec_scenarios(draw):
+    """Scenarios of every family with random valid params: each value
+    scalar or per agent, each Literal field at any of its choices."""
+    family = draw(st.sampled_from(["garcia", "dolk", "berneburg", "single"]))
+    if family == "single":
+        graph, n = None, 1
+    else:
+        graph = small_graph(draw(st.sampled_from(["path", "ring", "complete", "digraph"])),
+                            draw(st.integers(2, 6)))
+        n = graph.n
+    frac, small = st.floats(0.05, 0.95), st.floats(0.0, 1e-2)
+
+    def per_agent(elements):
+        return draw(st.one_of(elements, st.lists(elements, min_size=n, max_size=n).map(np.array)))
+
+    def common(cls):
+        """c, theta, w_bar, eps_eta and every Literal field."""
+        hints = get_type_hints(cls)
+        vec = draw if hints["c"] is float else per_agent
+        return dict(c=vec(small), theta=vec(st.floats(0.0, 1.0)), w_bar=vec(small),
+                    eps_eta=draw(st.floats(1e-3, 1.0)),
+                    **{k: draw(st.sampled_from(get_args(h)))
+                       for k, h in hints.items() if get_origin(h) is Literal})
+
+    if family == "single":
+        params = SingleParams(delta_coef=draw(st.floats(1e-3, 10.0)),
+                              beta_coef=draw(st.floats(1e-3, 10.0)), **common(SingleParams))
+        feedback = [[draw(st.floats(0.1, 10.0))]]
+    else:
+        a = draw(frac) * 0.5 / graph.neighbor_counts.max()
+        if family == "garcia":
+            params = GarciaParams(a=a, sigma=per_agent(frac), **common(GarciaParams))
+        elif family == "dolk":
+            params = DolkParams(a=a, varrho=draw(frac), mu=per_agent(st.floats(1e-3, 1.0)),
+                                alpha=per_agent(frac), lam=per_agent(st.floats(0.05, 1.0)),
+                                **common(DolkParams))
+        else:
+            rho = {(i, int(j)): draw(frac) / (graph.adjacency[i, j] * graph.out_neighbors(i).size)
+                   for i in range(n) for j in graph.out_neighbors(i)}
+            params = BerneburgParams(rho_edge=draw(st.sampled_from([None, rho])),
+                                     sigma=per_agent(frac), **common(BerneburgParams))
+        feedback = draw(st.sampled_from([None, 2 * laplacian(graph)]))
+    build = {"garcia": GarciaScheme, "dolk": DolkScheme, "berneburg": BerneburgScheme,
+             "single": lambda _graph, p, allow_zeno: SingleSystemScheme(p, allow_zeno)}[family]
+    try:
+        scheme = build(graph, params, draw(st.booleans()))
+    except ZenoGuaranteeError:
+        scheme = build(graph, params, True)
+    noise = NoiseSignal(seed=draw(st.integers(0, 2**32 - 1)), amplitude=np.full(n, 1e-4),
+                        sample_rate=1e4, n=n)
+    x0 = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    return Scenario(scheme=scheme, noise=noise, x0=x0, graph=graph, feedback=feedback,
+                    t_final=0.5, decimation=draw(st.integers(1, 10)),
+                    detection_refinement=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sc=codec_scenarios())
+def test_codec_round_trip_is_bit_identical(sc):
+    text, back = _reparse(sc)
+    assert _reparse(back)[0] == text
+    for name in ("a", "b", "c", "theta", "w_bar", "tau_miet", "reset_gain"):
+        assert getattr(back.scheme, name).tobytes() == getattr(sc.scheme, name).tobytes(), name
+    assert (back.scheme.kind, back.scheme.mode, back.scheme.eps_eta, back.scheme.allow_zeno) == \
+           (sc.scheme.kind, sc.scheme.mode, sc.scheme.eps_eta, sc.scheme.allow_zeno)
+    assert back.feedback.tobytes() == sc.feedback.tobytes()
+    assert back.x0.tobytes() == sc.x0.tobytes()
 
 
 def test_chunked_writers_match_a_one_shot_write(tmp_path, monkeypatch):
