@@ -70,7 +70,7 @@ JUMPS_PER_INSTANT_FACTOR = 10
 BLOCK_MIN = 8
 BLOCK_MAX = 512
 # events per storage evaluation in jump_storage_change, which bounds its
-# temporaries instead of rebuilding the whole (E, 5n) post-jump log at once
+# temporaries instead of rebuilding the whole (E, 5n) pre- and post-jump rows at once
 STORAGE_BLOCK_ROWS = 4096
 
 
@@ -290,7 +290,6 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
     last_t = [math.nan] * n  # a first event's gap is NaN
     x, e, what_w, eta_v, tau_v = z
     row = z.reshape(-1)  # the flat view of the state
-    pre = np.empty(5 * n)  # the state row before the jump being logged
 
     def resolve(t: float, w: np.ndarray) -> int:
         u = control()
@@ -304,14 +303,15 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
         # for consensus d is u: one shared list, so the updates of u below reach d
         u, d = d_list if d is u else u.tolist(), d_list
         eta, tau = eta_v.tolist(), tau_v.tolist()
+        pre = row.copy()  # the instant's row; the log chains its later jumps to it
         total = 0
         while any(due):
             for i in range(n):
                 if not due[i]:
                     continue
-                pre[:] = row
                 eta[i] = apply_jump(z, i, w, scheme)
                 log.append(i, t, len(log) + 1, t - last_t[i], psi[i], pre, w.item(i), eta[i])
+                pre = None
                 last_t[i] = t
                 total += 1
                 if total > storm_cap:
@@ -460,13 +460,15 @@ def inter_event_stats(trace: SolutionTrace) -> dict[int, dict]:
 def jump_storage_change(trace: SolutionTrace, scheme: QuadraticTrigger,
                         feedback: np.ndarray) -> np.ndarray:
     """Per-event ΔU = U(post) - U(pre) of the scheme's storage function,
-    evaluated in blocks of ``STORAGE_BLOCK_ROWS`` events."""
+    evaluated in blocks of ``STORAGE_BLOCK_ROWS`` events. Each block's
+    pre-jump rows are rebuilt once and then turned into its post-jump rows."""
     log = trace.events
     out = np.empty(len(log))
     for lo in range(0, len(log), STORAGE_BLOCK_ROWS):
         hi = min(lo + STORAGE_BLOCK_ROWS, len(log))
-        out[lo:hi] = (scheme.storage(log._post_rows(lo, hi), feedback)
-                      - scheme.storage(log._pre[lo:hi], feedback))
+        rows = log._pre_rows(lo, hi)
+        before = scheme.storage(rows, feedback)
+        out[lo:hi] = scheme.storage(log._to_post(rows, lo), feedback) - before
     return out
 
 

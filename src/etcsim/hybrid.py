@@ -9,6 +9,11 @@ consensus loop with zero-order hold: each agent's state feeds back
 through the graph Laplacian applied to the latest transmitted (noisy)
 outputs. Along a flow interval the sampled output is held, so the
 network-induced error evolves as the exact negative of the state.
+
+The transmission log, :class:`EventLog`, keeps one state row per
+resolution instant, the row before its first jump: the later jumps at
+that t chain from it, since each changes only its own agent's e, w_hat,
+eta and tau. Its ``pre`` and ``post`` rows are rebuilt on each access.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ def _grown(buf: np.ndarray, used: int) -> np.ndarray:
 
 
 class _Column:
-    """The filled part of one of an EventLog's buffers."""
+    """The filled part of one of an EventLog's per-jump buffers."""
 
     def __set_name__(self, owner, name: str) -> None:
         self.buf = "_" + name
@@ -65,24 +70,26 @@ class EventLog:
     """Transmissions in hybrid-time order, stored as columns.
 
     ``agent``, ``t`` and ``j`` say who jumped and when; ``gap`` is the time
-    since that agent's previous transmission (NaN at its first), ``psi``
-    the trigger value that commanded the jump, and ``pre`` the (E, 5n)
-    state rows just before it. A jump changes only the transmitting
-    agent's e, w_hat, eta and tau, so the log keeps just two scalars of
-    the post-jump state, the latched noise and eta, and ``post`` rebuilds
-    the (E, 5n) rows just after each jump from them. ``len()`` counts
-    the jumps, and iteration gives a :class:`JumpEvent` view of each.
+    since that agent's previous transmission (NaN at its first) and ``psi``
+    the trigger value that commanded the jump. Jumps at one t chain: the
+    row before a jump is the row after the one before it, and a jump
+    changes only the transmitting agent's e, w_hat, eta and tau. So the
+    log keeps one state row per resolution instant, the row before its
+    first jump, and two scalars per jump, the agent's latched noise and
+    eta after it. ``pre`` and ``post`` rebuild from them the (E, 5n) rows
+    just before and just after each jump, as a new array on each access.
+    ``len()`` counts the jumps, and iteration gives a :class:`JumpEvent`
+    view of each.
     """
 
     _INITIAL_CAPACITY = 64
-    _NAMES = ("agent", "t", "j", "gap", "psi", "pre", "what_w", "eta")
+    _NAMES = ("agent", "t", "j", "gap", "psi", "what_w", "eta")  # one entry per jump
 
     agent = _Column()
     t = _Column()
     j = _Column()
     gap = _Column()
     psi = _Column()
-    pre = _Column()
 
     def __init__(self, n: int) -> None:
         cap = self._INITIAL_CAPACITY
@@ -93,15 +100,30 @@ class EventLog:
         self._j = np.empty(cap, dtype=np.int64)
         self._gap = np.empty(cap)
         self._psi = np.empty(cap)
-        self._pre = np.empty((cap, 5 * n))
         self._what_w = np.empty(cap)
         self._eta = np.empty(cap)
+        # per instant: the row before its first jump, and that jump's index
+        self._instants = 0
+        self._rows = np.empty((cap, 5 * n))
+        self._first = np.empty(cap, dtype=np.int64)
 
     def append(self, agent: int, t: float, j: int, gap: float, psi: float,
-               pre: np.ndarray, what_w: float, eta: float) -> None:
-        """Log one jump: its pre-jump row, and the agent's latched noise
-        and eta after it."""
+               pre: np.ndarray | None, what_w: float, eta: float) -> None:
+        """Log one jump: the agent's latched noise and eta after it, and
+        ``pre``, the state row before it, when the jump opens an instant.
+        ``pre=None`` chains the jump to the previous entry: its pre-jump
+        row is that entry's post-jump row."""
         k = self._size
+        if pre is not None:
+            m = self._instants
+            if m == self._first.shape[0]:
+                self._rows = _grown(self._rows, m)
+                self._first = _grown(self._first, m)
+            self._rows[m] = pre
+            self._first[m] = k
+            self._instants = m + 1
+        elif k == 0:
+            raise ValueError("the first jump of a log needs its pre-jump row")
         if k == self._t.shape[0]:
             for name in self._NAMES:
                 key = "_" + name
@@ -111,27 +133,52 @@ class EventLog:
         self._j[k] = j
         self._gap[k] = gap
         self._psi[k] = psi
-        self._pre[k] = pre
         self._what_w[k] = what_w
         self._eta[k] = eta
         self._size = k + 1
 
     @property
-    def post(self) -> np.ndarray:
-        """(E, 5n) rows just after each jump, rebuilt from ``pre``: the
-        transmitting agent's e and tau are 0, its w_hat and eta the logged
-        values; x and every other agent are as before the jump."""
-        return self._post_rows(0, self._size)
+    def pre(self) -> np.ndarray:
+        """(E, 5n) rows just before each jump."""
+        return self._pre_rows(0, self._size)
 
-    def _post_rows(self, lo: int, hi: int) -> np.ndarray:
-        rows = self._pre[lo:hi].copy()
+    @property
+    def post(self) -> np.ndarray:
+        """(E, 5n) rows just after each jump: the transmitting agent's e
+        and tau are 0, its w_hat and eta the logged values; x and every
+        other agent are as before the jump."""
+        return self._to_post(self._pre_rows(0, self._size), 0)
+
+    def _pre_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The pre-jump rows of jumps lo..hi-1: each is its instant's stored
+        row with the instant's earlier jumps replayed on it, and ``lo`` may
+        fall inside an instant."""
+        k = np.arange(lo, hi)
+        first = self._first[: self._instants]
+        instant = np.searchsorted(first, k, side="right") - 1
+        rows = self._rows[instant]
+        depth = k - first[instant]  # the instant's jumps before k
         z = rows.reshape(hi - lo, 5, self._n)
-        k, i = np.arange(hi - lo), self._agent[lo:hi]
-        z[k, 1, i] = 0.0
-        z[k, 2, i] = self._what_w[lo:hi]
-        z[k, 3, i] = self._eta[lo:hi]
-        z[k, 4, i] = 0.0
+        # oldest first, so that an agent's later jump in the instant wins
+        for d in range(int(depth.max(initial=0)), 0, -1):
+            r = np.flatnonzero(depth >= d)
+            self._replay(z, r, k[r] - d)
         return rows
+
+    def _to_post(self, rows: np.ndarray, lo: int) -> np.ndarray:
+        """The pre-jump rows of jumps lo.. turned, in place, into their
+        post-jump rows."""
+        m = rows.shape[0]
+        self._replay(rows.reshape(m, 5, self._n), np.arange(m), np.arange(lo, lo + m))
+        return rows
+
+    def _replay(self, z: np.ndarray, r: np.ndarray, k: np.ndarray) -> None:
+        """Apply jump k[q] to row r[q] of the (m, 5, n) view z, in place."""
+        i = self._agent[k]
+        z[r, 1, i] = 0.0
+        z[r, 2, i] = self._what_w[k]
+        z[r, 3, i] = self._eta[k]
+        z[r, 4, i] = 0.0
 
     def __len__(self) -> int:
         return self._size

@@ -48,6 +48,9 @@ class NoiseSignal:
     n: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         amp = np.atleast_1d(np.asarray(self.amplitude, dtype=float))
         if amp.size == 1:
             amp = np.full(self.n, amp[0])

@@ -251,7 +251,8 @@ def test_event_log_keeps_every_row_past_its_initial_capacity():
     assert e_count == tr.jumps[-1] == tr.run_manifest["event_count"]
     for col in (log.agent, log.t, log.j, log.gap, log.psi):
         assert col.shape == (e_count,)
-    assert log.pre.shape == log.post.shape == (e_count, 5 * n)
+    pre, post = log.pre, log.post  # each access rebuilds the rows
+    assert pre.shape == post.shape == (e_count, 5 * n)
     assert np.array_equal(log.j, np.arange(1, e_count + 1))
     assert np.all(np.diff(log.t) >= 0)
     assert np.all(log.psi <= engine_mod.TRIGGER_TOL)
@@ -267,16 +268,48 @@ def test_event_log_keeps_every_row_past_its_initial_capacity():
     cols = np.arange(5 * n) % n
     for k in range(e_count):
         other = cols != log.agent[k]
-        assert np.array_equal(log.pre[k, other], log.post[k, other])
-        assert np.array_equal(log.pre[k, :n], log.post[k, :n])
+        assert np.array_equal(pre[k, other], post[k, other])
+        assert np.array_equal(pre[k, :n], post[k, :n])
     # consecutive jumps at one instant chain post -> pre, and the sample
     # at an event instant holds the post-jump row of its last jump
     same = log.t[1:] == log.t[:-1]
-    assert np.array_equal(log.post[:-1][same], log.pre[1:][same])
+    assert np.array_equal(post[:-1][same], pre[1:][same])
     last_at_instant = np.append(~same, True)
     rows = np.searchsorted(tr.jumps, log.j[last_at_instant])
-    assert np.array_equal(tr.states[rows], log.post[last_at_instant])
+    assert np.array_equal(tr.states[rows], post[last_at_instant])
     assert np.array_equal(tr.times[rows], log.t[last_at_instant])
+
+
+def zeno_stretch():
+    """garcia-c0 started near agreement: it transmits at almost every
+    step, with instants of up to 5 jumps."""
+    sc = build_preset("garcia-c0")[0][1]
+    sc.x0 = 1e-4 * sc.x0
+    sc.t_final = 0.05
+    return sc
+
+
+@pytest.mark.parametrize("name", ["garcia-c0-stretch", "dolk-remark5"])
+def test_logged_rows_are_the_states_around_each_jump(monkeypatch, name):
+    # the rows the log rebuilds against copies taken around each jump map
+    # call; dolk-remark5 resets eta at its jumps
+    sc = zeno_stretch() if name == "garcia-c0-stretch" else build_preset(name)[0][1]
+    before, after = [], []
+    apply_jump = engine_mod.apply_jump
+
+    def copying_apply_jump(z, agent, w, scheme):
+        before.append(z.ravel().copy())
+        eta = apply_jump(z, agent, w, scheme)
+        after.append(z.ravel().copy())
+        return eta
+
+    monkeypatch.setattr(engine_mod, "apply_jump", copying_apply_jump)
+    log = simulate(sc).events
+    assert len(log) == len(before) > 0
+    if name == "garcia-c0-stretch":
+        assert np.unique(log.t, return_counts=True)[1].max() >= 5
+    assert np.array_equal(log.pre, np.array(before))
+    assert np.array_equal(log.post, np.array(after))
 
 
 def test_zero_noise_two_agent_conservation_and_decrease():
@@ -486,10 +519,17 @@ def test_garcia_jumps_leave_w_unchanged():
         assert w_pre == w_post  # x untouched by jumps
 
 
-@pytest.mark.parametrize("name", ["garcia-c2e-6", "dolk-c0"])
+@pytest.mark.parametrize("name", ["garcia-c2e-6", "dolk-c0", "garcia-c0"])
 def test_blocked_storage_change_matches_a_whole_log_evaluation(preset_runs, monkeypatch, name):
-    # dolk-c0 adds the certificate term to the storage function
-    [(_, sc, tr)] = preset_runs(name)
+    # dolk-c0 adds the certificate term to the storage function; on the
+    # garcia-c0 stretch, blocks of 3 rows start inside instants
+    if name == "garcia-c0":
+        sc = zeno_stretch()
+        tr = simulate(sc)
+        starts = np.arange(3, len(tr.events), 3)
+        assert np.any(tr.events.t[starts] == tr.events.t[starts - 1])
+    else:
+        [(_, sc, tr)] = preset_runs(name)
     log, M = tr.events, sc.feedback
     assert len(log) > 3 * 3
     monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", 3)

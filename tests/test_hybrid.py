@@ -132,3 +132,55 @@ def test_distance_to_consensus_value():
     assert distance(x) == pytest.approx(np.sqrt(240.0))
     assert distance(np.full(5, 3.3)) == 0.0
 
+
+
+def jumped(row, agent, what_w, eta):
+    """The row after a jump by ``agent``, written out component by component."""
+    z = row.reshape(5, -1).copy()
+    z[1, agent] = 0.0
+    z[2, agent] = what_w
+    z[3, agent] = eta
+    z[4, agent] = 0.0
+    return z.ravel()
+
+
+def test_event_log_chains_the_jumps_of_an_instant():
+    # three instants: agent 0 jumps twice in the first, and a jump after
+    # its second sees the second's values; the second instant opens with a
+    # fresh row, the third has one jump
+    n = 3
+    rng = np.random.default_rng(5)
+    heads = {0: rng.standard_normal(5 * n), 4: rng.standard_normal(5 * n),
+             6: rng.standard_normal(5 * n)}
+    jumps = [(0, 1.0, 0.1, 0.2), (2, 1.0, 0.3, 0.4), (0, 1.0, 0.5, 0.6), (1, 1.0, 1.3, 1.4),
+             (1, 2.0, 0.7, 0.8), (2, 2.0, 0.9, 1.0), (0, 3.0, 1.1, 1.2)]
+    log = EventLog(n)
+    want_pre, want_post = [], []
+    for k, (agent, t, what_w, eta) in enumerate(jumps):
+        row = heads[k] if k in heads else want_post[-1]
+        want_pre.append(row)
+        want_post.append(jumped(row, agent, what_w, eta))
+        head = heads[k].copy() if k in heads else None
+        log.append(agent, t, k + 1, np.nan, 0.0, head, what_w, eta)
+        if head is not None:
+            head[:] = np.nan  # the log keeps its own copy
+    want_pre, want_post = np.array(want_pre), np.array(want_post)
+    assert np.array_equal(log.pre, want_pre)
+    assert np.array_equal(log.post, want_post)
+    # agent 0's second jump sees its first one's latched noise and eta,
+    # and the jump after it the second one's
+    assert log.pre[2].reshape(5, n)[2:4, 0].tolist() == [0.1, 0.2]
+    assert log.pre[3].reshape(5, n)[2:4, 0].tolist() == [0.5, 0.6]
+    # a block may start inside an instant, at any jump
+    for lo in range(len(jumps)):
+        for hi in range(lo, len(jumps) + 1):
+            assert np.array_equal(log._pre_rows(lo, hi), want_pre[lo:hi])
+    # each access is a new array
+    log.pre[:] = 0.0
+    log.post[:] = 0.0
+    assert np.array_equal(log.pre, want_pre) and np.array_equal(log.post, want_post)
+
+
+def test_event_log_needs_a_row_for_its_first_jump():
+    with pytest.raises(ValueError):
+        EventLog(2).append(0, 0.0, 1, np.nan, 0.0, None, 0.0, 0.0)

@@ -10,6 +10,19 @@ def make_signal(seed=7, n=3, amp=1e-4, rate=1e4):
     return NoiseSignal(seed=seed, amplitude=np.full(n, amp), sample_rate=rate, n=n)
 
 
+@pytest.mark.parametrize("seed", [None, 7.0, "7", True])
+def test_seed_must_be_an_integer(seed):
+    # a bad seed is refused where the signal is built, not deep inside a run
+    with pytest.raises(ValueError, match="seed"):
+        make_signal(seed=seed)
+
+
+def test_numpy_integer_seed_gives_the_int_seed_table():
+    sig = make_signal(seed=np.int64(7))
+    assert type(sig.seed) is int
+    assert np.array_equal(sig.window_table(100), make_signal(seed=7).window_table(100))
+
+
 def test_deterministic():
     a, b = make_signal(), make_signal()
     # the windows of 1 s at 1e4 windows per second
