@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import copy
 import dataclasses
 import math
 import os
@@ -70,6 +69,15 @@ def _vec_str(v) -> str:
     return ", ".join(_fmt(x) for x in np.atleast_1d(v))
 
 
+def _check_keys(section, known) -> None:
+    """Refuse a key of ``section`` outside ``known``, so that a misspelled
+    key cannot re-run silently under its default."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValueError(f"unknown [{section.name}] key {unknown[0]!r}; "
+                         f"expected one of {', '.join(known)}")
+
+
 def _required(section, key: str) -> str:
     if key not in section:
         raise ValueError(f"[{section.name}] needs the key {key!r}")
@@ -99,7 +107,12 @@ def _edge_text(triples) -> str:
 #
 # The [etm] keys are kind, allow_zeno and the fields of the kind's params
 # dataclass, written in field order; each field's type hint picks its
-# text form, and an absent key takes the dataclass default.
+# text form, and an absent key takes the dataclass default. Every section
+# refuses a key it does not know.
+
+# written as "false" by the manifests of earlier versions, which could
+# also bisect for off-grid event instants; "true" asks for that removed path
+_LEGACY_SIM_KEY = "detection_refinement"
 
 _SCHEMES = {  # kind -> (params class, constructor(graph, params, allow_zeno))
     "garcia": (GarciaParams, GarciaScheme),
@@ -124,6 +137,7 @@ def _codec(hint):
 
 
 def _parse_graph(section) -> Graph:
+    _check_keys(section, ("n", "undirected", "edges"))
     edges_text = section.get("edges", BENCHMARK_GRAPH_KEYWORD).strip()
     if edges_text == BENCHMARK_GRAPH_KEYWORD:
         return benchmark_topology()
@@ -138,10 +152,7 @@ def _scheme_from_config(etm, graph: Graph | None):
         raise ValueError(f"unknown etm kind {kind!r}")
     cls, build = _SCHEMES[kind]
     hints = get_type_hints(cls)
-    unknown = sorted(set(etm) - set(hints) - {"kind", "allow_zeno"})
-    if unknown:
-        raise ValueError(f"unknown [etm] key {unknown[0]!r} for kind {kind}; "
-                         f"expected kind, allow_zeno or one of {', '.join(hints)}")
+    _check_keys(etm, ("kind", "allow_zeno", *hints))
     params = cls(**{f.name: _codec(hints[f.name])[1](_required(etm, f.name))
                     for f in dataclasses.fields(cls)
                     if f.name in etm or f.default is dataclasses.MISSING})
@@ -159,6 +170,7 @@ def config_to_scenario(cp: configparser.ConfigParser) -> Scenario:
     n = scheme.n
 
     noise_sec = cp["noise"]
+    _check_keys(noise_sec, ("seed", "amplitude", "sample_rate_hz"))
     noise = NoiseSignal(
         seed=int(_required(noise_sec, "seed")),
         amplitude=_parse_vector(_required(noise_sec, "amplitude")),
@@ -167,6 +179,10 @@ def config_to_scenario(cp: configparser.ConfigParser) -> Scenario:
     )
 
     sim = cp["sim"]
+    _check_keys(sim, ("x0", "t_final", "step", "decimation", "feedback", _LEGACY_SIM_KEY))
+    if sim.getboolean(_LEGACY_SIM_KEY, fallback=False):
+        raise ValueError(f"[sim] {_LEGACY_SIM_KEY} = true selects the removed in-step bisection; "
+                         "events are detected on the step grid only, so drop the key")
     feedback = sim.get("feedback")
     if feedback is not None:
         feedback = _parse_vector(feedback).reshape(n, n)
@@ -181,7 +197,6 @@ def config_to_scenario(cp: configparser.ConfigParser) -> Scenario:
         t_final=float(_required(sim, "t_final")),
         step=float(_required(sim, "step")),
         decimation=sim.getint("decimation", fallback=1),
-        detection_refinement=sim.getboolean("detection_refinement", fallback=False),
     )
 
 
@@ -221,7 +236,6 @@ def scenario_to_config(s: Scenario, derived: dict | None = None) -> configparser
         "t_final": _fmt(s.t_final),
         "step": _fmt(s.step),
         "decimation": str(s.decimation),
-        "detection_refinement": str(s.detection_refinement).lower(),
     }
     if s.graph is None or not np.array_equal(s.feedback, laplacian(s.graph)):
         cp["sim"]["feedback"] = _vec_str(s.feedback.ravel())
@@ -415,9 +429,9 @@ def run(scenario: Scenario, out_dir: Path, label: str = "", stream=None) -> int:
     return EXIT_OK
 
 
-def _build_from_args(args) -> list[tuple[str | None, Scenario]]:
-    if args.preset:
-        pairs = build_preset(args.preset, seed=args.seed)
+def _build_from_args(args, preset: str | None) -> list[tuple[str | None, Scenario]]:
+    if preset:
+        pairs = build_preset(preset, seed=args.seed)
     else:
         cp = configparser.ConfigParser()
         cp.optionxform = str
@@ -472,12 +486,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch_one(args, preset_name: str | None, out_dir: Path) -> int:
-    local = copy.copy(args)
-    local.preset = preset_name
-    if preset_name is None:
-        local.config = args.config
     try:
-        pairs = _build_from_args(local)
+        pairs = _build_from_args(args, preset_name)
     except (ZenoGuaranteeError, ValueError, KeyError, configparser.Error) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

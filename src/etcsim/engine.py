@@ -24,7 +24,8 @@ starts at BLOCK_MIN steps; a block that runs through doubles the next
 one's length. The samples before the stop are recorded as one block.
 Every step end is thus checked exactly as a per-step loop would check
 it; the only difference from stepping with a fresh u each step is the
-ulp-level drift of x + e along the block.
+ulp-level drift of x + e along the block. Jumps happen only at step
+ends, so every sample and every event time lies on the step grid k h.
 
 Jumps are resolved per instant by :func:`_jump_resolver`. It evaluates
 u, the measured errors e~, psi and the jump set once, as vectors, from
@@ -64,7 +65,6 @@ __all__ = [
 ]
 
 TRIGGER_TOL = 1e-12
-REFINE_TOL = 1e-9
 JUMPS_PER_INSTANT_FACTOR = 10
 # block lengths in steps: after an instant with jumps, and the cap of the doubling
 BLOCK_MIN = 8
@@ -96,7 +96,6 @@ class Scenario:
     feedback: np.ndarray | None = None
     t_final: float = 8.0
     step: float = 1e-4
-    detection_refinement: bool = False
     decimation: int = 1
 
     def __post_init__(self) -> None:
@@ -138,7 +137,7 @@ class SolutionTrace:
 
 
 class _Recorder:
-    """Growable sample buffer (refined jump instants add off-grid rows)."""
+    """Growable sample buffer: the recorded step ends and event instants."""
 
     def __init__(self, n: int, capacity: int):
         self.t = _mapped((capacity,))
@@ -174,8 +173,7 @@ def _in_jump_set(psi, eta, theta, dynamic: bool):
     psi_i = 0 (within the tolerance) both flowing and jumping are
     admissible, and the solver flows, because the persistently flowing
     solution is the one the guarantees speak about. Jump resolution,
-    the block stepper, the refinement probes and the tests all decide
-    through this predicate.
+    the block stepper and the tests all decide through this predicate.
     """
     due = psi <= -TRIGGER_TOL
     return due & (eta + theta * psi <= TRIGGER_TOL) if dynamic else due
@@ -207,7 +205,7 @@ def _block_limit(scheme: QuadraticTrigger, h: float) -> int:
 
 def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
                 scheme: QuadraticTrigger) -> tuple[np.ndarray, np.ndarray]:
-    """Flow the state ``row``, or its (5, n) view, for K = len(w) - 1
+    """Flow the state ``row`` for K = len(w) - 1
     steps of length h with u frozen; w[m] is the noise at the m-th step
     end (w[0] at the start), and step m + 1 flows under w[m].
 
@@ -263,12 +261,6 @@ def _commit(z: np.ndarray, row: np.ndarray) -> None:
     (discrete detection lets eta undershoot slightly)."""
     z.flat = row
     np.maximum(z[3], 0.0, out=z[3])
-
-
-def _flow_to(z: np.ndarray, u: np.ndarray, dt: float, w: np.ndarray,
-             scheme: QuadraticTrigger) -> None:
-    """Flow the state view z in place for one step of length dt under the noise w."""
-    _commit(z, _flow_block(z, u, dt, np.stack((w, w)), scheme)[0][1])
 
 
 def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray,
@@ -368,21 +360,7 @@ def simulate(s: Scenario) -> SolutionTrace:
             idx = np.arange(k + 1, k + m)
             keep = idx % dec == 0
             rec.push(idx[keep] * h, len(log), rows[1:m][keep])
-        # the block's check at the end of its last step gates the search
-        # for the crossing inside that step; a crossing at the step end
-        # itself is the unrefined instant
-        dt = h
-        if s.detection_refinement and due[m - 1].any():
-            _commit(z, rows[m - 1])
-            dt = _refine_instant(z, u, h, w[m - 1], scheme)
-        if dt < h:
-            t0, w_step = (k + m - 1) * h, w[m - 1]
-            _flow_to(z, u, dt, w_step, scheme)
-            if resolve(t0 + dt, w_step):
-                rec.push(t0 + dt, len(log), row)
-            _flow_to(z, control(), h - dt, w_step, scheme)
-        else:
-            _commit(z, rows[m])
+        _commit(z, rows[m])
         k += m
         applied = resolve(k * h, w[m]) if stopped else 0
         if applied or k % dec == 0 or k == steps:
@@ -394,7 +372,6 @@ def simulate(s: Scenario) -> SolutionTrace:
         "step": h,
         "t_final": s.t_final,
         "trigger_tol": TRIGGER_TOL,
-        "detection_refinement": s.detection_refinement,
         "decimation": dec,
         "scheme": scheme.kind,
         "derived": scheme.derived_constants(),
@@ -409,30 +386,6 @@ def simulate(s: Scenario) -> SolutionTrace:
         run_manifest=manifest,
         n=n,
     )
-
-
-def _refine_instant(z, u, h, w_step, scheme) -> float:
-    """Bisect the earliest trigger crossing inside (t_k, t_k + h], given
-    that some agent is due at t_k + h under the next window's noise.
-
-    The probes use the frozen step noise in the interior. If no agent is
-    due at t_k + h under it, the crossing is the noise switch at the
-    boundary itself. Returns the offset from the step start; the caller
-    adds it to the step-start time."""
-    def due_after(dt: float) -> bool:  # is any agent of z in the jump set after flowing dt?
-        return bool(_flow_block(z, u, dt, np.stack((w_step, w_step)), scheme)[1].any())
-    if due_after(0.0):
-        return 0.0
-    if not due_after(h):
-        return h
-    lo, hi = 0.0, h
-    while hi - lo > REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        if due_after(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------

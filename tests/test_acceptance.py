@@ -113,7 +113,7 @@ def _check_invariants(name, sub, sc, tr):
     # every sample's noise (the engine's step-boundary table), u and psi
     x, e, wh, eta, tau = (tr.states[:, k * n : (k + 1) * n] for k in range(5))
     steps = np.rint(tr.times / sc.step).astype(np.int64)
-    # a refined (off-grid) sample is judged under its step's noise, not the next
+    # every sample lies on the step grid k h and is judged under the noise there
     assert np.array_equal(steps * sc.step, tr.times), f"{label}: samples off the step grid"
     w = sc.noise.step_table(int(steps.max()), sc.step)[steps]
     u = -(x + e + wh) @ sc.feedback.T

@@ -280,15 +280,41 @@ def _write_ini(cp, path):
     return path
 
 
-def test_unknown_etm_key_is_a_validation_error(tmp_path, capsys):
-    # a misspelled key must not re-run silently under the default
+@pytest.mark.parametrize("section,key,value,replaces,message", [
+    ("etm", "reset_mod", "remark5", "reset_mode", "unknown [etm] key 'reset_mod'"),
+    ("graph", "undirceted", "false", None, "unknown [graph] key 'undirceted'"),
+    ("noise", "sed", "7", None, "unknown [noise] key 'sed'"),
+    ("sim", "decimaton", "5", "decimation", "unknown [sim] key 'decimaton'"),
+    ("sim", "detection_refinement", "true", None,
+     "[sim] detection_refinement = true selects the removed in-step bisection"),
+], ids=["etm", "graph", "noise", "sim", "sim-legacy"])
+def test_unknown_key_is_a_validation_error(tmp_path, capsys, section, key, value, replaces,
+                                           message):
+    # a misspelled key must not re-run silently under the default, and the
+    # removed in-step bisection must not be asked for
     cp = cli.scenario_to_config(cli.build_preset("dolk-remark5")[0][1])
-    cp["etm"]["reset_mod"] = cp["etm"].pop("reset_mode")
+    if replaces:
+        cp.remove_option(section, replaces)
+    cp[section][key] = value
     cfg = _write_ini(cp, tmp_path / "typo.ini")
     assert run_main("--config", str(cfg), "--validate-only") == 2
     assert run_main("--config", str(cfg), "--t-final", "0.1", "--out", str(tmp_path / "o")) == 2
-    assert "'reset_mod'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_legacy_detection_refinement_false_still_loads(tmp_path):
+    # manifests of earlier versions carry "[sim] detection_refinement = false"
+    cp = cli.scenario_to_config(cli.build_preset("garcia-c2e-6")[0][1])
+    plain = _write_ini(cp, tmp_path / "plain.ini")
+    cp["sim"]["detection_refinement"] = "false"
+    legacy = _write_ini(cp, tmp_path / "legacy.ini")
+    for cfg in (plain, legacy):
+        out = tmp_path / cfg.stem
+        assert run_main("--config", str(cfg), "--t-final", "0.5", "--out", str(out)) == 0
+    assert (tmp_path / "plain" / "events.csv").read_text().count("\n") > 1
+    for f in ("states.csv", "events.csv", "metrics.csv", "manifest.ini"):
+        assert (tmp_path / "plain" / f).read_bytes() == (tmp_path / "legacy" / f).read_bytes(), f
 
 
 _INLINE_GARCIA = (
@@ -368,8 +394,7 @@ def codec_scenarios(draw):
                         sample_rate=1e4, n=n)
     x0 = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
     return Scenario(scheme=scheme, noise=noise, x0=x0, graph=graph, feedback=feedback,
-                    t_final=0.5, decimation=draw(st.integers(1, 10)),
-                    detection_refinement=draw(st.booleans()))
+                    t_final=0.5, decimation=draw(st.integers(1, 10)))
 
 
 @settings(max_examples=150, deadline=None)

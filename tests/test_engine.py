@@ -21,13 +21,13 @@ from etcsim.presets import build_preset
 from etcsim.signals import NoiseSignal
 
 
-def two_agent_scenario(c=0.01, amp=0.0, seed=3, t_final=2.0, mode="static", **kw):
+def two_agent_scenario(c=0.01, amp=0.0, seed=3, t_final=2.0, mode="static"):
     g = Graph.from_edge_list(2, [(0, 1)], undirected=True)
     p = GarciaParams(a=0.2, sigma=0.5, c=c, w_bar=amp, mode=mode)
     sch = GarciaScheme(g, p, allow_zeno=(c == 0.0))
     noise = NoiseSignal(seed=seed, amplitude=np.full(2, amp), sample_rate=1e4, n=2)
     return Scenario(scheme=sch, noise=noise, x0=np.array([1.0, -1.0]),
-                    graph=g, t_final=t_final, step=1e-4, **kw)
+                    graph=g, t_final=t_final, step=1e-4)
 
 
 def small_dolk_scenario(t_final=1.0, amp=1e-4, seed=9):
@@ -330,15 +330,21 @@ def test_zero_noise_two_agent_conservation_and_decrease():
 
 
 def test_hybrid_time_domain_monotone():
-    tr = simulate(two_agent_scenario())
-    t, j = tr.times, tr.jumps
-    assert np.all(np.diff(t) >= 0)
-    assert np.all(np.diff(j) >= 0)
-    # j increases only where t repeats or at event instants
-    ev_t = {round(ev.time.t, 12) for ev in tr.events}
-    bumps = np.flatnonzero(np.diff(j) > 0)
-    for k in bumps:
-        assert round(float(t[k + 1]), 12) in ev_t
+    garcia = build_preset("garcia-c2e-6")[0][1]
+    garcia.t_final = 3.0
+    for sc in (two_agent_scenario(c=1e-4, amp=1e-4), garcia):
+        tr = simulate(sc)
+        assert len(tr.events) > 0
+        t, j = tr.times, tr.jumps
+        dt, dj = np.diff(t), np.diff(j)
+        assert np.all(dt >= 0)
+        assert np.all(dj >= 0)
+        # no sample repeats its (t, j): an event instant is recorded once
+        assert not np.any((dt == 0) & (dj == 0))
+        # j increases only at event instants
+        ev_t = {round(ev.time.t, 12) for ev in tr.events}
+        for k in np.flatnonzero(dj > 0):
+            assert round(float(t[k + 1]), 12) in ev_t
 
 
 def test_trigger_consistency_and_flow_membership():
@@ -382,36 +388,6 @@ def test_decimation_thins_samples_keeps_events():
     assert len(t2.events) == len(t1.events)
     for a, b in zip(t1.events, t2.events):
         assert a.time == b.time and a.agent == b.agent
-
-
-def test_detection_refinement_locates_crossing():
-    base = simulate(two_agent_scenario())
-    fine = simulate(two_agent_scenario(detection_refinement=True))
-    assert len(fine.events) > 0
-    # the first crossing is refined to within the original step, never later
-    a, b = base.events, fine.events
-    assert a.agent[0] == b.agent[0]
-    assert abs(a.t[0] - b.t[0]) <= 1e-4 + 1e-12
-    assert b.t[0] <= a.t[0] + 1e-12
-    # refined instants sit much closer to the zero crossing of psi
-    assert abs(b.psi[0]) < abs(a.psi[0])
-
-
-@pytest.mark.parametrize("case", ["garcia-c2e-6", "two-agent"])
-def test_refined_samples_never_step_back_or_repeat(case):
-    # a crossing refined to the step end itself is the unrefined instant:
-    # its sample is k h once, not t0 + h (an ulp off) followed by k h again
-    if case == "garcia-c2e-6":
-        sc = build_preset(case)[0][1]
-        sc.t_final = 3.0
-        sc.detection_refinement = True
-    else:
-        sc = two_agent_scenario(c=1e-4, amp=1e-4, detection_refinement=True)
-    tr = simulate(sc)
-    assert len(tr.events) > 0
-    dt, dj = np.diff(tr.times), np.diff(tr.jumps)
-    assert np.all(dt >= 0.0)
-    assert not np.any((dt == 0.0) & (dj == 0))
 
 
 def test_step_halving_stability():
