@@ -108,7 +108,10 @@ def _edge_text(triples) -> str:
 # The [etm] keys are kind, allow_zeno and the fields of the kind's params
 # dataclass, written in field order; each field's type hint picks its
 # text form, and an absent key takes the dataclass default. Every section
-# refuses a key it does not know.
+# refuses a key it does not know, and the config refuses a section it does
+# not read: [derived] is the manifest's echo of the derived constants.
+
+_SECTIONS = ("graph", "etm", "noise", "sim", "derived")
 
 # written as "false" by the manifests of earlier versions, which could
 # also bisect for off-grid event instants; "true" asks for that removed path
@@ -160,12 +163,19 @@ def _scheme_from_config(etm, graph: Graph | None):
 
 
 def config_to_scenario(cp: configparser.ConfigParser) -> Scenario:
+    unknown = sorted(set(cp.sections()) - set(_SECTIONS))
+    if unknown:
+        raise ValueError(f"unknown config section [{unknown[0]}]; "
+                         f"expected one of {', '.join(_SECTIONS)}")
     etm = cp["etm"]
     graph = None
     if _required(etm, "kind") != "single":
         if not cp.has_section("graph"):
             raise ValueError("config needs a [graph] section for consensus schemes")
         graph = _parse_graph(cp["graph"])
+    elif cp.has_section("graph"):
+        raise ValueError("kind = single takes no [graph] section; "
+                         "its gain matrix is [sim] feedback")
     scheme = _scheme_from_config(etm, graph)
     n = scheme.n
 

@@ -7,15 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from etcsim.engine import _in_jump_set, simulate, zeno_indicator
+from etcsim.engine import simulate, zeno_indicator
 from etcsim.etm import GarciaParams, GarciaScheme, gamma_sigma_from, tau_miet
-from etcsim.graph import benchmark_topology, is_weight_balanced
+from etcsim.graph import benchmark_topology
 from etcsim.presets import PRESETS, build_preset
+from hybrid_arc import check_arc, check_eta_flow, check_held_noise
 
 H = 1e-4
-TOL = 1e-12
 
 ALL_PRESETS = list(PRESETS)
+# every preset run, "preset" or "preset/sub", in catalog order
+ALL_RUNS = [f"{name}/{sub}" if sub else name for name in PRESETS for sub, _ in build_preset(name)]
 
 
 def report(num, text):
@@ -61,11 +63,10 @@ def test_criterion_04_phi_ode_cross_check(phi_rk4):
 def test_criterion_05_dwell_time_reproduction(preset_runs):
     for name in ("dolk-c0", "dolk-c1e-7"):
         for _, sc, tr in preset_runs(name):
-            tm = sc.scheme.tau_miet
-            for ev in tr.events:
-                if ev.inter_event_gap is not None:
-                    assert ev.inter_event_gap >= tm[ev.agent] - H, \
-                        f"{name} agent {ev.agent} gap {ev.inter_event_gap}"
+            log = tr.events
+            short = log.gap < sc.scheme.tau_miet[log.agent] - H  # False at a first event's NaN
+            assert not short.any(), \
+                f"{name} agent {log.agent[short][0]} gap {log.gap[short][0]}"
     report(5, "all same-agent gaps in both timer presets >= tau_miet_i - h")
 
 
@@ -103,61 +104,43 @@ def test_criterion_08_jump_monotonicity(preset_runs):
     report(8, "Delta U <= 1e-12 at every jump, standard and noise-aware eta resets")
 
 
-def _check_invariants(name, sub, sc, tr):
-    sch, log, n = sc.scheme, tr.events, tr.n
-    label = f"{name}/{sub}" if sub else name
-
-    # trigger consistency at every event pre-state
-    assert np.all(log.psi <= TOL), f"{label}: event psi {log.psi.max()}"
-
-    # every sample's noise (the engine's step-boundary table), u and psi
-    x, e, wh, eta, tau = (tr.states[:, k * n : (k + 1) * n] for k in range(5))
-    steps = np.rint(tr.times / sc.step).astype(np.int64)
-    # every sample lies on the step grid k h and is judged under the noise there
-    assert np.array_equal(steps * sc.step, tr.times), f"{label}: samples off the step grid"
-    w = sc.noise.step_table(int(steps.max()), sc.step)[steps]
-    u = -(x + e + wh) @ sc.feedback.T
-    psi = sch.psi_vec(u=u, e_tilde=e + wh - w, tau=tau, x=x, w=w)
-
-    # eta nonnegativity
-    assert eta.min() >= -1e-12, f"{label}: eta {eta.min()}"
-
-    # flow-set membership at samples away from event instants
-    mask = ~np.isin(np.round(tr.times, 12), np.unique(np.round(log.t, 12)))
-    if sch.mode == "static":
-        assert psi[mask].min() >= -TOL, f"{label}: flow-set violation {psi[mask].min()}"
-    else:
-        combined = eta[mask] + sch.theta * psi[mask]
-        assert combined.min() >= -TOL, f"{label}: flow-set violation {combined.min()}"
-
-    # no sample, event instants included, leaves an agent in the jump set
-    due = _in_jump_set(psi, eta, sch.theta, sch.mode == "dynamic")
-    stuck = np.flatnonzero(due.any(axis=1))
-    assert stuck.size == 0, \
-        f"{label}: {stuck.size} samples in the jump set, first at t={tr.times[stuck[0]]}"
-
-    # mean conservation on weight-balanced consensus topologies
-    if sc.graph is not None and is_weight_balanced(sc.graph):
-        sums = tr.states[:, : tr.n].sum(axis=1)
-        drift = np.abs(sums - sums[0]).max()
-        assert drift <= 1e-6 * (1 + np.linalg.norm(sc.x0)), f"{label}: drift {drift}"
-
-    # bit-exact determinism of the samples and of the whole event log
-    tr2 = simulate(sc)
-    assert np.array_equal(tr.states, tr2.states), f"{label}: nondeterministic states"
-    assert np.array_equal(tr.times, tr2.times)
-    assert len(tr.events) == len(tr2.events)
-    for col in ("agent", "t", "j", "gap", "psi", "pre", "post"):
-        a, b = getattr(tr.events, col), getattr(tr2.events, col)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
-            f"{label}: nondeterministic event {col}"
-
-
 def test_criterion_09_invariant_suite(preset_runs):
     for name in ALL_PRESETS:
         for sub, sc, tr in preset_runs(name):
-            _check_invariants(name, sub, sc, tr)
-    report(9, "trigger/flow-set/jump-set/eta/mean-conservation/determinism hold on all presets")
+            label = f"{name}/{sub}" if sub else name
+            check_arc(sc, tr, label)
+            # bit-exact determinism of the samples and of the whole event log
+            tr2 = simulate(sc)
+            assert np.array_equal(tr.states, tr2.states), f"{label}: nondeterministic states"
+            assert np.array_equal(tr.times, tr2.times)
+            assert len(tr.events) == len(tr2.events)
+            for col in ("agent", "t", "j", "gap", "psi", "pre", "post"):
+                a, b = getattr(tr.events, col), getattr(tr2.events, col)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                    f"{label}: nondeterministic event {col}"
+    report(9, "every preset run is a hybrid arc (tests/hybrid_arc.py) and replays bit-exactly")
+
+
+def _preset_run(preset_runs, label):
+    name, _, sub = label.partition("/")
+    [(sc, tr)] = [(sc, tr) for s, sc, tr in preset_runs(name) if s == (sub or None)]
+    return sc, tr
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="known gap: the engine judges a step end in D under the next "
+                   "window's noise only, not under the noise held during the step")
+@pytest.mark.parametrize("run", ALL_RUNS)
+def test_step_ends_leave_the_jump_set_under_the_held_noise(preset_runs, run):
+    check_held_noise(*_preset_run(preset_runs, run))
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="known gap: RK4 samples the timer rule's psi at three points, so "
+                   "at the step where a gate opens eta misses its exact flow by up to 5e-3")
+@pytest.mark.parametrize("run", ["dolk-c0", "dolk-c1e-7", "dolk-remark5"])
+def test_eta_follows_its_exact_flow_across_the_gate(preset_runs, run):
+    check_eta_flow(*_preset_run(preset_runs, run))
 
 
 # event counts of the Zeno-free runs at the default seed 2024

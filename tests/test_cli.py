@@ -280,21 +280,27 @@ def _write_ini(cp, path):
     return path
 
 
-@pytest.mark.parametrize("section,key,value,replaces,message", [
-    ("etm", "reset_mod", "remark5", "reset_mode", "unknown [etm] key 'reset_mod'"),
-    ("graph", "undirceted", "false", None, "unknown [graph] key 'undirceted'"),
-    ("noise", "sed", "7", None, "unknown [noise] key 'sed'"),
-    ("sim", "decimaton", "5", "decimation", "unknown [sim] key 'decimaton'"),
-    ("sim", "detection_refinement", "true", None,
+@pytest.mark.parametrize("preset,section,key,value,replaces,message", [
+    ("dolk-remark5", "etm", "reset_mod", "remark5", "reset_mode",
+     "unknown [etm] key 'reset_mod'"),
+    ("dolk-remark5", "graph", "undirceted", "false", None, "unknown [graph] key 'undirceted'"),
+    ("dolk-remark5", "noise", "sed", "7", None, "unknown [noise] key 'sed'"),
+    ("dolk-remark5", "sim", "decimaton", "5", "decimation", "unknown [sim] key 'decimaton'"),
+    ("dolk-remark5", "sim", "detection_refinement", "true", None,
      "[sim] detection_refinement = true selects the removed in-step bisection"),
-], ids=["etm", "graph", "noise", "sim", "sim-legacy"])
-def test_unknown_key_is_a_validation_error(tmp_path, capsys, section, key, value, replaces,
-                                           message):
-    # a misspelled key must not re-run silently under the default, and the
-    # removed in-step bisection must not be asked for
-    cp = cli.scenario_to_config(cli.build_preset("dolk-remark5")[0][1])
+    ("single-scalar-demo", "simm", "decimation", "5", None, "unknown config section [simm]"),
+    ("single-scalar-demo", "graph", "bogus", "1", None,
+     "kind = single takes no [graph] section"),
+], ids=["etm", "graph", "noise", "sim", "sim-legacy", "section", "single-graph"])
+def test_unknown_key_is_a_validation_error(tmp_path, capsys, preset, section, key, value,
+                                           replaces, message):
+    # a misspelled key or section must not re-run silently under the
+    # default, and the removed in-step bisection must not be asked for
+    cp = cli.scenario_to_config(cli.build_preset(preset)[0][1])
     if replaces:
         cp.remove_option(section, replaces)
+    if not cp.has_section(section):
+        cp.add_section(section)
     cp[section][key] = value
     cfg = _write_ini(cp, tmp_path / "typo.ini")
     assert run_main("--config", str(cfg), "--validate-only") == 2

@@ -19,6 +19,7 @@ from etcsim.graph import Graph, benchmark_topology, laplacian
 from etcsim.hybrid import EventLog
 from etcsim.presets import build_preset
 from etcsim.signals import NoiseSignal
+from hybrid_arc import check_arc, check_eta_flow
 
 
 def two_agent_scenario(c=0.01, amp=0.0, seed=3, t_final=2.0, mode="static"):
@@ -232,10 +233,8 @@ def test_determinism_bit_exact():
     t1, t2 = simulate(s1), simulate(s2)
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.times, t2.times)
-    assert len(t1.events) == len(t2.events)
-    for a, b in zip(t1.events, t2.events):
-        assert a.agent == b.agent and a.time == b.time
-    assert np.array_equal(t1.events.pre, t2.events.pre)
+    for col in ("agent", "t", "j", "pre"):
+        assert np.array_equal(getattr(t1.events, col), getattr(t2.events, col)), col
 
 
 def test_event_log_keeps_every_row_past_its_initial_capacity():
@@ -251,33 +250,8 @@ def test_event_log_keeps_every_row_past_its_initial_capacity():
     assert e_count == tr.jumps[-1] == tr.run_manifest["event_count"]
     for col in (log.agent, log.t, log.j, log.gap, log.psi):
         assert col.shape == (e_count,)
-    pre, post = log.pre, log.post  # each access rebuilds the rows
-    assert pre.shape == post.shape == (e_count, 5 * n)
-    assert np.array_equal(log.j, np.arange(1, e_count + 1))
-    assert np.all(np.diff(log.t) >= 0)
-    assert np.all(log.psi <= engine_mod.TRIGGER_TOL)
-    # each gap is the time since the same agent's previous event
-    last = {}
-    for k, (i, t) in enumerate(zip(log.agent.tolist(), log.t.tolist())):
-        if i in last:
-            assert log.gap[k] == t - last[i]
-        else:
-            assert np.isnan(log.gap[k])
-        last[i] = t
-    # a jump touches only its agent's e, w_hat, eta and tau
-    cols = np.arange(5 * n) % n
-    for k in range(e_count):
-        other = cols != log.agent[k]
-        assert np.array_equal(pre[k, other], post[k, other])
-        assert np.array_equal(pre[k, :n], post[k, :n])
-    # consecutive jumps at one instant chain post -> pre, and the sample
-    # at an event instant holds the post-jump row of its last jump
-    same = log.t[1:] == log.t[:-1]
-    assert np.array_equal(post[:-1][same], pre[1:][same])
-    last_at_instant = np.append(~same, True)
-    rows = np.searchsorted(tr.jumps, log.j[last_at_instant])
-    assert np.array_equal(tr.states[rows], post[last_at_instant])
-    assert np.array_equal(tr.times[rows], log.t[last_at_instant])
+    assert log.pre.shape == log.post.shape == (e_count, 5 * n)
+    check_arc(sc, tr)
 
 
 def zeno_stretch():
@@ -312,6 +286,26 @@ def test_logged_rows_are_the_states_around_each_jump(monkeypatch, name):
     assert np.array_equal(log.post, np.array(after))
 
 
+ARC_SCENARIOS = {
+    "two-agent": two_agent_scenario,
+    "two-agent-noisy": lambda: two_agent_scenario(c=1e-4, amp=1e-4),
+    "two-agent-dynamic": lambda: two_agent_scenario(mode="dynamic"),
+    "small-dolk": small_dolk_scenario,
+}
+
+
+@pytest.mark.parametrize("name", list(ARC_SCENARIOS))
+def test_arc_is_a_hybrid_solution(name):
+    sc = ARC_SCENARIOS[name]()
+    tr = simulate(sc)
+    assert len(tr.events) > 0
+    check_arc(sc, tr, name)
+    if name == "two-agent-dynamic":
+        # no timer gate, so psi is one quadratic along each step and eta flows
+        assert tr.states[:, 3 * tr.n : 4 * tr.n].max() > 0.1
+        check_eta_flow(sc, tr)
+
+
 def test_zero_noise_two_agent_conservation_and_decrease():
     s = two_agent_scenario()
     tr = simulate(s)
@@ -329,75 +323,14 @@ def test_zero_noise_two_agent_conservation_and_decrease():
     assert len(tr.events) > 0
 
 
-def test_hybrid_time_domain_monotone():
-    tr = simulate(two_agent_scenario())
-    t, j = tr.times, tr.jumps
-    assert np.all(np.diff(t) >= 0)
-    assert np.all(np.diff(j) >= 0)
-    # j increases only where t repeats or at event instants
-    ev_t = {round(ev.time.t, 12) for ev in tr.events}
-    bumps = np.flatnonzero(np.diff(j) > 0)
-    for k in bumps:
-        assert round(float(t[k + 1]), 12) in ev_t
-
-
-def test_trigger_consistency_and_flow_membership():
-    s = two_agent_scenario(c=1e-4, amp=1e-4)
-    tr = simulate(s)
-    sch = s.scheme
-    tol = engine_mod.TRIGGER_TOL
-    noise = s.noise.step_table(round(s.t_final / s.step), s.step)
-    log = tr.events
-    for k, ev in enumerate(log):
-        assert log.psi[k] <= tol
-        x, e, what_w, _, tau = pre = log.pre[k].reshape(5, -1)
-        w = noise[round(ev.time.t / s.step)]
-        psi = sch.psi_vec(u=control(s, pre), e_tilde=e + what_w - w, tau=tau, x=x, w=w)
-        assert psi[ev.agent] <= tol
-    # flow-set membership at samples away from event instants
-    ev_times = {round(ev.time.t, 12) for ev in tr.events}
-    for k in range(len(tr.times)):
-        if round(float(tr.times[k]), 12) in ev_times:
-            continue
-        st = tr.states[k].reshape(5, -1)
-        x, e, what_w, _, tau = st
-        w = noise[round(tr.times[k] / s.step)]
-        psi = sch.psi_vec(u=control(s, st), e_tilde=e + what_w - w, tau=tau, x=x, w=w)
-        assert np.all(psi >= -tol)
-
-
-def test_eta_stays_nonnegative():
-    s = small_dolk_scenario(t_final=1.0)
-    tr = simulate(s)
-    eta = tr.states[:, 3 * tr.n : 4 * tr.n]
-    assert eta.min() >= -1e-12
-
-
 def test_decimation_thins_samples_keeps_events():
     s1 = small_dolk_scenario()
     s2 = small_dolk_scenario()
     s2.decimation = 10
     t1, t2 = simulate(s1), simulate(s2)
     assert len(t2.times) < len(t1.times)
-    assert len(t2.events) == len(t1.events)
-    for a, b in zip(t1.events, t2.events):
-        assert a.time == b.time and a.agent == b.agent
-
-
-@pytest.mark.parametrize("case", ["garcia-c2e-6", "two-agent"])
-def test_refined_samples_never_step_back_or_repeat(case):
-    # events are resolved on the step grid: an event instant k h is sampled
-    # once per jump, never twice with the same (t, j) and never out of order
-    if case == "garcia-c2e-6":
-        sc = build_preset(case)[0][1]
-        sc.t_final = 3.0
-    else:
-        sc = two_agent_scenario(c=1e-4, amp=1e-4)
-    tr = simulate(sc)
-    assert len(tr.events) > 0
-    dt, dj = np.diff(tr.times), np.diff(tr.jumps)
-    assert np.all(dt >= 0.0)
-    assert not np.any((dt == 0.0) & (dj == 0))
+    for col in ("agent", "t", "j"):
+        assert np.array_equal(getattr(t1.events, col), getattr(t2.events, col)), col
 
 
 def test_step_halving_stability():
@@ -492,17 +425,6 @@ def test_storage_zero_on_consensus():
     du = engine_mod.jump_storage_change(tr, sch, laplacian(g))
     assert np.allclose(u, 0.0)
     assert du.size == 0
-
-
-def test_garcia_jumps_leave_w_unchanged():
-    s = two_agent_scenario(c=1e-4, amp=1e-4)
-    tr = simulate(s)
-    L = s.feedback
-    n = tr.n
-    for pre, post in zip(tr.events.pre, tr.events.post):
-        w_pre = 0.5 * pre[:n] @ L @ pre[:n]
-        w_post = 0.5 * post[:n] @ L @ post[:n]
-        assert w_pre == w_post  # x untouched by jumps
 
 
 @pytest.mark.parametrize("name", ["garcia-c2e-6", "dolk-c0", "garcia-c0"])

@@ -23,6 +23,7 @@ from etcsim.graph import Graph
 from etcsim.hybrid import apply_jump
 from etcsim.presets import build_preset
 from etcsim.signals import NoiseSignal
+from hybrid_arc import check_arc
 
 
 def jump_resolver_oracle(scheme, feedback, z, log):
@@ -146,6 +147,7 @@ def test_resolver_matches_per_jump_oracle(family, kind, n, seed, amp, theta, mod
     sc = small_scenario(family, kind, n, seed, amp, theta, mode, spread)
     fast, ref = run_both(sc)
     assert_same_run(fast, ref)
+    check_arc(sc, fast)
 
 
 def test_resolver_matches_oracle_on_the_zeno_preset():
