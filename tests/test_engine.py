@@ -323,6 +323,31 @@ def test_zero_noise_two_agent_conservation_and_decrease():
     assert len(tr.events) > 0
 
 
+def test_trigger_consistency_and_flow_membership():
+    s = two_agent_scenario(c=1e-4, amp=1e-4)
+    tr = simulate(s)
+    sch = s.scheme
+    tol = engine_mod.TRIGGER_TOL
+    noise = s.noise.step_table(round(s.t_final / s.step), s.step)
+    log = tr.events
+    for k, ev in enumerate(log):
+        assert log.psi[k] <= tol
+        x, e, what_w, _, tau = pre = log.pre[k].reshape(5, -1)
+        w = noise[round(ev.time.t / s.step)]
+        psi = sch.psi_vec(u=control(s, pre), e_tilde=e + what_w - w, tau=tau, x=x, w=w)
+        assert psi[ev.agent] <= tol
+    # flow-set membership at samples away from event instants
+    ev_times = {round(ev.time.t, 12) for ev in tr.events}
+    for k in range(len(tr.times)):
+        if round(float(tr.times[k]), 12) in ev_times:
+            continue
+        st = tr.states[k].reshape(5, -1)
+        x, e, what_w, _, tau = st
+        w = noise[round(tr.times[k] / s.step)]
+        psi = sch.psi_vec(u=control(s, st), e_tilde=e + what_w - w, tau=tau, x=x, w=w)
+        assert np.all(psi >= -tol)
+
+
 def test_decimation_thins_samples_keeps_events():
     s1 = small_dolk_scenario()
     s2 = small_dolk_scenario()
@@ -331,6 +356,18 @@ def test_decimation_thins_samples_keeps_events():
     assert len(t2.times) < len(t1.times)
     for col in ("agent", "t", "j"):
         assert np.array_equal(getattr(t1.events, col), getattr(t2.events, col)), col
+
+
+@pytest.mark.parametrize("case", ["two-agent"])
+def test_refined_samples_never_step_back_or_repeat(case):
+    # events are resolved on the step grid: an event instant k h is sampled
+    # once per jump, never twice with the same (t, j) and never out of order
+    sc = two_agent_scenario(c=1e-4, amp=1e-4)
+    tr = simulate(sc)
+    assert len(tr.events) > 0
+    dt, dj = np.diff(tr.times), np.diff(tr.jumps)
+    assert np.all(dt >= 0.0)
+    assert not np.any((dt == 0.0) & (dj == 0))
 
 
 def test_step_halving_stability():
@@ -425,6 +462,17 @@ def test_storage_zero_on_consensus():
     du = engine_mod.jump_storage_change(tr, sch, laplacian(g))
     assert np.allclose(u, 0.0)
     assert du.size == 0
+
+
+def test_garcia_jumps_leave_w_unchanged():
+    s = two_agent_scenario(c=1e-4, amp=1e-4)
+    tr = simulate(s)
+    L = s.feedback
+    n = tr.n
+    for pre, post in zip(tr.events.pre, tr.events.post):
+        w_pre = 0.5 * pre[:n] @ L @ pre[:n]
+        w_post = 0.5 * post[:n] @ L @ post[:n]
+        assert w_pre == w_post  # x untouched by jumps
 
 
 @pytest.mark.parametrize("name", ["garcia-c2e-6", "dolk-c0", "garcia-c0"])
