@@ -109,8 +109,9 @@ class Scenario:
             raise ValueError(f"feedback shape {self.feedback.shape} != ({n},{n})")
         if self.step <= 0 or self.t_final <= 0:
             raise ValueError("step and t_final must be positive")
-        if self.decimation < 1:
-            raise ValueError("decimation must be a positive integer")
+        if (isinstance(self.decimation, bool) or not isinstance(self.decimation, (int, np.integer))
+                or self.decimation < 1):
+            raise ValueError(f"decimation must be a positive integer, got {self.decimation!r}")
         if self.noise.n != n:
             raise ValueError(f"noise channel count {self.noise.n} != n={n}")
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -125,10 +126,9 @@ class SolutionTrace:
     state; pre-jump rows live in the log."""
 
     times: np.ndarray  # (m,) continuous time per sample
-    jumps: np.ndarray  # (m,) jump counter per sample
+    jumps: np.ndarray  # (m,) jump counter per sample: the log's jumps up to t
     states: np.ndarray  # (m, 5n) rows: x, e, w_hat, eta, tau
     events: EventLog
-    run_manifest: dict
     n: int
 
     @property
@@ -141,21 +141,18 @@ class _Recorder:
 
     def __init__(self, n: int, capacity: int):
         self.t = _mapped((capacity,))
-        self.j = _mapped((capacity,), dtype=np.int64)
         self.rows = _mapped((capacity, 5 * n))
         self.m = 0
 
-    def push(self, t, j: int, rows: np.ndarray) -> None:
+    def push(self, t, rows: np.ndarray) -> None:
         """Append samples: one time and one (5n,) row, or an array of
         times and the matching (m, 5n) rows."""
         lo = self.m
         hi = lo + (rows.shape[0] if rows.ndim == 2 else 1)
         while hi > self.t.shape[0]:
             self.t = _grown(self.t, lo)
-            self.j = _grown(self.j, lo)
             self.rows = _grown(self.rows, lo)
         self.t[lo:hi] = t
-        self.j[lo:hi] = j
         self.rows[lo:hi] = rows
         self.m = hi
 
@@ -279,7 +276,6 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
     column = [[(r, feedback.item(r, i)) for r in range(n) if r == i or feedback.item(r, i)]
               for i in range(n)]
     storm_cap = n * JUMPS_PER_INSTANT_FACTOR
-    last_t = [math.nan] * n  # a first event's gap is NaN
     x, e, what_w, eta_v, tau_v = z
     row = z.reshape(-1)  # the flat view of the state
 
@@ -295,16 +291,14 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
         # for consensus d is u: one shared list, so the updates of u below reach d
         u, d = d_list if d is u else u.tolist(), d_list
         eta, tau = eta_v.tolist(), tau_v.tolist()
-        pre = row.copy()  # the instant's row; the log chains its later jumps to it
+        pre = row.copy()  # the row before the instant's jumps; the log keeps it once
         total = 0
         while any(due):
             for i in range(n):
                 if not due[i]:
                     continue
                 eta[i] = apply_jump(z, i, w, scheme)
-                log.append(i, t, len(log) + 1, t - last_t[i], psi[i], pre, w.item(i), eta[i])
-                pre = None
-                last_t[i] = t
+                log.append(i, t, psi[i], pre, w.item(i), eta[i])
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(
@@ -340,7 +334,7 @@ def simulate(s: Scenario) -> SolutionTrace:
 
     # jumps may already be due at t=0
     resolve(0.0, noise[0])
-    rec.push(0.0, len(log), row)
+    rec.push(0.0, row)
 
     k, size = 0, BLOCK_MIN  # steps taken, length of the next block
     while k < steps:
@@ -359,31 +353,20 @@ def simulate(s: Scenario) -> SolutionTrace:
             # the steps before the block's last one end outside the jump set
             idx = np.arange(k + 1, k + m)
             keep = idx % dec == 0
-            rec.push(idx[keep] * h, len(log), rows[1:m][keep])
+            rec.push(idx[keep] * h, rows[1:m][keep])
         _commit(z, rows[m])
         k += m
         applied = resolve(k * h, w[m]) if stopped else 0
         if applied or k % dec == 0 or k == steps:
-            rec.push(k * h, len(log), row)
+            rec.push(k * h, row)
         size = BLOCK_MIN if stopped else 2 * size
 
-    manifest = {
-        "seed": s.noise.seed,
-        "step": h,
-        "t_final": s.t_final,
-        "trigger_tol": TRIGGER_TOL,
-        "decimation": dec,
-        "scheme": scheme.kind,
-        "derived": scheme.derived_constants(),
-        "event_count": len(log),
-    }
-    # views of the recorder's filled part, not copies
+    # times and states are views of the recorder's filled part, not copies
     return SolutionTrace(
         times=rec.t[: rec.m],
-        jumps=rec.j[: rec.m],
+        jumps=np.searchsorted(log.t, rec.t[: rec.m], side="right"),
         states=rec.rows[: rec.m],
         events=log,
-        run_manifest=manifest,
         n=n,
     )
 
@@ -416,9 +399,9 @@ def jump_storage_change(trace: SolutionTrace, scheme: QuadraticTrigger,
     evaluated in blocks of ``STORAGE_BLOCK_ROWS`` events. Each block's
     pre-jump rows are rebuilt once and then turned into its post-jump rows."""
     log = trace.events
-    out = np.empty(len(log))
-    for lo in range(0, len(log), STORAGE_BLOCK_ROWS):
-        hi = min(lo + STORAGE_BLOCK_ROWS, len(log))
+    out = np.empty_like(log.psi)
+    for lo in range(0, out.size, STORAGE_BLOCK_ROWS):
+        hi = min(lo + STORAGE_BLOCK_ROWS, out.size)
         rows = log._pre_rows(lo, hi)
         before = scheme.storage(rows, feedback)
         out[lo:hi] = scheme.storage(log._to_post(rows, lo), feedback) - before

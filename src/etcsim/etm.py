@@ -40,6 +40,7 @@ __all__ = [
     "gamma_sigma_from",
     "phi",
     "trigger_value",
+    "eta_reset",
 ]
 
 Mode = Literal["static", "dynamic"]
@@ -229,6 +230,16 @@ def trigger_value(a, b, c, tau_miet, d, e_tilde, tau):
     return a * d * d + c - b * (tau >= tau_miet) * e_tilde * e_tilde
 
 
+def eta_reset(eta, e_tilde, w_bar, reset_gain):
+    """eta after a jump with measured error e~: raised by reset_gain times
+    the squared excess of |e~| over 2 w_bar (zero gain: unchanged). Plain
+    arithmetic, like :func:`trigger_value`: squared, the clamp below has the
+    bits of max(excess, 0) squared, NaN included, for a finite w_bar."""
+    excess = abs(e_tilde) - 2.0 * w_bar
+    excess = excess * (excess > 0.0)
+    return eta + reset_gain * (excess * excess)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticTrigger:
     """Per-agent coefficients of the quadratic trigger psi (module
@@ -286,13 +297,6 @@ class QuadraticTrigger:
         agents with a zero bound only need c_i >= 0."""
         bound = self.c_lower_bound()
         return (self.c < 0.0) | ((bound > 0.0) & (self.c <= bound))
-
-    def eta_reset(self, eta_i: float, e_tilde_i: float, agent: int) -> float:
-        """eta after the agent's jump: raised by the conservative lower
-        estimate of the dropped error term (zero gain: unchanged). Works
-        on Python floats; the engine calls it once per jump."""
-        excess = max(abs(e_tilde_i) - 2.0 * self.w_bar.item(agent), 0.0)
-        return eta_i + self.reset_gain.item(agent) * (excess * excess)
 
     def storage(self, rows, feedback: np.ndarray):
         """U = x'Mx/2 + sum_i gamma_i phi_i(tau_i) e_i^2 + sum_i eta_i, with M

@@ -10,10 +10,10 @@ through the graph Laplacian applied to the latest transmitted (noisy)
 outputs. Along a flow interval the sampled output is held, so the
 network-induced error evolves as the exact negative of the state.
 
-The transmission log, :class:`EventLog`, keeps one state row per
-resolution instant, the row before its first jump: the later jumps at
-that t chain from it, since each changes only its own agent's e, w_hat,
-eta and tau. Its ``pre`` and ``post`` rows are rebuilt on each access.
+The transmission log, :class:`EventLog`, derives j, the gaps and the
+resolution instants from the logged t, and keeps one state row per
+instant, the row before its first jump: the later jumps at that t chain
+from it, since each changes only its own agent's e, w_hat, eta and tau.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import mmap
 from typing import NamedTuple
 
 import numpy as np
+
+from .etm import eta_reset
 
 __all__ = ["HybridTime", "EventLog", "JumpEvent", "apply_jump"]
 
@@ -69,25 +71,24 @@ class _Column:
 class EventLog:
     """Transmissions in hybrid-time order, stored as columns.
 
-    ``agent``, ``t`` and ``j`` say who jumped and when; ``gap`` is the time
-    since that agent's previous transmission (NaN at its first) and ``psi``
-    the trigger value that commanded the jump. Jumps at one t chain: the
-    row before a jump is the row after the one before it, and a jump
-    changes only the transmitting agent's e, w_hat, eta and tau. So the
-    log keeps one state row per resolution instant, the row before its
-    first jump, and two scalars per jump, the agent's latched noise and
-    eta after it. ``pre`` and ``post`` rebuild from them the (E, 5n) rows
-    just before and just after each jump, as a new array on each access.
-    ``len()`` counts the jumps, and iteration gives a :class:`JumpEvent`
-    view of each.
+    ``agent`` and ``t`` say who jumped and when, ``psi`` is the trigger
+    value that commanded the jump; ``j`` (1..E) and ``gap``, the time since
+    that agent's previous jump (NaN at its first), follow from them. Jumps
+    at one t chain: the row before a jump is the row after the one before
+    it, and a jump changes only the transmitting agent's e, w_hat, eta and
+    tau. So the log keeps one state row per resolution instant, the row
+    before its first jump, and two scalars per jump, the agent's latched
+    noise and eta after it. ``pre`` and ``post`` rebuild from them the
+    (E, 5n) rows just before and just after each jump, as a new array on
+    each access. ``len()`` counts the jumps, and iteration gives a
+    :class:`JumpEvent` view of each.
     """
 
     _INITIAL_CAPACITY = 64
-    _NAMES = ("agent", "t", "j", "gap", "psi", "what_w", "eta")  # one entry per jump
+    _NAMES = ("agent", "t", "gap", "psi", "what_w", "eta")  # one entry per jump
 
     agent = _Column()
     t = _Column()
-    j = _Column()
     gap = _Column()
     psi = _Column()
 
@@ -97,24 +98,26 @@ class EventLog:
         self._size = 0
         self._agent = np.empty(cap, dtype=np.int64)
         self._t = np.empty(cap)
-        self._j = np.empty(cap, dtype=np.int64)
         self._gap = np.empty(cap)
         self._psi = np.empty(cap)
         self._what_w = np.empty(cap)
         self._eta = np.empty(cap)
+        # Python floats: each agent's last jump time and the open instant's t
+        self._last = [math.nan] * n
+        self._open = math.nan  # differs from every t
         # per instant: the row before its first jump, and that jump's index
         self._instants = 0
         self._rows = np.empty((cap, 5 * n))
         self._first = np.empty(cap, dtype=np.int64)
 
-    def append(self, agent: int, t: float, j: int, gap: float, psi: float,
-               pre: np.ndarray | None, what_w: float, eta: float) -> None:
-        """Log one jump: the agent's latched noise and eta after it, and
-        ``pre``, the state row before it, when the jump opens an instant.
-        ``pre=None`` chains the jump to the previous entry: its pre-jump
-        row is that entry's post-jump row."""
+    def append(self, agent: int, t: float, psi: float, pre: np.ndarray,
+               what_w: float, eta: float) -> None:
+        """Log one jump, in time order: ``pre`` is the state row before it,
+        and what_w and eta the agent's latched noise and eta after it. The
+        log copies ``pre`` only when t differs from the previous jump's;
+        a later jump at that t chains from the previous post-jump row."""
         k = self._size
-        if pre is not None:
+        if t != self._open:
             m = self._instants
             if m == self._first.shape[0]:
                 self._rows = _grown(self._rows, m)
@@ -122,20 +125,24 @@ class EventLog:
             self._rows[m] = pre
             self._first[m] = k
             self._instants = m + 1
-        elif k == 0:
-            raise ValueError("the first jump of a log needs its pre-jump row")
+            self._open = t
         if k == self._t.shape[0]:
             for name in self._NAMES:
                 key = "_" + name
                 setattr(self, key, _grown(getattr(self, key), k))
         self._agent[k] = agent
         self._t[k] = t
-        self._j[k] = j
-        self._gap[k] = gap
+        self._gap[k] = t - self._last[agent]
+        self._last[agent] = t
         self._psi[k] = psi
         self._what_w[k] = what_w
         self._eta[k] = eta
         self._size = k + 1
+
+    @property
+    def j(self) -> np.ndarray:
+        """(E,) jump counter after each jump: 1..E."""
+        return np.arange(1, self._size + 1)
 
     @property
     def pre(self) -> np.ndarray:
@@ -203,7 +210,7 @@ class JumpEvent:
 
     @property
     def time(self) -> HybridTime:
-        return HybridTime(self.log._t.item(self.k), self.log._j.item(self.k))
+        return HybridTime(self.log._t.item(self.k), self.k + 1)
 
     @property
     def inter_event_gap(self) -> float | None:
@@ -221,7 +228,8 @@ def apply_jump(z: np.ndarray, agent: int, w: np.ndarray, scheme) -> float:
         raise IndexError(f"agent {agent} out of range")
     w_i = w.item(agent)
     e_tilde_i = z.item(1, agent) + z.item(2, agent) - w_i
-    eta_i = scheme.eta_reset(z.item(3, agent), e_tilde_i, agent)
+    eta_i = eta_reset(z.item(3, agent), e_tilde_i, scheme.w_bar.item(agent),
+                      scheme.reset_gain.item(agent))
     z[1, agent] = z[4, agent] = 0.0
     z[2, agent] = w_i
     z[3, agent] = eta_i

@@ -9,6 +9,7 @@ further clauses that the engine does not meet on every run yet.
 import numpy as np
 
 from etcsim.engine import TRIGGER_TOL, _in_jump_set
+from etcsim.etm import eta_reset
 from etcsim.graph import is_weight_balanced
 
 FLOW_TOL = 1e-12
@@ -85,8 +86,8 @@ def check_arc(sc, tr, label="arc"):
     g = pre.copy()
     g[rows, n + agent] = g[rows, 4 * n + agent] = 0.0
     g[rows, 2 * n + agent] = latched
-    g[rows, 3 * n + agent] = [sch.eta_reset(eta, et, i) for eta, et, i in zip(
-        pre[rows, 3 * n + agent].tolist(), e_tilde.tolist(), agent.tolist())]
+    g[rows, 3 * n + agent] = eta_reset(pre[rows, 3 * n + agent], e_tilde, sch.w_bar[agent],
+                                       sch.reset_gain[agent])
     assert np.array_equal(post, g), f"{label}: post != g(pre)"
     # jumps at one t chain, and the instant's sample is its last post row
     chained = log.t[1:] == log.t[:-1]

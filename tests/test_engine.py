@@ -209,6 +209,7 @@ def test_decimated_run_matches_per_step_oracle():
         | np.isin(full.times, tr.events.t) | (full.times == full.times[-1])
     assert np.array_equal(tr.states, full.states[on_grid])
     _replay_against_oracle(sc, tr)
+    check_arc(sc, tr)
 
 
 def test_large_eps_h_stays_finite_and_matches_oracle():
@@ -247,7 +248,7 @@ def test_event_log_keeps_every_row_past_its_initial_capacity():
     n = tr.n
     e_count = len(log)
     assert e_count > 4 * EventLog._INITIAL_CAPACITY
-    assert e_count == tr.jumps[-1] == tr.run_manifest["event_count"]
+    assert e_count == tr.jumps[-1]
     for col in (log.agent, log.t, log.j, log.gap, log.psi):
         assert col.shape == (e_count,)
     assert log.pre.shape == log.post.shape == (e_count, 5 * n)
@@ -406,6 +407,11 @@ def test_scenario_validation():
         Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, step=-1.0)
     with pytest.raises(ValueError):
         Scenario(scheme=sch, noise=noise, x0=np.zeros(2))  # no graph, no feedback
+    for decimation in (0, 2.0, 2.5, True):
+        with pytest.raises(ValueError, match="decimation"):
+            Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, decimation=decimation)
+    assert Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g,
+                    decimation=np.int64(3)).decimation == 3
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +421,10 @@ def test_scenario_validation():
 def _dummy_trace(events, n=2, t_final=3.0):
     z = np.zeros(5 * n)
     log = EventLog(n)
-    for k, (agent, t) in enumerate(events):
-        prev = [tt for a, tt in events[:k] if a == agent]
-        gap = t - prev[-1] if prev else np.nan
-        log.append(agent, t, k + 1, gap, 0.0, z, 0.0, 0.0)
+    for agent, t in events:
+        log.append(agent, t, 0.0, z, 0.0, 0.0)
     return SolutionTrace(times=np.array([0.0, t_final]), jumps=np.array([0, len(log)]),
-                         states=np.zeros((2, 5 * n)), events=log, run_manifest={}, n=n)
+                         states=np.zeros((2, 5 * n)), events=log, n=n)
 
 
 def test_inter_event_stats_arithmetic():
@@ -444,7 +448,7 @@ def test_consensus_metrics_on_agreement():
     states = np.zeros((4, 5 * n))
     states[:, :n] = 2.5
     tr = SolutionTrace(times=np.linspace(0, 1, 4), jumps=np.zeros(4, dtype=int),
-                       states=states, events=EventLog(n), run_manifest={}, n=n)
+                       states=states, events=EventLog(n), n=n)
     cm = consensus_metrics(tr)
     assert np.allclose(cm["distance_series"], 0.0)
     assert cm["final_max_deviation"] == 0.0
@@ -457,7 +461,7 @@ def test_storage_zero_on_consensus():
     states = np.zeros((2, 5 * n))
     states[:, :n] = 1.0  # on the agreement subspace
     tr = SolutionTrace(times=np.array([0.0, 1.0]), jumps=np.zeros(2, dtype=int),
-                       states=states, events=EventLog(n), run_manifest={}, n=n)
+                       states=states, events=EventLog(n), n=n)
     u = sch.storage(tr.states, laplacian(g))
     du = engine_mod.jump_storage_change(tr, sch, laplacian(g))
     assert np.allclose(u, 0.0)

@@ -21,6 +21,7 @@ from etcsim.etm import (
     SingleParams,
     SingleSystemScheme,
     ZenoGuaranteeError,
+    eta_reset,
     gamma_sigma_from,
     phi,
     tau_miet,
@@ -336,16 +337,40 @@ def test_trigger_value_and_jump_set_agree_on_arrays_and_floats(kind, seed):
 
 
 def test_eta_reset_standard_and_remark5():
+    def reset(sch, eta, e_tilde, i):
+        return eta_reset(eta, e_tilde, sch.w_bar.item(i), sch.reset_gain.item(i))
+
     std = DolkScheme(bench(), DolkParams(a=0.1, w_bar=1e-4))
-    assert std.eta_reset(0.7, 5.0, 0) == 0.7
+    assert reset(std, 0.7, 5.0, 0) == 0.7
     r5 = DolkScheme(bench(), DolkParams(a=0.1, w_bar=1e-4, reset_mode="remark5"))
     gamma0 = r5.derived["gamma"][0]
     assert r5.reset_gain[0] == gamma0 * 0.2
     # measured error below the noise deadband leaves eta unchanged
-    assert r5.eta_reset(0.7, 1.5e-4, 0) == 0.7
-    got = r5.eta_reset(0.0, 1.0, 0)
+    assert reset(r5, 0.7, 1.5e-4, 0) == 0.7
+    got = reset(r5, 0.0, 1.0, 0)
     assert got == pytest.approx(gamma0 * 0.2 * (1 - 2e-4) ** 2)
     assert got == pytest.approx(0.89519, abs=1e-5)
+    # whole arrays and one agent's floats give the same bits, and those of
+    # the clamp max(excess, 0): inside, at and across the deadband 2 w_bar,
+    # at signed zeros and at NaN
+    rng = np.random.default_rng(11)
+    agent = rng.integers(0, 8, 400)
+    e_tilde = rng.standard_normal(400) * 10.0 ** rng.uniform(-8.0, 1.0, 400)
+    edge = 2.0 * r5.w_bar[agent[:60]]
+    e_tilde[:60] = np.concatenate([edge[:20], np.nextafter(edge[20:40], 0.0),
+                                   -np.nextafter(edge[40:], 1.0)])
+    e_tilde[60:66] = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+    eta = np.abs(rng.standard_normal(400))
+    eta[::5] = 0.0
+    for sch in (std, r5):
+        with np.errstate(invalid="ignore"):  # a zero gain times an infinite excess
+            whole = eta_reset(eta, e_tilde, sch.w_bar[agent], sch.reset_gain[agent])
+        one = [reset(sch, *v) for v in zip(eta.tolist(), e_tilde.tolist(), agent.tolist())]
+        assert all(type(v) is float for v in one)
+        assert np.array(one).tobytes() == whole.tobytes()
+        clamped = [v + sch.reset_gain.item(i) * max(abs(e) - 2.0 * sch.w_bar.item(i), 0.0) ** 2
+                   for v, e, i in zip(eta.tolist(), e_tilde.tolist(), agent.tolist())]
+        assert np.array(clamped).tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------

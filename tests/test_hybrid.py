@@ -122,7 +122,7 @@ def test_distance_to_consensus_value():
         states = np.zeros((1, 5 * n))
         states[0, :n] = x
         tr = SolutionTrace(times=np.zeros(1), jumps=np.zeros(1, dtype=int), states=states,
-                           events=EventLog(n), run_manifest={}, n=n)
+                           events=EventLog(n), n=n)
         return consensus_metrics(tr)["distance_series"][0]
 
     x = X0.copy()
@@ -160,11 +160,15 @@ def test_event_log_chains_the_jumps_of_an_instant():
         row = heads[k] if k in heads else want_post[-1]
         want_pre.append(row)
         want_post.append(jumped(row, agent, what_w, eta))
-        head = heads[k].copy() if k in heads else None
-        log.append(agent, t, k + 1, np.nan, 0.0, head, what_w, eta)
-        if head is not None:
-            head[:] = np.nan  # the log keeps its own copy
+        given = row.copy()
+        log.append(agent, t, 0.0, given, what_w, eta)
+        given[:] = np.nan  # the log keeps its own copy
     want_pre, want_post = np.array(want_pre), np.array(want_post)
+    assert log._instants == 3  # one stored row per instant
+    # j and the gaps since the same agent's previous jump are the log's own
+    assert np.array_equal(log.j, np.arange(1, len(jumps) + 1))
+    nan = np.nan
+    assert np.array_equal(log.gap, [nan, nan, 0.0, nan, 1.0, 1.0, 2.0], equal_nan=True)
     assert np.array_equal(log.pre, want_pre)
     assert np.array_equal(log.post, want_post)
     # agent 0's second jump sees its first one's latched noise and eta,
@@ -179,8 +183,3 @@ def test_event_log_chains_the_jumps_of_an_instant():
     log.pre[:] = 0.0
     log.post[:] = 0.0
     assert np.array_equal(log.pre, want_pre) and np.array_equal(log.post, want_post)
-
-
-def test_event_log_needs_a_row_for_its_first_jump():
-    with pytest.raises(ValueError):
-        EventLog(2).append(0, 0.0, 1, np.nan, 0.0, None, 0.0, 0.0)

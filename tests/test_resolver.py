@@ -1,7 +1,5 @@
 """The neighbourhood-local jump resolver against the per-jump oracle."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +30,6 @@ def jump_resolver_oracle(scheme, feedback, z, log):
     afresh after every applied jump."""
     n = scheme.n
     storm_cap = n * engine_mod.JUMPS_PER_INSTANT_FACTOR
-    last_t = [math.nan] * n
     pre = np.empty(5 * n)
     x, e, what_w, eta, tau = z
 
@@ -50,9 +47,7 @@ def jump_resolver_oracle(scheme, feedback, z, log):
                     continue
                 pre[:] = z.ravel()
                 apply_jump(z, i, w, scheme)
-                log.append(i, t, len(log) + 1, t - last_t[i], psi.item(i), pre,
-                           what_w.item(i), eta.item(i))
-                last_t[i] = t
+                log.append(i, t, psi.item(i), pre, what_w.item(i), eta.item(i))
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(f"{total} jumps at t={t:.6f}")
