@@ -39,6 +39,15 @@ rows alone, with the same :func:`etcsim.etm.trigger_value` and
 differ from -M(x + e + w_hat) in the last bits, but only within one
 instant: the next instant and every block start evaluate u from the
 state afresh.
+
+A run holds its trace (the recorder's samples and the event log), one
+chunk of NOISE_CHUNK_STEPS rows of the noise's step table, and the
+temporaries of one block. A block reads its noise rows from the chunk;
+when it would run past the chunk's last row, the next chunk is
+tabulated from the block's first step, with the bits of the whole
+table's rows. The metrics passes over a trace work in row blocks of
+STORAGE_BLOCK_ROWS samples or events, so none of them builds a
+whole-run array either, other than its output.
 """
 
 from __future__ import annotations
@@ -69,9 +78,13 @@ JUMPS_PER_INSTANT_FACTOR = 10
 # block lengths in steps: after an instant with jumps, and the cap of the doubling
 BLOCK_MIN = 8
 BLOCK_MAX = 512
-# events per storage evaluation in jump_storage_change, which bounds its
-# temporaries instead of rebuilding the whole (E, 5n) pre- and post-jump rows at once
+# rows per block of the metrics passes (events in jump_storage_change,
+# samples in consensus_metrics), which bounds their temporaries instead of
+# building whole-run (E, 5n) or (samples, n) arrays at once
 STORAGE_BLOCK_ROWS = 4096
+# rows of the noise table a run holds at a time: at least the BLOCK_MAX + 1
+# rows that one block reads
+NOISE_CHUNK_STEPS = 8 * BLOCK_MAX
 
 
 class JumpStormError(RuntimeError):
@@ -107,8 +120,10 @@ class Scenario:
         self.feedback = np.asarray(self.feedback, dtype=float)
         if self.feedback.shape != (n, n):
             raise ValueError(f"feedback shape {self.feedback.shape} != ({n},{n})")
-        if self.step <= 0 or self.t_final <= 0:
-            raise ValueError("step and t_final must be positive")
+        for name in ("step", "t_final"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if (isinstance(self.decimation, bool) or not isinstance(self.decimation, (int, np.integer))
                 or self.decimation < 1):
             raise ValueError(f"decimation must be a positive integer, got {self.decimation!r}")
@@ -211,15 +226,15 @@ def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
     jump set at each step end, judged against the noise there with eta
     clamped."""
     k, n = w.shape[0] - 1, u.shape[0]
-    inc = np.empty((5, n))
+    z = np.empty((k + 1, 5, n))
+    z[0] = row.reshape(5, n)
+    inc = z[1]  # the increment of one step, copied to every later row
     np.multiply(h, u, out=inc[0])
     np.negative(inc[0], out=inc[1])
     inc[2:4] = -0.0  # w_hat and eta do not flow; adding -0.0 keeps every value, -0.0 too
     inc[4] = h
-    z = np.empty((k + 1, 5, n))
-    z[0] = row.reshape(5, n)
-    z[1:] = inc
-    z = np.cumsum(z, axis=0)
+    z[2:] = inc
+    np.add.accumulate(z, axis=0, out=z)
     x, e, what_w, eta, tau = z.transpose(1, 0, 2)
     e_tilde = e + what_w - w
     if scheme.mode != "dynamic":
@@ -256,7 +271,7 @@ def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
 def _commit(z: np.ndarray, row: np.ndarray) -> None:
     """Make ``row`` the current state of the view z, with eta clamped at 0
     (discrete detection lets eta undershoot slightly)."""
-    z.flat = row
+    z[...] = row.reshape(z.shape)
     np.maximum(z[3], 0.0, out=z[3])
 
 
@@ -323,7 +338,11 @@ def simulate(s: Scenario) -> SolutionTrace:
     longest = _block_limit(scheme, h)
     dynamic = scheme.mode == "dynamic"
 
-    noise = s.noise.step_table(steps, h)
+    def noise_chunk(first: int) -> np.ndarray:
+        """The noise rows of steps first.. of one chunk."""
+        return s.noise.step_table(min(first + NOISE_CHUNK_STEPS - 1, steps), h, first)
+
+    base, noise = 0, noise_chunk(0)  # noise[r] is the noise at step base + r
     z = np.zeros((5, n))
     z[0], z[2] = s.x0, noise[0]
     row = z.reshape(-1)  # the flat view of z, in the layout of the samples
@@ -339,8 +358,10 @@ def simulate(s: Scenario) -> SolutionTrace:
     k, size = 0, BLOCK_MIN  # steps taken, length of the next block
     while k < steps:
         size = min(size, longest, steps - k)
+        if k + size - base >= noise.shape[0]:
+            base, noise = k, noise_chunk(k)
         u = control()
-        w = noise[k : k + size + 1]
+        w = noise[k - base : k - base + size + 1]
         rows, due = _flow_block(row, u, h, w, scheme)
         stop = due.any(axis=1)
         if dynamic:
@@ -349,11 +370,11 @@ def simulate(s: Scenario) -> SolutionTrace:
         stopped = bool(stop[m - 1])
         if not stopped:
             m = size
-        if m > 1:
-            # the steps before the block's last one end outside the jump set
-            idx = np.arange(k + 1, k + m)
-            keep = idx % dec == 0
-            rec.push(idx[keep] * h, rows[1:m][keep])
+        # the steps before the block's last one end outside the jump set;
+        # the first of them on the decimation grid is step `first`
+        first = (k // dec + 1) * dec
+        if first < k + m:
+            rec.push(np.arange(first, k + m, dec) * h, rows[first - k : m : dec])
         _commit(z, rows[m])
         k += m
         applied = resolve(k * h, w[m]) if stopped else 0
@@ -410,10 +431,16 @@ def jump_storage_change(trace: SolutionTrace, scheme: QuadraticTrigger,
 
 def consensus_metrics(trace: SolutionTrace) -> dict:
     """Distance-to-agreement series and the final worst deviation from
-    the initial mean."""
+    the initial mean. The series is filled in blocks of
+    ``STORAGE_BLOCK_ROWS`` samples; each sample's value depends on its
+    own row only, so the blocks do not change a bit of it."""
     x = trace.x_series
     mean0 = float(x[0].mean())
-    dist = np.linalg.norm(x - x.mean(axis=1, keepdims=True), axis=1)
+    dist = np.empty(x.shape[0])
+    for lo in range(0, dist.size, STORAGE_BLOCK_ROWS):
+        block = x[lo : lo + STORAGE_BLOCK_ROWS]
+        dist[lo : lo + block.shape[0]] = np.linalg.norm(
+            block - block.mean(axis=1, keepdims=True), axis=1)
     final_dev = float(np.abs(x[-1] - mean0).max())
     return {
         "distance_series": dist,

@@ -9,6 +9,7 @@ counter, which passes the statistical checks in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,10 @@ class NoiseSignal:
             amp = np.full(self.n, amp[0])
         if amp.size != self.n:
             raise ValueError(f"amplitude size {amp.size} != n={self.n}")
-        if (amp < 0).any():
-            raise ValueError("noise amplitude must be nonnegative")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not (np.isfinite(amp).all() and (amp >= 0).all()):
+            raise ValueError(f"noise amplitude must be finite and nonnegative, got {amp}")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitude", amp)
 
@@ -76,9 +77,12 @@ class NoiseSignal:
             table[i] = self.amplitude[i] * (2.0 * _uniform01(self.seed, i, windows) - 1.0)
         return table
 
-    def step_table(self, steps: int, h: float) -> np.ndarray:
-        """(steps + 1, n) noise at the step boundaries k h, k = 0..steps:
-        row k is the window that k h falls in, held along step k + 1. The
+    def step_table(self, steps: int, h: float, first: int = 0) -> np.ndarray:
+        """C-contiguous (steps - first + 1, n) noise at the step boundaries
+        k h, k = first..steps: row k - first is the window that k h falls
+        in, held along step k + 1. Each row has the bits of that row of
+        the full table (``first`` = 0), since a window's value depends only
+        on (seed, agent, window); a run reads its noise as such chunks. The
         nudge keeps a boundary whose product rounds a ulp low in window k."""
-        k = np.floor(np.arange(steps + 1) * (h * self.sample_rate) * (1 + 1e-12)).astype(np.int64)
-        return self.window_table(k).T
+        k = np.arange(first, steps + 1) * (h * self.sample_rate) * (1 + 1e-12)
+        return np.ascontiguousarray(self.window_table(np.floor(k).astype(np.int64)).T)

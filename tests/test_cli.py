@@ -135,7 +135,8 @@ def test_missing_config_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("override", ["--decimate=0", "--step=0", "--step=-1e-4",
-                                      "--t-final=-1", "--decimate=-3"])
+                                      "--t-final=-1", "--decimate=-3", "--t-final=nan",
+                                      "--step=inf"])
 def test_bad_override_is_a_validation_error(tmp_path, capsys, override):
     # an override goes through the scenario's own validation
     out = tmp_path / "o"
@@ -345,6 +346,24 @@ def test_missing_required_key_is_a_validation_error(tmp_path, capsys, section, k
     cfg = _write_ini(cp, tmp_path / "missing.ini")
     assert run_main("--config", str(cfg), "--validate-only") == 2
     assert f"[{section}] needs the key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("noise", "sample_rate_hz", "nan", "sample_rate must be finite"),
+    ("noise", "amplitude", "nan", "amplitude must be finite"),
+    ("sim", "t_final", "nan", "t_final must be finite"),
+    ("sim", "step", "inf", "step must be finite"),
+])
+def test_non_finite_value_is_a_validation_error(tmp_path, capsys, section, key, value, message):
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(_INLINE_GARCIA)
+    cp[section][key] = value
+    cfg = _write_ini(cp, tmp_path / "nan.ini")
+    assert run_main("--config", str(cfg), "--validate-only") == 2
+    assert run_main("--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @st.composite

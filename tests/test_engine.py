@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +409,10 @@ def test_scenario_validation():
         Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, step=-1.0)
     with pytest.raises(ValueError):
         Scenario(scheme=sch, noise=noise, x0=np.zeros(2))  # no graph, no feedback
+    for name in ("step", "t_final"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, **{name: value})
     for decimation in (0, 2.0, 2.5, True):
         with pytest.raises(ValueError, match="decimation"):
             Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, decimation=decimation)
@@ -495,3 +501,90 @@ def test_blocked_storage_change_matches_a_whole_log_evaluation(preset_runs, monk
     monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", 3)
     whole = sc.scheme.storage(log.post, M) - sc.scheme.storage(log.pre, M)
     assert np.array_equal(engine_mod.jump_storage_change(tr, sc.scheme, M), whole)
+
+
+# ---------------------------------------------------------------------------
+# memory held by a run
+
+
+def _run_columns(sc):
+    """The bytes of a run's trace arrays and log columns, by name."""
+    tr = simulate(sc)
+    log = tr.events
+    cols = {"times": tr.times, "jumps": tr.jumps, "states": tr.states, "agent": log.agent,
+            "t": log.t, "gap": log.gap, "psi": log.psi, "pre": log.pre, "post": log.post}
+    return {key: (col.shape, col.tobytes()) for key, col in cols.items()}
+
+
+@pytest.mark.parametrize("name", ["garcia-c0-stretch", "small-dolk-decimated"])
+def test_noise_chunk_seams_change_no_bit(monkeypatch, name):
+    # both runs are shorter than one default chunk, so the reference reads
+    # its whole noise table at once; chunks of BLOCK_MAX + 1 rows put a
+    # seam every few blocks, inside the Zeno stretch's one-step blocks
+    # and off the decimation grid
+    if name == "garcia-c0-stretch":
+        sc = dataclasses.replace(zeno_stretch(), t_final=0.2)
+    else:
+        sc = dataclasses.replace(small_dolk_scenario(t_final=0.4), decimation=7)
+    assert round(sc.t_final / sc.step) < engine_mod.NOISE_CHUNK_STEPS
+    whole = _run_columns(sc)
+    firsts = []
+    step_table = NoiseSignal.step_table
+
+    def recording_step_table(self, steps, h, first=0):
+        firsts.append(first)
+        return step_table(self, steps, h, first)
+
+    monkeypatch.setattr(NoiseSignal, "step_table", recording_step_table)
+    monkeypatch.setattr(engine_mod, "NOISE_CHUNK_STEPS", engine_mod.BLOCK_MAX + 1)
+    chunked = _run_columns(sc)
+    assert len(firsts) > 3 and firsts == sorted(set(firsts))
+    for key, col in whole.items():
+        assert chunked[key] == col, key
+
+
+@pytest.mark.parametrize("rows", [3, 7])
+def test_blocked_consensus_metrics_match_a_whole_trace_evaluation(preset_runs, monkeypatch, rows):
+    # the 80 001 samples fill blocks of 3 rows exactly and leave a short
+    # last block of 7
+    [(_, _, tr)] = preset_runs("dolk-c0")
+    x = tr.x_series
+    assert x.shape[0] > 3 * rows and (x.shape[0] % rows == 0) == (rows == 3)
+    whole = np.linalg.norm(x - x.mean(axis=1, keepdims=True), axis=1)
+    monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", rows)
+    assert consensus_metrics(tr)["distance_series"].tobytes() == whole.tobytes()
+
+
+def _traced_peak(fn, *args):
+    """fn(*args), and the peak of the memory tracemalloc traces during the
+    call above what was traced before it. numpy reports its buffers to
+    tracemalloc; the recorder's and the event log's memory-mapped buffers
+    are not seen."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak - before
+
+
+def test_simulate_holds_no_whole_run_noise_table():
+    # the 8 s run's full (steps + 1, n) noise table would be 5.1 MB
+    [(_, sc)] = build_preset("garcia-c2e-6")
+    tr, peak = _traced_peak(simulate, sc)
+    steps = round(sc.t_final / sc.step)
+    assert steps > 8 * engine_mod.NOISE_CHUNK_STEPS
+    assert peak < (steps + 1) * tr.n * 8 / 2
+
+
+def test_consensus_metrics_hold_no_whole_run_temporary(preset_runs):
+    # the (samples, n) deviations from the mean would be 5.1 MB at 8 s
+    [(_, _, tr)] = preset_runs("garcia-c2e-6")
+    _, peak = _traced_peak(consensus_metrics, tr)
+    assert peak < tr.times.size * tr.n * 8 / 2

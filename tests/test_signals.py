@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etcsim.signals import NoiseSignal
@@ -95,6 +95,29 @@ def test_validation():
         NoiseSignal(seed=1, amplitude=np.array([1.0]), sample_rate=0.0, n=1)
     with pytest.raises(ValueError):
         NoiseSignal(seed=1, amplitude=np.array([1.0, 2.0]), sample_rate=1.0, n=3)
+    # a NaN rate maps every step to one window, a NaN bound makes the states NaN
+    for rate in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sample_rate must be finite"):
+            NoiseSignal(seed=1, amplitude=np.array([1.0]), sample_rate=rate, n=1)
+    for amp in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            NoiseSignal(seed=1, amplitude=np.array([1.0, amp]), sample_rate=1e4, n=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.floats(min_value=1e-6, max_value=3e-4).filter(lambda h: h * 1e4 != round(h * 1e4)),
+       first=st.integers(min_value=0, max_value=400), extra=st.integers(min_value=0, max_value=400))
+# the boundaries of test_window_boundary_nudge, as a chunk's first row and inside one
+@example(h=7e-6, first=100, extra=0)
+@example(h=7e-6, first=54290, extra=20)
+@example(h=2.7e-5, first=99, extra=2)
+@example(h=7.5e-5, first=4, extra=0)
+def test_step_table_chunk_is_rows_of_the_full_table(h, first, extra):
+    sig = make_signal(n=3)
+    steps = first + extra
+    chunk = sig.step_table(steps, h, first)
+    assert chunk.flags.c_contiguous and chunk.shape == (extra + 1, 3)
+    assert chunk.tobytes() == sig.step_table(steps, h)[first:].tobytes()
 
 
 @settings(max_examples=50, deadline=None)
