@@ -329,8 +329,9 @@ def _write_states(path: Path, trace: SolutionTrace) -> None:
     fmts = [_FMT, "%d"] + [_FMT] * (5 * n)
 
     def write_chunk(fh, lo, hi):
-        data = np.column_stack([trace.times[lo:hi], trace.jumps[lo:hi].astype(float),
-                                trace.states[lo:hi]])
+        times = trace.times[lo:hi]
+        j = np.searchsorted(trace.events.t, times, side="right")  # trace.jumps[lo:hi]
+        data = np.column_stack([times, j.astype(float), trace.states[lo:hi]])
         np.savetxt(fh, data, fmt=fmts, delimiter=",")
 
     _write_rows(path, ",".join(cols) + "\n", trace.times.size, write_chunk)
@@ -426,7 +427,7 @@ def run(scenario: Scenario, out_dir: Path, label: str = "", stream=None) -> int:
     except JumpStormError as exc:
         print(f"jump storm: {exc}", file=sys.stderr)
         return EXIT_JUMP_STORM
-    cons = consensus_metrics(trace)
+    cons = consensus_metrics(trace, scenario.scheme)
     try:
         write_run_artifacts(out_dir, scenario, trace, cons, manifest)
     except OSError as exc:

@@ -120,6 +120,8 @@ class Scenario:
         self.feedback = np.asarray(self.feedback, dtype=float)
         if self.feedback.shape != (n, n):
             raise ValueError(f"feedback shape {self.feedback.shape} != ({n},{n})")
+        if not np.isfinite(self.feedback).all():
+            raise ValueError("feedback must be finite")
         for name in ("step", "t_final"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -132,19 +134,29 @@ class Scenario:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (n,):
             raise ValueError(f"x0 shape {self.x0.shape} != ({n},)")
+        if not np.isfinite(self.x0).all():
+            raise ValueError(f"x0 must be finite, got {self.x0.tolist()}")
 
 
 @dataclass
 class SolutionTrace:
     """Recorded hybrid arc: samples on the hybrid time domain plus the
-    full transmission log. Samples at event instants hold the post-jump
-    state; pre-jump rows live in the log."""
+    full transmission log. Every instant with a jump is a sample, holding
+    the state after its last jump; the log rebuilds the rows around each
+    jump from those samples, which the trace attaches to it."""
 
     times: np.ndarray  # (m,) continuous time per sample
-    jumps: np.ndarray  # (m,) jump counter per sample: the log's jumps up to t
     states: np.ndarray  # (m, 5n) rows: x, e, w_hat, eta, tau
     events: EventLog
     n: int
+
+    def __post_init__(self) -> None:
+        self.events.attach(self.times, self.states)
+
+    @property
+    def jumps(self) -> np.ndarray:
+        """(m,) jump counter per sample: the log's jumps up to its t."""
+        return np.searchsorted(self.events.t, self.times, side="right")
 
     @property
     def x_series(self) -> np.ndarray:
@@ -292,7 +304,6 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
               for i in range(n)]
     storm_cap = n * JUMPS_PER_INSTANT_FACTOR
     x, e, what_w, eta_v, tau_v = z
-    row = z.reshape(-1)  # the flat view of the state
 
     def resolve(t: float, w: np.ndarray) -> int:
         u = control()
@@ -306,14 +317,14 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
         # for consensus d is u: one shared list, so the updates of u below reach d
         u, d = d_list if d is u else u.tolist(), d_list
         eta, tau = eta_v.tolist(), tau_v.tolist()
-        pre = row.copy()  # the row before the instant's jumps; the log keeps it once
         total = 0
         while any(due):
             for i in range(n):
                 if not due[i]:
                     continue
+                before = z[1:, i].tolist()  # the sender's e, w_hat, eta and tau
                 eta[i] = apply_jump(z, i, w, scheme)
-                log.append(i, t, psi[i], pre, w.item(i), eta[i])
+                log.append(i, t, psi[i], before, w.item(i), eta[i])
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(
@@ -383,13 +394,7 @@ def simulate(s: Scenario) -> SolutionTrace:
         size = BLOCK_MIN if stopped else 2 * size
 
     # times and states are views of the recorder's filled part, not copies
-    return SolutionTrace(
-        times=rec.t[: rec.m],
-        jumps=np.searchsorted(log.t, rec.t[: rec.m], side="right"),
-        states=rec.rows[: rec.m],
-        events=log,
-        n=n,
-    )
+    return SolutionTrace(times=rec.t[: rec.m], states=rec.rows[: rec.m], events=log, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +434,23 @@ def jump_storage_change(trace: SolutionTrace, scheme: QuadraticTrigger,
     return out
 
 
-def consensus_metrics(trace: SolutionTrace) -> dict:
-    """Distance-to-agreement series and the final worst deviation from
-    the initial mean. The series is filled in blocks of
-    ``STORAGE_BLOCK_ROWS`` samples; each sample's value depends on its
-    own row only, so the blocks do not change a bit of it."""
+def consensus_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
+    """The distance of each sample to the scheme's target set, and the
+    final worst deviation from the point of that set the run aims at. For
+    the consensus schemes the set is the agreement subspace and the point
+    the initial mean; for the single plant (kind ``single``) both are the
+    origin. The series is filled in blocks of ``STORAGE_BLOCK_ROWS``
+    samples; each sample's value depends on its own row only, so the
+    blocks do not change a bit of it."""
     x = trace.x_series
+    origin = scheme.kind == "single"
     mean0 = float(x[0].mean())
     dist = np.empty(x.shape[0])
     for lo in range(0, dist.size, STORAGE_BLOCK_ROWS):
         block = x[lo : lo + STORAGE_BLOCK_ROWS]
-        dist[lo : lo + block.shape[0]] = np.linalg.norm(
-            block - block.mean(axis=1, keepdims=True), axis=1)
-    final_dev = float(np.abs(x[-1] - mean0).max())
+        off = block if origin else block - block.mean(axis=1, keepdims=True)
+        dist[lo : lo + block.shape[0]] = np.linalg.norm(off, axis=1)
+    final_dev = float(np.abs(x[-1] - (0.0 if origin else mean0)).max())
     return {
         "distance_series": dist,
         "final_max_deviation": final_dev,

@@ -61,12 +61,20 @@ def _per_agent(value, n: int) -> np.ndarray:
     return arr
 
 
-def _reject_unknown_choices(params) -> None:
-    """Raise ValueError for a string field whose value is outside its Literal."""
+def _check_params(params) -> None:
+    """Raise ValueError for a string field whose value is outside its
+    Literal, and for a number field (Berneburg's rho_edge: its values) that
+    is not finite. NaN fails every comparison, so it would pass the domain
+    and bound checks and run with no transmission at all."""
     for name, hint in get_type_hints(type(params)).items():
         value = getattr(params, name)
-        if get_origin(hint) is Literal and value not in get_args(hint):
-            raise ValueError(f"{name}={value!r} is not one of {get_args(hint)}")
+        if get_origin(hint) is Literal:
+            if value not in get_args(hint):
+                raise ValueError(f"{name}={value!r} is not one of {get_args(hint)}")
+        elif value is not None:
+            numbers = list(value.values()) if isinstance(value, dict) else value
+            if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +99,7 @@ class GarciaParams:
     form: Literal["modified", "original"] = "modified"
 
     def __post_init__(self) -> None:
-        _reject_unknown_choices(self)
+        _check_params(self)
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ class DolkParams:
     sigma_form: SigmaForm = "original"
 
     def __post_init__(self) -> None:
-        _reject_unknown_choices(self)
+        _check_params(self)
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,7 @@ class BerneburgParams:
     eps_eta: float = 0.05
 
     def __post_init__(self) -> None:
-        _reject_unknown_choices(self)
+        _check_params(self)
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,7 @@ class SingleParams:
     eps_eta: float = 0.05
 
     def __post_init__(self) -> None:
-        _reject_unknown_choices(self)
+        _check_params(self)
 
 
 # ---------------------------------------------------------------------------

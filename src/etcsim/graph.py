@@ -7,6 +7,7 @@ serves undirected topologies and weight-balanced digraphs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +56,8 @@ class Graph:
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
-            if w <= 0:
-                raise ValueError(f"non-positive weight {w} on edge ({i},{j})")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"weight {w} on edge ({i},{j}) must be finite and positive")
             adj[i, j] = w
         if self.undirected and not np.array_equal(adj, adj.T):
             raise ValueError("undirected graph has asymmetric adjacency")

@@ -11,9 +11,10 @@ outputs. Along a flow interval the sampled output is held, so the
 network-induced error evolves as the exact negative of the state.
 
 The transmission log, :class:`EventLog`, derives j, the gaps and the
-resolution instants from the logged t, and keeps one state row per
-instant, the row before its first jump: the later jumps at that t chain
-from it, since each changes only its own agent's e, w_hat, eta and tau.
+resolution instants from the logged t, and keeps no state row: each
+instant is a sample of the trace, holding the state after its last jump,
+and a jump changes only its own agent's e, w_hat, eta and tau, so the
+log keeps those of the sender, before and after, per jump.
 """
 
 from __future__ import annotations
@@ -73,19 +74,25 @@ class EventLog:
 
     ``agent`` and ``t`` say who jumped and when, ``psi`` is the trigger
     value that commanded the jump; ``j`` (1..E) and ``gap``, the time since
-    that agent's previous jump (NaN at its first), follow from them. Jumps
-    at one t chain: the row before a jump is the row after the one before
-    it, and a jump changes only the transmitting agent's e, w_hat, eta and
-    tau. So the log keeps one state row per resolution instant, the row
-    before its first jump, and two scalars per jump, the agent's latched
-    noise and eta after it. ``pre`` and ``post`` rebuild from them the
-    (E, 5n) rows just before and just after each jump, as a new array on
-    each access. ``len()`` counts the jumps, and iteration gives a
+    that agent's previous jump (NaN at its first), follow from them. A jump
+    changes only the sender's e, w_hat, eta and tau, so the log keeps five
+    scalars of state per jump: the sender's e, eta and tau before it, and
+    its latched noise and eta after it.
+
+    The rest of each row is in the samples of the trace that owns the log
+    (:meth:`attach`): every instant with a jump is a sample, holding the
+    state after the instant's last jump, and w_hat is kept along flow, so
+    the sample before an instant holds each sender's w_hat before it. Only
+    the first sample, at t = 0, has none before it; for it the log keeps
+    each agent's w_hat before its first jump. ``pre`` and ``post`` rebuild
+    the (E, 5n) rows just before and just after each jump, as a new array
+    on each access. ``len()`` counts the jumps, and iteration gives a
     :class:`JumpEvent` view of each.
     """
 
     _INITIAL_CAPACITY = 64
-    _NAMES = ("agent", "t", "gap", "psi", "what_w", "eta")  # one entry per jump
+    # one entry per jump; pre_* are the sender's values before the jump
+    _NAMES = ("agent", "t", "gap", "psi", "what_w", "eta", "pre_e", "pre_eta", "pre_tau")
 
     agent = _Column()
     t = _Column()
@@ -97,47 +104,45 @@ class EventLog:
         self._n = n
         self._size = 0
         self._agent = np.empty(cap, dtype=np.int64)
-        self._t = np.empty(cap)
-        self._gap = np.empty(cap)
-        self._psi = np.empty(cap)
-        self._what_w = np.empty(cap)
-        self._eta = np.empty(cap)
-        # Python floats: each agent's last jump time and the open instant's t
+        for name in self._NAMES[1:]:
+            setattr(self, "_" + name, np.empty(cap))
+        # Python floats: each agent's last jump time
         self._last = [math.nan] * n
-        self._open = math.nan  # differs from every t
-        # per instant: the row before its first jump, and that jump's index
-        self._instants = 0
-        self._rows = np.empty((cap, 5 * n))
-        self._first = np.empty(cap, dtype=np.int64)
+        self._what0 = np.full(n, math.nan)  # each agent's w_hat before its first jump
+        self._samples = None  # the owning trace's (times, states)
 
-    def append(self, agent: int, t: float, psi: float, pre: np.ndarray,
-               what_w: float, eta: float) -> None:
-        """Log one jump, in time order: ``pre`` is the state row before it,
-        and what_w and eta the agent's latched noise and eta after it. The
-        log copies ``pre`` only when t differs from the previous jump's;
-        a later jump at that t chains from the previous post-jump row."""
+    def append(self, agent: int, t: float, psi: float, before, what_w: float,
+               eta: float) -> None:
+        """Log one jump, in time order: ``before`` is the sender's e, w_hat,
+        eta and tau before it, and what_w and eta its latched noise and eta
+        after it. w_hat before is kept at the agent's first jump only."""
         k = self._size
-        if t != self._open:
-            m = self._instants
-            if m == self._first.shape[0]:
-                self._rows = _grown(self._rows, m)
-                self._first = _grown(self._first, m)
-            self._rows[m] = pre
-            self._first[m] = k
-            self._instants = m + 1
-            self._open = t
         if k == self._t.shape[0]:
             for name in self._NAMES:
                 key = "_" + name
                 setattr(self, key, _grown(getattr(self, key), k))
+        e, what_before, eta_before, tau = before
+        last = self._last[agent]
+        if math.isnan(last):
+            self._what0[agent] = what_before
         self._agent[k] = agent
         self._t[k] = t
-        self._gap[k] = t - self._last[agent]
+        self._gap[k] = t - last
         self._last[agent] = t
         self._psi[k] = psi
         self._what_w[k] = what_w
         self._eta[k] = eta
+        self._pre_e[k] = e
+        self._pre_eta[k] = eta_before
+        self._pre_tau[k] = tau
         self._size = k + 1
+
+    def attach(self, times: np.ndarray, states: np.ndarray) -> None:
+        """Give the log the samples of its trace, (m,) times and (m, 5n)
+        rows, from which ``pre`` and ``post`` rebuild the rows around each
+        jump. Each logged t must be a sample time, and the sample there the
+        state after the last jump at that t."""
+        self._samples = (times, states)
 
     @property
     def j(self) -> np.ndarray:
@@ -157,15 +162,29 @@ class EventLog:
         return self._to_post(self._pre_rows(0, self._size), 0)
 
     def _pre_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The pre-jump rows of jumps lo..hi-1: each is its instant's stored
-        row with the instant's earlier jumps replayed on it, and ``lo`` may
-        fall inside an instant."""
+        """The pre-jump rows of jumps lo..hi-1, and ``lo`` may fall inside
+        an instant. Each starts from its instant's sample, the row after
+        the instant's last jump. Undoing the instant's jumps, its last
+        first, leaves each sender with its values before its first jump
+        there, which gives the row before the instant; the instant's jumps
+        before k are then replayed on it."""
+        n, t, (times, states) = self._n, self.t, self._samples
         k = np.arange(lo, hi)
-        first = self._first[: self._instants]
-        instant = np.searchsorted(first, k, side="right") - 1
-        rows = self._rows[instant]
-        depth = k - first[instant]  # the instant's jumps before k
-        z = rows.reshape(hi - lo, 5, self._n)
+        first = np.searchsorted(t, t[lo:hi], side="left")
+        end = np.searchsorted(t, t[lo:hi], side="right")
+        sample = np.searchsorted(times, t[lo:hi])
+        rows = states[sample]
+        z = rows.reshape(hi - lo, 5, n)
+        size = end - first
+        for d in range(1, int(size.max(initial=0)) + 1):
+            r = np.flatnonzero(size >= d)
+            q, s = end[r] - d, sample[r]
+            i = self._agent[q]
+            z[r, 1, i] = self._pre_e[q]
+            z[r, 2, i] = np.where(s > 0, states[s - 1, 2 * n + i], self._what0[i])
+            z[r, 3, i] = self._pre_eta[q]
+            z[r, 4, i] = self._pre_tau[q]
+        depth = k - first  # the instant's jumps before k
         # oldest first, so that an agent's later jump in the instant wins
         for d in range(int(depth.max(initial=0)), 0, -1):
             r = np.flatnonzero(depth >= d)

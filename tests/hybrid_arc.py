@@ -89,7 +89,9 @@ def check_arc(sc, tr, label="arc"):
     g[rows, 3 * n + agent] = eta_reset(pre[rows, 3 * n + agent], e_tilde, sch.w_bar[agent],
                                        sch.reset_gain[agent])
     assert np.array_equal(post, g), f"{label}: post != g(pre)"
-    # jumps at one t chain, and the instant's sample is its last post row
+    # jumps at one t chain, and the instant's sample is its last post row:
+    # the log rebuilds its rows from that sample, so this compares each
+    # sender's logged e, w_hat, eta and tau after its last jump there with it
     chained = log.t[1:] == log.t[:-1]
     assert np.array_equal(post[:-1][chained], pre[1:][chained]), f"{label}: chaining"
     last = np.r_[~chained, True][:count]

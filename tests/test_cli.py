@@ -194,6 +194,20 @@ def test_states_csv_full_precision(tmp_path):
     assert first == 4.0
 
 
+def test_single_plant_metrics_measure_the_distance_to_the_origin(tmp_path, capsys):
+    # the single plant's target set is the origin, not its own mean
+    out = tmp_path / "o"
+    assert run_main("--preset", "single-scalar-demo", "--out", str(out)) == 0
+    last = (out / "states.csv").read_text().splitlines()[-1].split(",")
+    x = float(last[2])
+    assert 0.0 < abs(x) < 1e-2
+    metrics = dict(line.split(",")[:2] for line in
+                   (out / "metrics.csv").read_text().splitlines()[1:])
+    assert float(metrics["final_max_deviation"]) == abs(x)
+    assert float(metrics["final_distance"]) == abs(x)
+    assert f"final max deviation {abs(x):.4g}," in capsys.readouterr().out
+
+
 def _triangle_berneburg(rho_edge):
     g = Graph.from_edge_list(3, [(0, 1), (1, 2), (0, 2)], undirected=True)
     sch = BerneburgScheme(g, BerneburgParams(rho_edge=rho_edge, c=1e-3, w_bar=1e-4))
@@ -353,6 +367,13 @@ def test_missing_required_key_is_a_validation_error(tmp_path, capsys, section, k
     ("noise", "amplitude", "nan", "amplitude must be finite"),
     ("sim", "t_final", "nan", "t_final must be finite"),
     ("sim", "step", "inf", "step must be finite"),
+    ("sim", "x0", "nan, 0, -1", "x0 must be finite"),
+    ("sim", "feedback", "nan" + ", 0" * 8, "feedback must be finite"),
+    ("etm", "c", "nan", "c must be finite"),
+    ("etm", "a", "nan", "a must be finite"),
+    ("etm", "sigma", "0.5, inf, 0.5", "sigma must be finite"),
+    ("etm", "eps_eta", "nan", "eps_eta must be finite"),
+    ("graph", "edges", "\n0 1 nan\n1 2 1", "must be finite and positive"),
 ])
 def test_non_finite_value_is_a_validation_error(tmp_path, capsys, section, key, value, message):
     cp = configparser.ConfigParser()

@@ -266,11 +266,31 @@ def zeno_stretch():
     return sc
 
 
-@pytest.mark.parametrize("name", ["garcia-c0-stretch", "dolk-remark5"])
+def shifted_first_instant(shift):
+    """A jump resolver that judges the instant at t = 0 under the noise
+    there plus ``shift``, so that e~ = w_hat - w is not 0 and jumps are due."""
+    jump_resolver = engine_mod._jump_resolver
+
+    def resolver(scheme, feedback, z, log):
+        resolve = jump_resolver(scheme, feedback, z, log)
+        return lambda t, w: resolve(t, w + shift if t == 0.0 else w)
+
+    return resolver
+
+
+@pytest.mark.parametrize("name", ["garcia-c0-stretch", "garcia-c0-stretch-decimated",
+                                  "garcia-c0-stretch-t0", "dolk-remark5"])
 def test_logged_rows_are_the_states_around_each_jump(monkeypatch, name):
     # the rows the log rebuilds against copies taken around each jump map
-    # call; dolk-remark5 resets eta at its jumps
-    sc = zeno_stretch() if name == "garcia-c0-stretch" else build_preset(name)[0][1]
+    # call. With decimation 7 most instants fall off the sample grid, so
+    # the sample before one is often another instant; at t = 0 no sample
+    # holds the senders' w_hat before their jumps; dolk-remark5 resets eta
+    # at its jumps
+    sc = build_preset(name)[0][1] if name == "dolk-remark5" else zeno_stretch()
+    if name.endswith("decimated"):
+        sc.decimation = 7
+    if name.endswith("t0"):
+        monkeypatch.setattr(engine_mod, "_jump_resolver", shifted_first_instant(1e-2))
     before, after = [], []
     apply_jump = engine_mod.apply_jump
 
@@ -281,12 +301,36 @@ def test_logged_rows_are_the_states_around_each_jump(monkeypatch, name):
         return eta
 
     monkeypatch.setattr(engine_mod, "apply_jump", copying_apply_jump)
-    log = simulate(sc).events
+    tr = simulate(sc)
+    log = tr.events
     assert len(log) == len(before) > 0
-    if name == "garcia-c0-stretch":
+    if name.startswith("garcia"):
         assert np.unique(log.t, return_counts=True)[1].max() >= 5
+    if name.endswith("decimated"):
+        off_grid = np.rint(log.t / sc.step).astype(np.int64) % 7 != 0
+        assert off_grid.mean() > 0.5
+    if name.endswith("t0"):
+        # each jump at t = 0 latched other noise than the w_hat it replaced
+        at_zero = np.flatnonzero(log.t == 0.0)
+        assert at_zero.size > 1
+        cols = 2 * tr.n + log.agent[at_zero]
+        assert np.all(log.pre[at_zero, cols] != log.post[at_zero, cols])
     assert np.array_equal(log.pre, np.array(before))
     assert np.array_equal(log.post, np.array(after))
+
+
+def test_event_log_keeps_no_state_row():
+    # the Zeno stretch has 1 286 jumps in 493 instants, so one (5n,) row per
+    # instant would be about 15 values per jump on its own. A per-jump
+    # buffer counts its filled rows only: the rest of its mapping is never
+    # touched, so never resident
+    sc = zeno_stretch()
+    log = simulate(sc).events
+    assert len(log) > 1000
+    capacity = log._t.shape[0]
+    held = sum(a[: len(log)].nbytes if a.shape[0] == capacity else a.nbytes
+               for a in vars(log).values() if isinstance(a, np.ndarray))
+    assert held <= 10 * 8 * len(log)
 
 
 ARC_SCENARIOS = {
@@ -315,7 +359,7 @@ def test_zero_noise_two_agent_conservation_and_decrease():
     x = tr.x_series
     # undirected graph: the state sum is a conserved quantity
     assert np.abs(x.sum(axis=1)).max() <= 1e-12
-    cm = consensus_metrics(tr)
+    cm = consensus_metrics(tr, s.scheme)
     d = cm["distance_series"]
     # distance decreases monotonically until it reaches the c-limited scale
     floor = np.sqrt(s.scheme.c[0])
@@ -377,8 +421,8 @@ def test_step_halving_stability():
     s1 = two_agent_scenario(c=1e-4, amp=1e-4, t_final=2.0)
     s2 = two_agent_scenario(c=1e-4, amp=1e-4, t_final=2.0)
     s2.step = 5e-5
-    d1 = consensus_metrics(simulate(s1))["final_max_deviation"]
-    d2 = consensus_metrics(simulate(s2))["final_max_deviation"]
+    d1 = consensus_metrics(simulate(s1), s1.scheme)["final_max_deviation"]
+    d2 = consensus_metrics(simulate(s2), s2.scheme)["final_max_deviation"]
     assert abs(d1 - d2) <= 1e-3 * (1 + abs(d1))
 
 
@@ -413,6 +457,11 @@ def test_scenario_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, **{name: value})
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            Scenario(scheme=sch, noise=noise, x0=np.array([0.0, value]), graph=g)
+        with pytest.raises(ValueError, match="feedback must be finite"):
+            Scenario(scheme=sch, noise=noise, x0=np.zeros(2), feedback=np.full((2, 2), value))
     for decimation in (0, 2.0, 2.5, True):
         with pytest.raises(ValueError, match="decimation"):
             Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, decimation=decimation)
@@ -428,9 +477,9 @@ def _dummy_trace(events, n=2, t_final=3.0):
     z = np.zeros(5 * n)
     log = EventLog(n)
     for agent, t in events:
-        log.append(agent, t, 0.0, z, 0.0, 0.0)
-    return SolutionTrace(times=np.array([0.0, t_final]), jumps=np.array([0, len(log)]),
-                         states=np.zeros((2, 5 * n)), events=log, n=n)
+        log.append(agent, t, 0.0, z[:4], 0.0, 0.0)
+    return SolutionTrace(times=np.array([0.0, t_final]), states=np.zeros((2, 5 * n)),
+                         events=log, n=n)
 
 
 def test_inter_event_stats_arithmetic():
@@ -450,12 +499,12 @@ def test_zeno_indicator_windows():
 
 
 def test_consensus_metrics_on_agreement():
-    n = 3
+    sch = GarciaScheme(benchmark_topology(), GarciaParams(a=0.1, c=2e-6, w_bar=1e-4))
+    n = 8
     states = np.zeros((4, 5 * n))
     states[:, :n] = 2.5
-    tr = SolutionTrace(times=np.linspace(0, 1, 4), jumps=np.zeros(4, dtype=int),
-                       states=states, events=EventLog(n), n=n)
-    cm = consensus_metrics(tr)
+    tr = SolutionTrace(times=np.linspace(0, 1, 4), states=states, events=EventLog(n), n=n)
+    cm = consensus_metrics(tr, sch)
     assert np.allclose(cm["distance_series"], 0.0)
     assert cm["final_max_deviation"] == 0.0
 
@@ -466,8 +515,7 @@ def test_storage_zero_on_consensus():
     n = 8
     states = np.zeros((2, 5 * n))
     states[:, :n] = 1.0  # on the agreement subspace
-    tr = SolutionTrace(times=np.array([0.0, 1.0]), jumps=np.zeros(2, dtype=int),
-                       states=states, events=EventLog(n), n=n)
+    tr = SolutionTrace(times=np.array([0.0, 1.0]), states=states, events=EventLog(n), n=n)
     u = sch.storage(tr.states, laplacian(g))
     du = engine_mod.jump_storage_change(tr, sch, laplacian(g))
     assert np.allclose(u, 0.0)
@@ -547,12 +595,12 @@ def test_noise_chunk_seams_change_no_bit(monkeypatch, name):
 def test_blocked_consensus_metrics_match_a_whole_trace_evaluation(preset_runs, monkeypatch, rows):
     # the 80 001 samples fill blocks of 3 rows exactly and leave a short
     # last block of 7
-    [(_, _, tr)] = preset_runs("dolk-c0")
+    [(_, sc, tr)] = preset_runs("dolk-c0")
     x = tr.x_series
     assert x.shape[0] > 3 * rows and (x.shape[0] % rows == 0) == (rows == 3)
     whole = np.linalg.norm(x - x.mean(axis=1, keepdims=True), axis=1)
     monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", rows)
-    assert consensus_metrics(tr)["distance_series"].tobytes() == whole.tobytes()
+    assert consensus_metrics(tr, sc.scheme)["distance_series"].tobytes() == whole.tobytes()
 
 
 def _traced_peak(fn, *args):
@@ -585,6 +633,6 @@ def test_simulate_holds_no_whole_run_noise_table():
 
 def test_consensus_metrics_hold_no_whole_run_temporary(preset_runs):
     # the (samples, n) deviations from the mean would be 5.1 MB at 8 s
-    [(_, _, tr)] = preset_runs("garcia-c2e-6")
-    _, peak = _traced_peak(consensus_metrics, tr)
+    [(_, sc, tr)] = preset_runs("garcia-c2e-6")
+    _, peak = _traced_peak(consensus_metrics, tr, sc.scheme)
     assert peak < tr.times.size * tr.n * 8 / 2

@@ -495,6 +495,24 @@ def test_params_reject_values_outside_their_literal(make):
         make()
 
 
+@pytest.mark.parametrize("make,name", [
+    (lambda v: GarciaParams(a=v), "a"),
+    (lambda v: GarciaParams(a=0.1, sigma=[0.5, v]), "sigma"),
+    (lambda v: GarciaParams(a=0.1, c=v), "c"),
+    (lambda v: DolkParams(a=0.1, theta=v), "theta"),
+    (lambda v: DolkParams(a=0.1, w_bar=[1e-4, v]), "w_bar"),
+    (lambda v: BerneburgParams(eps_eta=v), "eps_eta"),
+    (lambda v: BerneburgParams(rho_edge={(0, 1): v}), "rho_edge"),
+    (lambda v: SingleParams(delta_coef=0.0625, beta_coef=v), "beta_coef"),
+], ids=["garcia-a", "garcia-sigma", "garcia-c", "dolk-theta", "dolk-w_bar",
+        "berneburg-eps_eta", "berneburg-rho_edge", "single-beta_coef"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_numbers(make, name, value):
+    # NaN fails every comparison, so it would pass the bound check
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(value)
+
+
 def test_berneburg_scheme_default_split():
     sch = BerneburgScheme(bench(), BerneburgParams(c=2e-6, w_bar=1e-4))
     # default rho 0.5/d_out gives vartheta = 0.5 on unit-weight graphs

@@ -65,6 +65,9 @@ def test_validation_errors():
         Graph(n=2, edges=((0, 0, 1.0),))
     with pytest.raises(ValueError):
         Graph(n=2, edges=((0, 1, -1.0),))
+    for weight in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            Graph(n=2, edges=((0, 1, weight),))
     with pytest.raises(ValueError):
         Graph(n=2, edges=((0, 3, 1.0),))
     with pytest.raises(ValueError):

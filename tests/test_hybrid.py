@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from etcsim.engine import SolutionTrace, _control_law, _flow_block, consensus_metrics
-from etcsim.etm import GarciaParams, GarciaScheme
+from etcsim.etm import GarciaParams, GarciaScheme, SingleParams, SingleSystemScheme
 from etcsim.graph import benchmark_topology, laplacian
 from etcsim.hybrid import EventLog, apply_jump
 
@@ -121,16 +121,27 @@ def test_distance_to_consensus_value():
         n = x.size
         states = np.zeros((1, 5 * n))
         states[0, :n] = x
-        tr = SolutionTrace(times=np.zeros(1), jumps=np.zeros(1, dtype=int), states=states,
-                           events=EventLog(n), n=n)
-        return consensus_metrics(tr)["distance_series"][0]
+        tr = SolutionTrace(times=np.zeros(1), states=states, events=EventLog(n), n=n)
+        return consensus_metrics(tr, scheme8())["distance_series"][0]
 
     x = X0.copy()
     cs = np.linspace(-5, 5, 100001)
     dists = np.sqrt(((x[None, :] - cs[:, None]) ** 2).sum(axis=1))
     assert distance(x) == pytest.approx(dists.min(), rel=1e-9)
     assert distance(x) == pytest.approx(np.sqrt(240.0))
-    assert distance(np.full(5, 3.3)) == 0.0
+    assert distance(np.full(8, 3.3)) == 0.0
+
+
+def test_single_plant_target_set_is_the_origin():
+    # one plant near 0 after starting at 4: its distance and final
+    # deviation are |x|, not the distance to its own mean, which is 0
+    sch = SingleSystemScheme(SingleParams(delta_coef=0.0625, beta_coef=2.0, c=1e-6))
+    states = np.zeros((2, 5))
+    states[:, 0] = [4.0, -7.5e-4]
+    tr = SolutionTrace(times=np.array([0.0, 1.0]), states=states, events=EventLog(1), n=1)
+    cm = consensus_metrics(tr, sch)
+    assert cm["distance_series"].tolist() == [4.0, 7.5e-4]
+    assert cm["final_max_deviation"] == 7.5e-4
 
 
 
@@ -145,41 +156,49 @@ def jumped(row, agent, what_w, eta):
 
 
 def test_event_log_chains_the_jumps_of_an_instant():
-    # three instants: agent 0 jumps twice in the first, and a jump after
-    # its second sees the second's values; the second instant opens with a
-    # fresh row, the third has one jump
+    # four instants between flowing samples: the first at t = 0, where no
+    # sample holds the sender's w_hat before it; at t = 1 agent 0 jumps
+    # twice, in two passes, and the jump after its second sees the second's
+    # values
     n = 3
     rng = np.random.default_rng(5)
-    heads = {0: rng.standard_normal(5 * n), 4: rng.standard_normal(5 * n),
-             6: rng.standard_normal(5 * n)}
-    jumps = [(0, 1.0, 0.1, 0.2), (2, 1.0, 0.3, 0.4), (0, 1.0, 0.5, 0.6), (1, 1.0, 1.3, 1.4),
-             (1, 2.0, 0.7, 0.8), (2, 2.0, 0.9, 1.0), (0, 3.0, 1.1, 1.2)]
+    jumps = {0.0: [(1, 1.5, 1.6)],
+             1.0: [(0, 0.1, 0.2), (2, 0.3, 0.4), (0, 0.5, 0.6), (1, 1.3, 1.4)],
+             2.0: [(1, 0.7, 0.8), (2, 0.9, 1.0)], 3.0: [(0, 1.1, 1.2)]}
+    times = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     log = EventLog(n)
-    want_pre, want_post = [], []
-    for k, (agent, t, what_w, eta) in enumerate(jumps):
-        row = heads[k] if k in heads else want_post[-1]
-        want_pre.append(row)
-        want_post.append(jumped(row, agent, what_w, eta))
-        given = row.copy()
-        log.append(agent, t, 0.0, given, what_w, eta)
-        given[:] = np.nan  # the log keeps its own copy
+    row = rng.standard_normal(5 * n)
+    samples, want_pre, want_post = [], [], []
+    for t in times:
+        if t:  # flow from the previous sample: everything but w_hat moves
+            flow = rng.standard_normal((5, n))
+            flow[2] = 0.0
+            row = row + flow.ravel()
+        for agent, what_w, eta in jumps.get(t, []):
+            want_pre.append(row)
+            before = row.reshape(5, n)[1:, agent].tolist()
+            log.append(agent, t, 0.0, before, what_w, eta)
+            row = jumped(row, agent, what_w, eta)
+            want_post.append(row)
+        samples.append(row)
+    SolutionTrace(times=np.array(times), states=np.array(samples), events=log, n=n)
     want_pre, want_post = np.array(want_pre), np.array(want_post)
-    assert log._instants == 3  # one stored row per instant
     # j and the gaps since the same agent's previous jump are the log's own
-    assert np.array_equal(log.j, np.arange(1, len(jumps) + 1))
+    assert np.array_equal(log.j, np.arange(1, len(want_pre) + 1))
     nan = np.nan
-    assert np.array_equal(log.gap, [nan, nan, 0.0, nan, 1.0, 1.0, 2.0], equal_nan=True)
+    assert np.array_equal(log.gap, [nan, nan, nan, 0.0, 1.0, 1.0, 1.0, 2.0], equal_nan=True)
     assert np.array_equal(log.pre, want_pre)
     assert np.array_equal(log.post, want_post)
     # agent 0's second jump sees its first one's latched noise and eta,
     # and the jump after it the second one's
-    assert log.pre[2].reshape(5, n)[2:4, 0].tolist() == [0.1, 0.2]
-    assert log.pre[3].reshape(5, n)[2:4, 0].tolist() == [0.5, 0.6]
+    assert log.pre[3].reshape(5, n)[2:4, 0].tolist() == [0.1, 0.2]
+    assert log.pre[4].reshape(5, n)[2:4, 0].tolist() == [0.5, 0.6]
     # a block may start inside an instant, at any jump
-    for lo in range(len(jumps)):
-        for hi in range(lo, len(jumps) + 1):
+    for lo in range(len(want_pre)):
+        for hi in range(lo, len(want_pre) + 1):
             assert np.array_equal(log._pre_rows(lo, hi), want_pre[lo:hi])
     # each access is a new array
     log.pre[:] = 0.0
     log.post[:] = 0.0
     assert np.array_equal(log.pre, want_pre) and np.array_equal(log.post, want_post)
+

@@ -30,7 +30,6 @@ def jump_resolver_oracle(scheme, feedback, z, log):
     afresh after every applied jump."""
     n = scheme.n
     storm_cap = n * engine_mod.JUMPS_PER_INSTANT_FACTOR
-    pre = np.empty(5 * n)
     x, e, what_w, eta, tau = z
 
     def judge(w):
@@ -45,9 +44,9 @@ def jump_resolver_oracle(scheme, feedback, z, log):
             for i in range(n):
                 if not due[i]:
                     continue
-                pre[:] = z.ravel()
+                before = [e.item(i), what_w.item(i), eta.item(i), tau.item(i)]
                 apply_jump(z, i, w, scheme)
-                log.append(i, t, psi.item(i), pre, what_w.item(i), eta.item(i))
+                log.append(i, t, psi.item(i), before, what_w.item(i), eta.item(i))
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(f"{total} jumps at t={t:.6f}")
