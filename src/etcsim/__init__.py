@@ -10,7 +10,6 @@ from .engine import (
     inter_event_stats,
     jump_storage_change,
     simulate,
-    zeno_indicator,
 )
 from .etm import (
     BerneburgParams,

@@ -4,6 +4,12 @@ Runs named presets or INI configurations, writes CSV artifacts plus a
 re-runnable manifest, and offers a validate-only mode that reports the
 derived trigger constants and the robustness bound check per agent.
 
+With more than one CPU, forked writers format a run's states.csv and
+events.csv. In a batch, or a preset with sub-runs, run k's writers
+format while run k+1 simulates; run k is joined when run k+1 is ready to
+write. So at most one run's writers run at a time, and each run's
+stdout line appears in run order, once its artifacts are complete.
+
 Exit codes: 0 success, 2 validation failure, 3 jump storm, 4 I/O error.
 """
 
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import math
 import os
@@ -18,7 +25,7 @@ import re
 import shutil
 import sys
 from pathlib import Path
-from typing import Literal, get_origin, get_type_hints
+from typing import Callable, Literal, get_origin, get_type_hints
 
 import numpy as np
 
@@ -272,55 +279,76 @@ def _write_range(fh, write_chunk, lo: int, hi: int) -> None:
 
 
 def _write_part(part: Path, write_chunk, lo: int, hi: int) -> None:
-    with part.open("w") as fh:
+    with part.open("a") as fh:
         _write_range(fh, write_chunk, lo, hi)
 
 
-def _write_rows(path: Path, header: str, nrows: int, write_chunk) -> None:
+def _write_rows(path: Path, header: str, nrows: int, write_chunk) -> Callable[[], None]:
     """Write ``header`` and then rows [0, nrows) to ``path``;
     ``write_chunk(fh, lo, hi)`` formats rows lo..hi, at most
-    ``_CHUNK_ROWS`` of them per call.
+    ``_CHUNK_ROWS`` of them per call. Return the finish step: ``path`` is
+    complete once it has returned.
 
     The rows are split into one contiguous range per CPU, each of at
-    least ``_CHUNK_ROWS`` rows. This process writes the first range into
-    ``path``; a forked child writes each other range to a hidden part
-    file next to it, which is then appended in order, so the bytes do
-    not depend on the number of ranges. A fork shares the trace with the
-    child instead of pickling it; the child only slices and formats,
-    since the parent may hold BLAS threads. A child that fails raises
-    OSError.
+    least ``_CHUNK_ROWS`` rows. With one range this process writes the
+    file, and the finish step does nothing. Otherwise a forked child
+    formats each range while this process goes on: the first range's
+    child appends to ``path`` after the header, and each other child
+    writes a hidden part file next to it. The finish step joins the
+    children and appends the parts in order, so the bytes do not depend
+    on the number of ranges; it removes the parts, and raises OSError if
+    a child failed. A fork shares the trace with the children instead of
+    pickling it; a child only slices and formats, since the parent may
+    hold BLAS threads.
     """
     w = max(1, min(_writer_count(), nrows // _CHUNK_ROWS))
-    bounds = [nrows * k // w for k in range(w + 1)]
-    children = []
-    try:
+    if w == 1:
         with path.open("w") as fh:
-            if w > 1:
-                import multiprocessing
-
-                ctx = multiprocessing.get_context("fork")
-                for k in range(1, w):
-                    part = path.with_name(f".{path.name}.{k}.part")
-                    proc = ctx.Process(target=_write_part,
-                                       args=(part, write_chunk, bounds[k], bounds[k + 1]))
-                    proc.start()
-                    children.append((proc, part))
             fh.write(header)
-            _write_range(fh, write_chunk, 0, bounds[1])
-            fh.flush()
-            for proc, part in children:
+            _write_range(fh, write_chunk, 0, nrows)
+        return lambda: None
+
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    bounds = [nrows * k // w for k in range(w + 1)]
+    parts = [path] + [path.with_name(f".{path.name}.{k}.part") for k in range(1, w)]
+    procs = []
+
+    def reap() -> None:
+        for proc in procs:
+            proc.join()
+        for part in parts[1:]:
+            part.unlink(missing_ok=True)
+
+    def finish() -> None:
+        try:
+            for proc, part in zip(procs, parts):
                 proc.join()
                 if proc.exitcode != 0:
                     raise OSError(f"the writer of {part.name} exited with code {proc.exitcode}")
-                with part.open("rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
-    finally:
-        for proc, part in children:
-            proc.join()
-            part.unlink(missing_ok=True)
+            with path.open("ab") as fh:
+                for part in parts[1:]:
+                    with part.open("rb") as src:
+                        shutil.copyfileobj(src, fh)
+        finally:
+            reap()
+
+    path.write_text(header)
+    for part in parts[1:]:
+        part.unlink(missing_ok=True)  # left by a killed run; the children append
+    try:
+        for part, lo, hi in zip(parts, bounds, bounds[1:]):
+            proc = ctx.Process(target=_write_part, args=(part, write_chunk, lo, hi))
+            proc.start()
+            procs.append(proc)
+    except BaseException:
+        reap()
+        raise
+    return finish
 
 
-def _write_states(path: Path, trace: SolutionTrace) -> None:
+def _write_states(path: Path, trace: SolutionTrace) -> Callable[[], None]:
     n = trace.n
     cols = (["t", "j"]
             + [f"x{i}" for i in range(n)] + [f"e{i}" for i in range(n)]
@@ -334,10 +362,10 @@ def _write_states(path: Path, trace: SolutionTrace) -> None:
         data = np.column_stack([times, j.astype(float), trace.states[lo:hi]])
         np.savetxt(fh, data, fmt=fmts, delimiter=",")
 
-    _write_rows(path, ",".join(cols) + "\n", trace.times.size, write_chunk)
+    return _write_rows(path, ",".join(cols) + "\n", trace.times.size, write_chunk)
 
 
-def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> None:
+def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> Callable[[], None]:
     log = trace.events
     cols = (log.agent, log.t, log.j, log.gap, log.psi, delta_u)
 
@@ -346,7 +374,7 @@ def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> None
             gap_s = "" if math.isnan(gap) else _FMT % gap
             fh.write(f"{agent},{_FMT % t},{j},{gap_s},{_FMT % psi},{_FMT % du}\n")
 
-    _write_rows(path, "agent,t,j,gap,psi,delta_u\n", len(log), write_chunk)
+    return _write_rows(path, "agent,t,j,gap,psi,delta_u\n", len(log), write_chunk)
 
 
 def _write_metrics(path: Path, trace: SolutionTrace, cons: dict) -> None:
@@ -363,16 +391,23 @@ def _write_metrics(path: Path, trace: SolutionTrace, cons: dict) -> None:
 
 
 def write_run_artifacts(out_dir: Path, scenario: Scenario, trace: SolutionTrace,
-                        cons: dict, manifest: configparser.ConfigParser) -> None:
+                        cons: dict, manifest: configparser.ConfigParser) -> Callable[[], None]:
     """Write the four artifacts; ``cons`` is the trace's consensus_metrics
-    and ``manifest`` the scenario's scenario_to_config."""
+    and ``manifest`` the scenario's scenario_to_config.
+
+    Forked writers may still be formatting states.csv and events.csv
+    when this returns; they read the trace as it was at the call. Return
+    the finish step that completes both files. It raises OSError if a
+    writer failed."""
     out_dir.mkdir(parents=True, exist_ok=True)
     delta_u = jump_storage_change(trace, scenario.scheme, scenario.feedback)
-    _write_states(out_dir / "states.csv", trace)
-    _write_events(out_dir / "events.csv", trace, delta_u)
-    _write_metrics(out_dir / "metrics.csv", trace, cons)
-    with (out_dir / "manifest.ini").open("w") as fh:
-        manifest.write(fh)
+    with contextlib.ExitStack() as writers:
+        writers.callback(_write_states(out_dir / "states.csv", trace))
+        writers.callback(_write_events(out_dir / "events.csv", trace, delta_u))
+        _write_metrics(out_dir / "metrics.csv", trace, cons)
+        with (out_dir / "manifest.ini").open("w") as fh:
+            manifest.write(fh)
+        return writers.pop_all().close
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +449,70 @@ def validate(scenario: Scenario, label: str = "", stream=None) -> int:
     return EXIT_OK
 
 
+class _Pipeline:
+    """Runs one after another, each run's artifact writers formatting
+    while the next run simulates.
+
+    A run is joined when the next run is ready to write, or by
+    :meth:`join` at the end. So at most one run's writers are in flight,
+    and the runs' lines appear in run order, each once its artifacts are
+    complete. Nothing here holds a run's trace while the next simulates.
+    """
+
+    def __init__(self, stream=None) -> None:
+        self._stream = stream
+        self._finish: Callable[[], int] | None = None
+
+    def join(self) -> int:
+        """Finish the run in flight, if any; return its exit code."""
+        finish, self._finish = self._finish, None
+        return finish() if finish else EXIT_OK
+
+    def run(self, scenario: Scenario, out_dir: Path, label: str = "") -> int:
+        """Simulate ``scenario`` and leave its writers in flight. Return
+        the worse of this run's failure so far and the exit code of the
+        run joined before its writers started."""
+        # a scenario that its manifest cannot rebuild is refused before simulating
+        try:
+            manifest = scenario_to_config(scenario, derived=scenario.scheme.derived_constants())
+        except ValueError as exc:
+            print(f"validation error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        try:
+            trace = simulate(scenario)
+        except JumpStormError as exc:
+            print(f"jump storm: {exc}", file=sys.stderr)
+            return EXIT_JUMP_STORM
+        cons = consensus_metrics(trace, scenario.scheme)
+        code = self.join()
+        try:
+            finish = write_run_artifacts(out_dir, scenario, trace, cons, manifest)
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return max(code, EXIT_IO)
+        tag = f"{label}: " if label else ""
+        line = (f"{tag}{len(trace.events)} events, final max deviation "
+                f"{cons['final_max_deviation']:.4g}, artifacts in {out_dir}")
+
+        def done() -> int:
+            try:
+                finish()
+            except OSError as exc:
+                print(f"I/O error: {exc}", file=sys.stderr)
+                return EXIT_IO
+            print(line, file=self._stream)
+            return EXIT_OK
+
+        self._finish = done
+        if _writer_count() == 1:  # nothing was forked: print the line now
+            return max(code, self.join())
+        return code
+
+
 def run(scenario: Scenario, out_dir: Path, label: str = "", stream=None) -> int:
-    stream = stream or sys.stdout
-    # a scenario that its manifest cannot rebuild is refused before simulating
-    try:
-        manifest = scenario_to_config(scenario, derived=scenario.scheme.derived_constants())
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        trace = simulate(scenario)
-    except JumpStormError as exc:
-        print(f"jump storm: {exc}", file=sys.stderr)
-        return EXIT_JUMP_STORM
-    cons = consensus_metrics(trace, scenario.scheme)
-    try:
-        write_run_artifacts(out_dir, scenario, trace, cons, manifest)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    tag = f"{label}: " if label else ""
-    print(f"{tag}{len(trace.events)} events, final max deviation "
-          f"{cons['final_max_deviation']:.4g}, artifacts in {out_dir}", file=stream)
-    return EXIT_OK
+    pipeline = _Pipeline(stream)
+    code = pipeline.run(scenario, out_dir, label)
+    return max(code, pipeline.join())
 
 
 def _build_from_args(args, preset: str | None) -> list[tuple[str | None, Scenario]]:
@@ -484,18 +560,21 @@ def main(argv=None) -> int:
     if args.batch:
         names = list(PRESETS) if args.batch == "all" else \
             [s.strip() for s in args.batch.split(",") if s.strip()]
-        worst = EXIT_OK
-        for name in names:
-            code = _dispatch_one(args, name, Path(args.out) / name)
-            worst = max(worst, code)
-        return worst
-
-    if not (args.preset or args.config):
+        jobs = [(name, Path(args.out) / name) for name in names]
+    elif args.preset or args.config:
+        jobs = [(args.preset, Path(args.out))]
+    else:
         parser.error("one of --preset, --config, --batch, --list-presets is required")
-    return _dispatch_one(args, args.preset, Path(args.out))
+    pipeline = _Pipeline()
+    try:
+        worst = max((_dispatch_one(args, name, out_dir, pipeline) for name, out_dir in jobs),
+                    default=EXIT_OK)
+    finally:
+        last = pipeline.join()
+    return max(worst, last)
 
 
-def _dispatch_one(args, preset_name: str | None, out_dir: Path) -> int:
+def _dispatch_one(args, preset_name: str | None, out_dir: Path, pipeline: _Pipeline) -> int:
     try:
         pairs = _build_from_args(args, preset_name)
     except (ZenoGuaranteeError, ValueError, KeyError, configparser.Error) as exc:
@@ -514,7 +593,7 @@ def _dispatch_one(args, preset_name: str | None, out_dir: Path) -> int:
             code = validate(scenario, label=label)
         else:
             dest = out_dir / sub if sub else out_dir
-            code = run(scenario, dest, label=label)
+            code = pipeline.run(scenario, dest, label=label)
         worst = max(worst, code)
     return worst
 

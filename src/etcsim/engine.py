@@ -70,7 +70,6 @@ __all__ = [
     "inter_event_stats",
     "jump_storage_change",
     "consensus_metrics",
-    "zeno_indicator",
 ]
 
 TRIGGER_TOL = 1e-12
@@ -131,6 +130,14 @@ class Scenario:
             raise ValueError(f"decimation must be a positive integer, got {self.decimation!r}")
         if self.noise.n != n:
             raise ValueError(f"noise channel count {self.noise.n} != n={n}")
+        # the engine holds the window at a step's start along the whole step,
+        # so a step may neither straddle a window's edge nor skip a window
+        hold = 1.0 / self.noise.sample_rate
+        ratio = hold / self.step
+        k = round(ratio) if math.isfinite(ratio) else 0
+        if k < 1 or abs(ratio - k) > 1e-9 * k:
+            raise ValueError(f"step {self.step!r} must divide the noise hold 1/sample_rate = "
+                             f"{hold!r} a whole number of times; hold/step = {ratio!r}")
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (n,):
             raise ValueError(f"x0 shape {self.x0.shape} != ({n},)")
@@ -456,15 +463,3 @@ def consensus_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
         "final_max_deviation": final_dev,
         "initial_mean": mean0,
     }
-
-
-def zeno_indicator(trace: SolutionTrace, window: float) -> dict[int, float | None]:
-    """Per-agent minimum gap between consecutive events inside the
-    trailing window; None with fewer than two events there."""
-    log = trace.events
-    late = log.t >= float(trace.times[-1]) - window
-    out = {}
-    for i in range(trace.n):
-        times = log.t[late & (log.agent == i)]
-        out[i] = None if times.size < 2 else float(np.diff(times).min())
-    return out

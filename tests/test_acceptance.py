@@ -7,11 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from etcsim.engine import simulate, zeno_indicator
+from etcsim.engine import simulate
 from etcsim.etm import GarciaParams, GarciaScheme, gamma_sigma_from, tau_miet
 from etcsim.graph import benchmark_topology
 from etcsim.presets import PRESETS, build_preset
 from hybrid_arc import check_arc, check_eta_flow, check_held_noise
+from test_engine import zeno_indicator
 
 H = 1e-4
 

@@ -466,8 +466,8 @@ def test_chunked_writers_match_a_one_shot_write(tmp_path, monkeypatch):
     def write(chunk, d):
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
         d.mkdir()
-        cli._write_states(d / "states.csv", tr)
-        cli._write_events(d / "events.csv", tr, du)
+        cli._write_states(d / "states.csv", tr)()
+        cli._write_events(d / "events.csv", tr, du)()
 
     write(4, tmp_path / "chunked")
     write(10**9, tmp_path / "whole")
@@ -494,8 +494,8 @@ def test_forked_writers_match_a_one_process_write(short_garcia_c0, tmp_path, mon
     def write(w, d):
         monkeypatch.setattr(cli, "_writer_count", lambda: w)
         d.mkdir()
-        cli._write_states(d / "states.csv", tr)
-        cli._write_events(d / "events.csv", tr, du)
+        cli._write_states(d / "states.csv", tr)()
+        cli._write_events(d / "events.csv", tr, du)()
 
     write(1, tmp_path / "one")
     write(workers, tmp_path / "forked")
@@ -520,3 +520,78 @@ def test_failed_writer_process_is_an_io_error(tmp_path, monkeypatch):
     assert cli.run(sc, out) == 4
     assert not list(out.glob("*.part"))
     assert multiprocessing.active_children() == []
+
+
+BATCH = ("--batch", "dolk-c0,garcia-c0", "--t-final", "0.3", "--seed", "2024")
+
+
+def _run_batch(out, capsys):
+    code = run_main(*BATCH, "--out", str(out))
+    return code, capsys.readouterr().out
+
+
+def test_pipelined_batch_matches_a_one_process_batch(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    out = tmp_path / "o"
+    monkeypatch.setattr(cli, "_writer_count", lambda: 1)
+    one = _run_batch(out, capsys)
+    out.rename(tmp_path / "one")
+    monkeypatch.setattr(cli, "_writer_count", lambda: 2)
+    assert one[0] == 0
+    assert [line.split(":")[0] for line in one[1].splitlines()] == ["dolk-c0", "garcia-c0"]
+    assert _run_batch(out, capsys) == one
+    for name in ("dolk-c0", "garcia-c0"):
+        for f in ("states.csv", "events.csv", "metrics.csv", "manifest.ini"):
+            assert (out / name / f).read_bytes() == (tmp_path / "one" / name / f).read_bytes()
+    assert not list(tmp_path.rglob("*.part"))
+
+
+def test_failed_writer_in_a_batch_is_an_io_error_and_the_next_run_is_written(
+        tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
+    write_part = cli._write_part
+
+    def broken_in_dolk(part, write_chunk, lo, hi):
+        if part.parent.name == "dolk-c0":
+            raise RuntimeError("synthetic writer failure")
+        write_part(part, write_chunk, lo, hi)
+
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(cli, "_writer_count", lambda: 1)
+    _, reference = _run_batch(tmp_path / "one", capsys)
+    monkeypatch.setattr(cli, "_writer_count", lambda: 2)
+    monkeypatch.setattr(cli, "_write_part", broken_in_dolk)
+    out = tmp_path / "o"
+    code, stdout = _run_batch(out, capsys)
+    assert code == 4
+    assert stdout == reference.splitlines(keepends=True)[1].replace(str(tmp_path / "one"),
+                                                                     str(out))
+    for f in ("states.csv", "events.csv", "metrics.csv", "manifest.ini"):
+        written = (out / "garcia-c0" / f).read_bytes()
+        assert written == (tmp_path / "one" / "garcia-c0" / f).read_bytes()
+    assert not list(tmp_path.rglob("*.part"))
+    assert multiprocessing.active_children() == []
+
+
+def test_batch_drops_each_trace_before_simulating_the_next(tmp_path, monkeypatch):
+    import gc
+    import weakref
+
+    traces, alive = [], []
+
+    def tracking_simulate(scenario):
+        alive.append([ref() is not None for ref in traces])
+        trace = simulate(scenario)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(cli, "_writer_count", lambda: 2)
+    monkeypatch.setattr(cli, "simulate", tracking_simulate)
+    gc.disable()  # the trace must go by its reference count, not by a collection
+    try:
+        assert run_main(*BATCH, "--out", str(tmp_path / "o")) == 0
+    finally:
+        gc.enable()
+    assert alive == [[], [False]]

@@ -14,7 +14,6 @@ from etcsim.engine import (
     consensus_metrics,
     inter_event_stats,
     simulate,
-    zeno_indicator,
 )
 from etcsim.etm import DolkParams, DolkScheme, GarciaParams, GarciaScheme
 from etcsim.graph import Graph, benchmark_topology, laplacian
@@ -469,6 +468,19 @@ def test_scenario_validation():
                     decimation=np.int64(3)).decimation == 3
 
 
+def test_step_must_divide_the_noise_hold():
+    g = Graph.from_edge_list(2, [(0, 1)], undirected=True)
+    sch = GarciaScheme(g, GarciaParams(a=0.2, c=0.01))
+    noise = NoiseSignal(seed=1, amplitude=np.zeros(2), sample_rate=1e4, n=2)
+    # 2.5e-4 would skip windows, 3e-5 straddle their edges, and 5e-324
+    # makes hold/h overflow
+    for step in (2.5e-4, 3e-5, 1.5e-4, 1e-4 * (1 + 1e-8), 5e-324):
+        with pytest.raises(ValueError, match="must divide the noise hold"):
+            Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, step=step)
+    for step in (1e-4, 5e-5, 2.5e-5, 1e-5, 1e-4 * (1 + 1e-12)):
+        assert Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, step=step).step == step
+
+
 # ---------------------------------------------------------------------------
 # metric extraction
 
@@ -487,6 +499,18 @@ def test_inter_event_stats_arithmetic():
     st = inter_event_stats(tr)
     assert st[1] == {"min": 0.5, "mean": 0.75, "count": 3}
     assert st[0] == {"min": None, "mean": None, "count": 0}
+
+
+def zeno_indicator(trace: SolutionTrace, window: float) -> dict[int, float | None]:
+    """Per-agent minimum gap between consecutive events inside the
+    trailing window; None with fewer than two events there."""
+    log = trace.events
+    late = log.t >= float(trace.times[-1]) - window
+    out = {}
+    for i in range(trace.n):
+        times = log.t[late & (log.agent == i)]
+        out[i] = None if times.size < 2 else float(np.diff(times).min())
+    return out
 
 
 def test_zeno_indicator_windows():
