@@ -7,6 +7,7 @@ from .engine import (
     Scenario,
     SolutionTrace,
     consensus_metrics,
+    final_metrics,
     inter_event_stats,
     jump_storage_change,
     simulate,

@@ -29,8 +29,8 @@ from typing import Callable, Literal, get_origin, get_type_hints
 
 import numpy as np
 
-from .engine import JumpStormError, Scenario, SolutionTrace, consensus_metrics, \
-    inter_event_stats, jump_storage_change, simulate
+from .engine import JumpStormError, Scenario, SolutionTrace, final_metrics, inter_event_stats, \
+    jump_storage_change, simulate
 from .etm import (
     BerneburgParams,
     BerneburgScheme,
@@ -273,21 +273,16 @@ def _writer_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _write_range(fh, write_chunk, lo: int, hi: int) -> None:
-    for a in range(lo, hi, _CHUNK_ROWS):
-        write_chunk(fh, a, min(a + _CHUNK_ROWS, hi))
-
-
-def _write_part(part: Path, write_chunk, lo: int, hi: int) -> None:
+def _write_part(part: Path, write_range, lo: int, hi: int) -> None:
     with part.open("a") as fh:
-        _write_range(fh, write_chunk, lo, hi)
+        write_range(fh, lo, hi)
 
 
-def _write_rows(path: Path, header: str, nrows: int, write_chunk) -> Callable[[], None]:
+def _write_rows(path: Path, header: str, nrows: int, write_range) -> Callable[[], None]:
     """Write ``header`` and then rows [0, nrows) to ``path``;
-    ``write_chunk(fh, lo, hi)`` formats rows lo..hi, at most
-    ``_CHUNK_ROWS`` of them per call. Return the finish step: ``path`` is
-    complete once it has returned.
+    ``write_range(fh, lo, hi)`` formats rows lo..hi, ``_CHUNK_ROWS`` at
+    a time. Return the finish step: ``path`` is complete once it has
+    returned.
 
     The rows are split into one contiguous range per CPU, each of at
     least ``_CHUNK_ROWS`` rows. With one range this process writes the
@@ -298,14 +293,14 @@ def _write_rows(path: Path, header: str, nrows: int, write_chunk) -> Callable[[]
     children and appends the parts in order, so the bytes do not depend
     on the number of ranges; it removes the parts, and raises OSError if
     a child failed. A fork shares the trace with the children instead of
-    pickling it; a child only slices and formats, since the parent may
-    hold BLAS threads.
+    pickling it; a child only replays, slices and formats, since the
+    parent may hold BLAS threads.
     """
     w = max(1, min(_writer_count(), nrows // _CHUNK_ROWS))
     if w == 1:
         with path.open("w") as fh:
             fh.write(header)
-            _write_range(fh, write_chunk, 0, nrows)
+            write_range(fh, 0, nrows)
         return lambda: None
 
     import multiprocessing
@@ -339,7 +334,7 @@ def _write_rows(path: Path, header: str, nrows: int, write_chunk) -> Callable[[]
         part.unlink(missing_ok=True)  # left by a killed run; the children append
     try:
         for part, lo, hi in zip(parts, bounds, bounds[1:]):
-            proc = ctx.Process(target=_write_part, args=(part, write_chunk, lo, hi))
+            proc = ctx.Process(target=_write_part, args=(part, write_range, lo, hi))
             proc.start()
             procs.append(proc)
     except BaseException:
@@ -356,28 +351,32 @@ def _write_states(path: Path, trace: SolutionTrace) -> Callable[[], None]:
             + [f"tau{i}" for i in range(n)])
     fmts = [_FMT, "%d"] + [_FMT] * (5 * n)
 
-    def write_chunk(fh, lo, hi):
-        times = trace.times[lo:hi]
-        j = np.searchsorted(trace.events.t, times, side="right")  # trace.jumps[lo:hi]
-        data = np.column_stack([times, j.astype(float), trace.states[lo:hi]])
-        np.savetxt(fh, data, fmt=fmts, delimiter=",")
+    def write_range(fh, lo, hi):
+        # each writer replays the blocks of its own range
+        for k, rows in trace.chunks(lo, hi, _CHUNK_ROWS):
+            times = k * trace.scenario.step
+            j = np.searchsorted(trace.events.t, times, side="right")  # trace.jumps
+            data = np.column_stack([times, j.astype(float), rows])
+            np.savetxt(fh, data, fmt=fmts, delimiter=",")
 
-    return _write_rows(path, ",".join(cols) + "\n", trace.times.size, write_chunk)
+    return _write_rows(path, ",".join(cols) + "\n", trace.times.size, write_range)
 
 
 def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> Callable[[], None]:
     log = trace.events
     cols = (log.agent, log.t, log.j, log.gap, log.psi, delta_u)
 
-    def write_chunk(fh, lo, hi):
-        for agent, t, j, gap, psi, du in zip(*(c[lo:hi].tolist() for c in cols)):
-            gap_s = "" if math.isnan(gap) else _FMT % gap
-            fh.write(f"{agent},{_FMT % t},{j},{gap_s},{_FMT % psi},{_FMT % du}\n")
+    def write_range(fh, lo, hi):
+        for a in range(lo, hi, _CHUNK_ROWS):
+            chunk = (c[a : min(a + _CHUNK_ROWS, hi)].tolist() for c in cols)
+            for agent, t, j, gap, psi, du in zip(*chunk):
+                gap_s = "" if math.isnan(gap) else _FMT % gap
+                fh.write(f"{agent},{_FMT % t},{j},{gap_s},{_FMT % psi},{_FMT % du}\n")
 
-    return _write_rows(path, "agent,t,j,gap,psi,delta_u\n", len(log), write_chunk)
+    return _write_rows(path, "agent,t,j,gap,psi,delta_u\n", len(log), write_range)
 
 
-def _write_metrics(path: Path, trace: SolutionTrace, cons: dict) -> None:
+def _write_metrics(path: Path, trace: SolutionTrace, final: dict) -> None:
     stats = inter_event_stats(trace)
     with path.open("w") as fh:
         fh.write("agent,min_gap,mean_gap,event_count\n")
@@ -386,14 +385,15 @@ def _write_metrics(path: Path, trace: SolutionTrace, cons: dict) -> None:
             mn = "" if st["min"] is None else _fmt(st["min"])
             mean = "" if st["mean"] is None else _fmt(st["mean"])
             fh.write(f"{i},{mn},{mean},{st['count']}\n")
-        fh.write(f"final_max_deviation,{_fmt(cons['final_max_deviation'])},,\n")
-        fh.write(f"final_distance,{_fmt(cons['distance_series'][-1])},,\n")
+        fh.write(f"final_max_deviation,{_fmt(final['final_max_deviation'])},,\n")
+        fh.write(f"final_distance,{_fmt(final['final_distance'])},,\n")
 
 
 def write_run_artifacts(out_dir: Path, scenario: Scenario, trace: SolutionTrace,
-                        cons: dict, manifest: configparser.ConfigParser) -> Callable[[], None]:
-    """Write the four artifacts; ``cons`` is the trace's consensus_metrics
-    and ``manifest`` the scenario's scenario_to_config.
+                        final: dict, manifest: configparser.ConfigParser) -> Callable[[], None]:
+    """Write the four artifacts; ``final`` is the trace's final_metrics
+    (or its consensus_metrics, which include them) and ``manifest`` the
+    scenario's scenario_to_config.
 
     Forked writers may still be formatting states.csv and events.csv
     when this returns; they read the trace as it was at the call. Return
@@ -404,7 +404,7 @@ def write_run_artifacts(out_dir: Path, scenario: Scenario, trace: SolutionTrace,
     with contextlib.ExitStack() as writers:
         writers.callback(_write_states(out_dir / "states.csv", trace))
         writers.callback(_write_events(out_dir / "events.csv", trace, delta_u))
-        _write_metrics(out_dir / "metrics.csv", trace, cons)
+        _write_metrics(out_dir / "metrics.csv", trace, final)
         with (out_dir / "manifest.ini").open("w") as fh:
             manifest.write(fh)
         return writers.pop_all().close
@@ -483,16 +483,16 @@ class _Pipeline:
         except JumpStormError as exc:
             print(f"jump storm: {exc}", file=sys.stderr)
             return EXIT_JUMP_STORM
-        cons = consensus_metrics(trace, scenario.scheme)
+        final = final_metrics(trace, scenario.scheme)  # from the stored rows: nothing replayed
         code = self.join()
         try:
-            finish = write_run_artifacts(out_dir, scenario, trace, cons, manifest)
+            finish = write_run_artifacts(out_dir, scenario, trace, final, manifest)
         except OSError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return max(code, EXIT_IO)
         tag = f"{label}: " if label else ""
         line = (f"{tag}{len(trace.events)} events, final max deviation "
-                f"{cons['final_max_deviation']:.4g}, artifacts in {out_dir}")
+                f"{final['final_max_deviation']:.4g}, artifacts in {out_dir}")
 
         def done() -> int:
             try:

@@ -21,11 +21,11 @@ A block stops at the first step that ends with an agent in the jump set
 or with eta below 0. That step's end state is committed with eta
 clamped at 0, the jumps due there are resolved, and the next block
 starts at BLOCK_MIN steps; a block that runs through doubles the next
-one's length. The samples before the stop are recorded as one block.
-Every step end is thus checked exactly as a per-step loop would check
-it; the only difference from stepping with a fresh u each step is the
-ulp-level drift of x + e along the block. Jumps happen only at step
-ends, so every sample and every event time lies on the step grid k h.
+one's length. Every step end is thus checked exactly as a per-step
+loop would check it; the only difference from stepping with a fresh u
+each step is the ulp-level drift of x + e along the block. Jumps happen
+only at step ends, so every sample and every event time lies on the
+step grid k h.
 
 Jumps are resolved per instant by :func:`_jump_resolver`. It evaluates
 u, the measured errors e~, psi and the jump set once, as vectors, from
@@ -40,18 +40,31 @@ differ from -M(x + e + w_hat) in the last bits, but only within one
 instant: the next instant and every block start evaluate u from the
 state afresh.
 
-A run holds its trace (the recorder's samples and the event log), one
-chunk of NOISE_CHUNK_STEPS rows of the noise's step table, and the
-temporaries of one block. A block reads its noise rows from the chunk;
-when it would run past the chunk's last row, the next chunk is
-tabulated from the block's first step, with the bits of the whole
-table's rows. The metrics passes over a trace work in row blocks of
-STORAGE_BLOCK_ROWS samples or events, so none of them builds a
-whole-run array either, other than its output.
+A trace stores the arc as its blocks (:class:`SolutionTrace`): the row
+at t = 0, the row after each instant with jumps, the final row, and the
+first step of each block. Every other sample is a step end inside a
+block, or the start of a block that chains from the previous block's
+end, and replaying the block from its start row gives it bit for bit: a
+block's rows depend only on its start row, its length and, for eta, its
+noise rows. So a trace grows with instants, not with t_final / h. Its
+samples are read through one chunked reader, :meth:`SolutionTrace.chunks`;
+``states`` and ``x_series`` materialise them on each access, at
+O(samples) cost and memory, and decimation is only a choice of which
+samples a reader asks for.
+
+A run holds its stored rows, the event log, one chunk of
+NOISE_CHUNK_STEPS rows of the noise's step table, and the temporaries of
+one block. A block reads its noise rows from the chunk; when it would
+run past the chunk's last row, the next chunk is tabulated from the
+block's first step, with the bits of the whole table's rows. The metrics
+passes over a trace work in row blocks of STORAGE_BLOCK_ROWS samples or
+events, so none of them builds a whole-run array either, other than its
+output.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -59,7 +72,7 @@ import numpy as np
 
 from .etm import QuadraticTrigger, trigger_value
 from .graph import Graph, laplacian
-from .hybrid import EventLog, _grown, _mapped, apply_jump
+from .hybrid import EventLog, _mapped, apply_jump
 from .signals import NoiseSignal
 
 __all__ = [
@@ -70,6 +83,7 @@ __all__ = [
     "inter_event_stats",
     "jump_storage_change",
     "consensus_metrics",
+    "final_metrics",
 ]
 
 TRIGGER_TOL = 1e-12
@@ -78,9 +92,9 @@ JUMPS_PER_INSTANT_FACTOR = 10
 BLOCK_MIN = 8
 BLOCK_MAX = 512
 # rows per block of the metrics passes (events in jump_storage_change,
-# samples in consensus_metrics), which bounds their temporaries instead of
-# building whole-run (E, 5n) or (samples, n) arrays at once
-STORAGE_BLOCK_ROWS = 4096
+# samples read from a trace), which bounds their temporaries instead of
+# building whole-run (E, 5n) or (samples, 5n) arrays at once
+STORAGE_BLOCK_ROWS = 1024
 # rows of the noise table a run holds at a time: at least the BLOCK_MAX + 1
 # rows that one block reads
 NOISE_CHUNK_STEPS = 8 * BLOCK_MAX
@@ -88,6 +102,12 @@ NOISE_CHUNK_STEPS = 8 * BLOCK_MAX
 
 class JumpStormError(RuntimeError):
     """More jumps at one continuous time than the safety cap allows."""
+
+
+def _whole(ratio: float) -> bool:
+    """Whether ratio is within a relative 1e-9 of a positive integer."""
+    k = round(ratio) if math.isfinite(ratio) else 0
+    return k >= 1 and abs(ratio - k) <= 1e-9 * k
 
 
 @dataclass
@@ -133,11 +153,13 @@ class Scenario:
         # the engine holds the window at a step's start along the whole step,
         # so a step may neither straddle a window's edge nor skip a window
         hold = 1.0 / self.noise.sample_rate
-        ratio = hold / self.step
-        k = round(ratio) if math.isfinite(ratio) else 0
-        if k < 1 or abs(ratio - k) > 1e-9 * k:
+        if not _whole(hold / self.step):
             raise ValueError(f"step {self.step!r} must divide the noise hold 1/sample_rate = "
-                             f"{hold!r} a whole number of times; hold/step = {ratio!r}")
+                             f"{hold!r} a whole number of times; hold/step = {hold / self.step!r}")
+        # the run takes round(t_final / step) steps, so that must be t_final
+        if not _whole(self.t_final / self.step):
+            raise ValueError(f"t_final {self.t_final!r} must be a whole number of steps of "
+                             f"{self.step!r}; t_final/step = {self.t_final / self.step!r}")
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.x0.shape != (n,):
             raise ValueError(f"x0 shape {self.x0.shape} != ({n},)")
@@ -147,18 +169,37 @@ class Scenario:
 
 @dataclass
 class SolutionTrace:
-    """Recorded hybrid arc: samples on the hybrid time domain plus the
-    full transmission log. Every instant with a jump is a sample, holding
-    the state after its last jump; the log rebuilds the rows around each
-    jump from those samples, which the trace attaches to it."""
+    """Recorded hybrid arc, stored as its blocks, plus the full
+    transmission log.
 
-    times: np.ndarray  # (m,) continuous time per sample
-    states: np.ndarray  # (m, 5n) rows: x, e, w_hat, eta, tau
+    The trace stores the row at t = 0, the row after the last jump of
+    each instant with jumps and the final row (``rows``, at the steps
+    ``row_k``), and the first step of each block followed by the run's
+    step count (``blocks``). Its samples are every ``decimation``-th step
+    end of the scenario plus every stored row; each is a stored row or a
+    row of a block replayed from its start (module docstring).
+    :meth:`chunks` reads them; ``times``, ``jumps``, ``states`` and
+    ``x_series`` build whole-run arrays on each access. The log rebuilds
+    the rows around each jump from the stored rows, which the trace
+    attaches to it."""
+
+    scenario: Scenario  # the run's setup: step, scheme, feedback and noise replay its blocks
+    row_k: np.ndarray  # (r,) step of each stored row, increasing
+    rows: np.ndarray  # (r, 5n) stored rows: x, e, w_hat, eta, tau
+    blocks: np.ndarray  # (B + 1,) first step of each block, then the step count
     events: EventLog
-    n: int
 
     def __post_init__(self) -> None:
-        self.events.attach(self.times, self.states)
+        self.events.attach(self.row_k * self.scenario.step, self.rows)
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[1] // 5
+
+    @property
+    def times(self) -> np.ndarray:
+        """(m,) continuous time per sample."""
+        return self._sample_steps() * self.scenario.step
 
     @property
     def jumps(self) -> np.ndarray:
@@ -166,29 +207,126 @@ class SolutionTrace:
         return np.searchsorted(self.events.t, self.times, side="right")
 
     @property
+    def states(self) -> np.ndarray:
+        """(m, 5n) rows per sample: x, e, w_hat, eta, tau."""
+        return self._gather(self.rows.shape[1])
+
+    @property
     def x_series(self) -> np.ndarray:
-        return self.states[:, : self.n]
+        """(m, n) agent states per sample."""
+        return self._gather(self.n)
+
+    def chunks(self, lo: int = 0, hi: int | None = None, size: int | None = None):
+        """Yield samples lo..hi-1 in order, in chunks of at most ``size``
+        (default STORAGE_BLOCK_ROWS): each chunk's (c,) step numbers and
+        its (c, 5n) rows."""
+        return self._read(self._sample_steps()[lo:hi], size or STORAGE_BLOCK_ROWS)
+
+    def _stored(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per step of k: the index of the stored row there, and whether there is one."""
+        r = self.row_k.searchsorted(k)
+        return r, self.row_k[np.minimum(r, self.row_k.size - 1)] == k
+
+    def _sample_steps(self) -> np.ndarray:
+        """The step of each sample: every decimation-th step and every stored row."""
+        dec = self.scenario.decimation
+        grid = np.arange(0, int(self.blocks[-1]) + 1, dec)
+        return grid if dec == 1 else np.union1d(grid, self.row_k)
+
+    def _gather(self, width: int) -> np.ndarray:
+        """The first ``width`` columns of every sample's row."""
+        ks = self._sample_steps()
+        out = np.empty((ks.size, width))
+        lo = 0
+        for _, rows in self._read(ks, STORAGE_BLOCK_ROWS):
+            out[lo : lo + rows.shape[0]] = rows[:, :width]
+            lo += rows.shape[0]
+        return out
+
+    def _read(self, ks: np.ndarray, size: int):
+        """The rows of the samples at the increasing steps ks, ``size`` at
+        a time: stored rows are copied, every other row is read from its
+        block's replay."""
+        bounds, dec = self.blocks, self.scenario.decimation
+        replay = self._replayer()
+        for lo in range(0, ks.size, size):
+            k = ks[lo : lo + size]
+            r, stored = self._stored(k)
+            out = np.empty((k.size, self.rows.shape[1]))
+            out[stored] = self.rows[r[stored]]
+            # rows are stored at block starts only, so the other samples of a
+            # block are consecutive samples, on the decimation grid
+            todo = np.flatnonzero(~stored)
+            block = bounds.searchsorted(k[todo], side="right") - 1
+            cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()  # where the block changes
+            for a, b in zip([0, *cuts], [*cuts, todo.size]) if todo.size else ():
+                i, first = todo.item(a), block.item(a)
+                m = k.item(i) - bounds.item(first)
+                out[i : i + b - a] = replay(first)[m : m + (b - a - 1) * dec + 1 : dec]
+            yield k, out
+
+    def _replayer(self):
+        """``replay(b)``: block b's (m + 1, 5n) rows, from its start row to
+        its last step end, eta unclamped there, as the run flowed them. A
+        block whose start row is not stored starts from the previous
+        block's end with eta clamped: the replay chains from the last
+        block with a stored start row, or from the block replayed last."""
+        s, n, rows = self.scenario, self.n, self.rows
+        at, has = self._stored(self.blocks)
+        # the last block at or before each one that starts at a stored row
+        base = np.maximum.accumulate(np.where(has, np.arange(has.size), 0)).tolist()
+        at, bounds = at.tolist(), self.blocks.tolist()
+        z = np.empty((5, n))
+        control = _control_law(s.feedback, z)
+        noise = _NoiseRows(s.noise, s.step, bounds[-1]) if s.scheme.mode == "dynamic" else None
+        last = [-1, None]  # the block replayed last, and its rows
+
+        def flow(b: int, start: np.ndarray) -> np.ndarray:
+            k, m = bounds[b], bounds[b + 1] - bounds[b]
+            z[...] = start.reshape(5, n)
+            if noise is None:
+                return _row_flow(start, control(), s.step, m).reshape(m + 1, 5 * n)
+            return _flow_block(start, control(), s.step, noise.rows(k, m), s.scheme)[0]
+
+        def clamped(row: np.ndarray) -> np.ndarray:
+            row = row.copy()
+            np.maximum(row[3 * n : 4 * n], 0.0, out=row[3 * n : 4 * n])
+            return row
+
+        def replay(b: int) -> np.ndarray:
+            if last[0] == b:
+                return last[1]
+            c = base[b]
+            if c <= last[0] < b:  # the chain passes the block replayed last
+                c, start = last[0] + 1, clamped(last[1][-1])
+            else:
+                start = rows[at[c]]
+            out = flow(c, start)
+            for c in range(c + 1, b + 1):
+                out = flow(c, clamped(out[-1]))
+            last[:] = b, out
+            return out
+
+        return replay
 
 
-class _Recorder:
-    """Growable sample buffer: the recorded step ends and event instants."""
+class _NoiseRows:
+    """A run's noise step table, tabulated NOISE_CHUNK_STEPS rows at a
+    time: ``rows(k, m)`` gives rows k..k + m, the noise at the step ends
+    of an m-step block from step k, from the chunk held, or else from a
+    new one tabulated from row k."""
 
-    def __init__(self, n: int, capacity: int):
-        self.t = _mapped((capacity,))
-        self.rows = _mapped((capacity, 5 * n))
-        self.m = 0
+    def __init__(self, noise: NoiseSignal, h: float, steps: int) -> None:
+        self.noise, self.h, self.steps = noise, h, steps
+        self.base, self.table = 0, np.empty((0, noise.n))
 
-    def push(self, t, rows: np.ndarray) -> None:
-        """Append samples: one time and one (5n,) row, or an array of
-        times and the matching (m, 5n) rows."""
-        lo = self.m
-        hi = lo + (rows.shape[0] if rows.ndim == 2 else 1)
-        while hi > self.t.shape[0]:
-            self.t = _grown(self.t, lo)
-            self.rows = _grown(self.rows, lo)
-        self.t[lo:hi] = t
-        self.rows[lo:hi] = rows
-        self.m = hi
+    def rows(self, k: int, m: int) -> np.ndarray:
+        lo = k - self.base
+        if lo < 0 or lo + m >= self.table.shape[0]:
+            self.base, lo = k, 0
+            self.table = self.noise.step_table(min(k + NOISE_CHUNK_STEPS - 1, self.steps),
+                                               self.h, k)
+        return self.table[lo : lo + m + 1]
 
 
 def _in_jump_set(psi, eta, theta, dynamic: bool):
@@ -234,6 +372,23 @@ def _block_limit(scheme: QuadraticTrigger, h: float) -> int:
     return max(1, min(BLOCK_MAX, int(math.log(2.0) / abs(math.log(gain)))))
 
 
+def _row_flow(row: np.ndarray, u: np.ndarray, h: float, k: int) -> np.ndarray:
+    """The (K + 1, 5, n) rows at the step ends of flowing the state ``row``
+    for K = k steps of length h with u frozen, row 0 being the start: x,
+    e and tau are one cumulative sum, w_hat and eta are kept."""
+    n = u.shape[0]
+    z = np.empty((k + 1, 5, n))
+    z[0] = row.reshape(5, n)
+    inc = z[1]  # the increment of one step, copied to every later row
+    np.multiply(h, u, out=inc[0])
+    np.negative(inc[0], out=inc[1])
+    inc[2:4] = -0.0  # w_hat and eta do not flow; adding -0.0 keeps every value, -0.0 too
+    inc[4] = h
+    z[2:] = inc
+    np.add.accumulate(z, axis=0, out=z)
+    return z
+
+
 def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
                 scheme: QuadraticTrigger) -> tuple[np.ndarray, np.ndarray]:
     """Flow the state ``row`` for K = len(w) - 1
@@ -245,25 +400,19 @@ def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
     jump set at each step end, judged against the noise there with eta
     clamped."""
     k, n = w.shape[0] - 1, u.shape[0]
-    z = np.empty((k + 1, 5, n))
-    z[0] = row.reshape(5, n)
-    inc = z[1]  # the increment of one step, copied to every later row
-    np.multiply(h, u, out=inc[0])
-    np.negative(inc[0], out=inc[1])
-    inc[2:4] = -0.0  # w_hat and eta do not flow; adding -0.0 keeps every value, -0.0 too
-    inc[4] = h
-    z[2:] = inc
-    np.add.accumulate(z, axis=0, out=z)
-    x, e, what_w, eta, tau = z.transpose(1, 0, 2)
-    e_tilde = e + what_w - w
+    z = _row_flow(row, u, h, k)
     if scheme.mode != "dynamic":
-        psi = scheme.psi_vec(u=u, e_tilde=e_tilde[1:], tau=tau[1:], x=x[1:], w=w[1:])
-        return z.reshape(k + 1, 5 * n), _in_jump_set(psi, eta[1:], scheme.theta, False)
+        end = z[1:]
+        psi = scheme.psi_vec(u=u, e_tilde=end[:, 1] + end[:, 2] - w[1:], tau=end[:, 4],
+                             x=end[:, 0], w=w[1:])
+        return z.reshape(k + 1, 5 * n), _in_jump_set(psi, end[:, 3], scheme.theta, False)
 
     # RK4 stage values of every step in one evaluation: psi at the step
     # starts (which, under the next window's noise, is also the jump-set
     # check at the previous step end), at the shared midpoint and at the
     # end, the latter two under the step's held noise
+    x, e, what_w, eta, tau = z.transpose(1, 0, 2)
+    e_tilde = e + what_w - w
     half = 0.5 * h
     et0, x0, w0, tau0 = e_tilde[:-1], x[:-1], w[:-1], tau[:-1]
     p = scheme.psi_vec(
@@ -285,13 +434,6 @@ def _flow_block(row: np.ndarray, u: np.ndarray, h: float, w: np.ndarray,
     eta[1:] = scale * (eta[0] + np.cumsum(b / scale, axis=0))
     return z.reshape(k + 1, 5 * n), _in_jump_set(p[1 : k + 1], np.maximum(eta[1:], 0.0),
                                                  scheme.theta, True)
-
-
-def _commit(z: np.ndarray, row: np.ndarray) -> None:
-    """Make ``row`` the current state of the view z, with eta clamped at 0
-    (discrete detection lets eta undershoot slightly)."""
-    z[...] = row.reshape(z.shape)
-    np.maximum(z[3], 0.0, out=z[3])
 
 
 def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray,
@@ -352,56 +494,49 @@ def simulate(s: Scenario) -> SolutionTrace:
     n = scheme.n
     h = s.step
     steps = int(round(s.t_final / h))
-    dec = s.decimation
     longest = _block_limit(scheme, h)
     dynamic = scheme.mode == "dynamic"
-
-    def noise_chunk(first: int) -> np.ndarray:
-        """The noise rows of steps first.. of one chunk."""
-        return s.noise.step_table(min(first + NOISE_CHUNK_STEPS - 1, steps), h, first)
-
-    base, noise = 0, noise_chunk(0)  # noise[r] is the noise at step base + r
+    noise = _NoiseRows(s.noise, h, steps)
+    w = noise.rows(0, 0)
     z = np.zeros((5, n))
-    z[0], z[2] = s.x0, noise[0]
-    row = z.reshape(-1)  # the flat view of z, in the layout of the samples
+    z[0], z[2] = s.x0, w[0]
+    row, eta = z.reshape(-1), z[3]  # the flat view of z, in the layout of the rows; its eta
     control = _control_law(s.feedback, z)
-    rec = _Recorder(n, steps // dec + 16)
     log = EventLog(n)
     resolve = _jump_resolver(scheme, s.feedback, z, log)
+    # at most one stored row and one block start per step end, in mappings
+    # whose untouched pages are never resident
+    row_k, rows = _mapped((steps + 1,), np.int64), _mapped((steps + 1, 5 * n))
+    blocks = _mapped((steps + 1,), np.int64)
 
     # jumps may already be due at t=0
-    resolve(0.0, noise[0])
-    rec.push(0.0, row)
+    resolve(0.0, w[0])
+    row_k[0], rows[0] = 0, row
+    stored, started = 1, 0  # rows stored, blocks started
 
     k, size = 0, BLOCK_MIN  # steps taken, length of the next block
     while k < steps:
         size = min(size, longest, steps - k)
-        if k + size - base >= noise.shape[0]:
-            base, noise = k, noise_chunk(k)
-        u = control()
-        w = noise[k - base : k - base + size + 1]
-        rows, due = _flow_block(row, u, h, w, scheme)
-        stop = due.any(axis=1)
+        w = noise.rows(k, size)
+        blocks[started], started = k, started + 1
+        out, due = _flow_block(row, control(), h, w, scheme)
         if dynamic:
-            stop |= (rows[1:, 3 * n : 4 * n] < 0.0).any(axis=1)
-        m = int(stop.argmax()) + 1
-        stopped = bool(stop[m - 1])
-        if not stopped:
-            m = size
-        # the steps before the block's last one end outside the jump set;
-        # the first of them on the decimation grid is step `first`
-        first = (k // dec + 1) * dec
-        if first < k + m:
-            rec.push(np.arange(first, k + m, dec) * h, rows[first - k : m : dec])
-        _commit(z, rows[m])
+            due |= out[1:, 3 * n : 4 * n] < 0.0
+        first = int(due.argmax())  # in the flattened mask: step first // n + 1
+        stopped = due.item(first)
+        m = first // n + 1 if stopped else size
+        row[:] = out[m]
+        np.maximum(eta, 0.0, out=eta)  # discrete detection lets eta undershoot slightly
         k += m
         applied = resolve(k * h, w[m]) if stopped else 0
-        if applied or k % dec == 0 or k == steps:
-            rec.push(k * h, row)
+        if applied or k == steps:
+            row_k[stored], rows[stored], stored = k, row, stored + 1
         size = BLOCK_MIN if stopped else 2 * size
+    blocks[started] = steps
 
-    # times and states are views of the recorder's filled part, not copies
-    return SolutionTrace(times=rec.t[: rec.m], states=rec.rows[: rec.m], events=log, n=n)
+    # the stored rows and the blocks are views of their mappings' filled parts
+    return SolutionTrace(scenario=dataclasses.replace(s), row_k=row_k[:stored],
+                         rows=rows[:stored], blocks=blocks[: started + 1], events=log)
 
 
 # ---------------------------------------------------------------------------
@@ -441,25 +576,38 @@ def jump_storage_change(trace: SolutionTrace, scheme: QuadraticTrigger,
     return out
 
 
-def consensus_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
-    """The distance of each sample to the scheme's target set, and the
-    final worst deviation from the point of that set the run aims at. For
-    the consensus schemes the set is the agreement subspace and the point
-    the initial mean; for the single plant (kind ``single``) both are the
-    origin. The series is filled in blocks of ``STORAGE_BLOCK_ROWS``
-    samples; each sample's value depends on its own row only, so the
-    blocks do not change a bit of it."""
-    x = trace.x_series
-    origin = scheme.kind == "single"
-    mean0 = float(x[0].mean())
-    dist = np.empty(x.shape[0])
-    for lo in range(0, dist.size, STORAGE_BLOCK_ROWS):
-        block = x[lo : lo + STORAGE_BLOCK_ROWS]
-        off = block if origin else block - block.mean(axis=1, keepdims=True)
-        dist[lo : lo + block.shape[0]] = np.linalg.norm(off, axis=1)
-    final_dev = float(np.abs(x[-1] - (0.0 if origin else mean0)).max())
+def _distance(x: np.ndarray, origin: bool) -> np.ndarray:
+    """Each row's distance to the target set (consensus_metrics)."""
+    return np.linalg.norm(x if origin else x - x.mean(axis=1, keepdims=True), axis=1)
+
+
+def final_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
+    """The final worst deviation from the point of the target set the run
+    aims at, the final distance to that set, and the initial mean, read
+    from the stored rows at t = 0 and at the end: no block is replayed.
+    For the consensus schemes the set is the agreement subspace and the
+    point the initial mean; for the single plant (kind ``single``) both
+    are the origin."""
+    n, origin = trace.n, scheme.kind == "single"
+    mean0 = float(trace.rows[0, :n].mean())
+    last = trace.rows[-1:, :n]
     return {
-        "distance_series": dist,
-        "final_max_deviation": final_dev,
+        "final_max_deviation": float(np.abs(last[0] - (0.0 if origin else mean0)).max()),
+        "final_distance": float(_distance(last, origin)[0]),
         "initial_mean": mean0,
     }
+
+
+def consensus_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
+    """:func:`final_metrics` and the distance of each sample to the
+    target set. The series is filled from the trace's chunks of
+    ``STORAGE_BLOCK_ROWS`` samples; each sample's value depends on its own
+    row only, so the chunks do not change a bit of it."""
+    origin = scheme.kind == "single"
+    ks = trace._sample_steps()
+    dist = np.empty(ks.size)
+    lo = 0
+    for _, rows in trace._read(ks, STORAGE_BLOCK_ROWS):
+        dist[lo : lo + rows.shape[0]] = _distance(rows[:, : trace.n], origin)
+        lo += rows.shape[0]
+    return {"distance_series": dist, **final_metrics(trace, scheme)}

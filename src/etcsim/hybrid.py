@@ -11,10 +11,10 @@ outputs. Along a flow interval the sampled output is held, so the
 network-induced error evolves as the exact negative of the state.
 
 The transmission log, :class:`EventLog`, derives j, the gaps and the
-resolution instants from the logged t, and keeps no state row: each
-instant is a sample of the trace, holding the state after its last jump,
-and a jump changes only its own agent's e, w_hat, eta and tau, so the
-log keeps those of the sender, before and after, per jump.
+resolution instants from the logged t, and keeps no state row: the
+trace stores the state after the last jump of each instant, and a jump
+changes only its own agent's e, w_hat, eta and tau, so the log keeps
+those of the sender, before and after, per jump.
 """
 
 from __future__ import annotations
@@ -79,15 +79,15 @@ class EventLog:
     scalars of state per jump: the sender's e, eta and tau before it, and
     its latched noise and eta after it.
 
-    The rest of each row is in the samples of the trace that owns the log
-    (:meth:`attach`): every instant with a jump is a sample, holding the
-    state after the instant's last jump, and w_hat is kept along flow, so
-    the sample before an instant holds each sender's w_hat before it. Only
-    the first sample, at t = 0, has none before it; for it the log keeps
-    each agent's w_hat before its first jump. ``pre`` and ``post`` rebuild
-    the (E, 5n) rows just before and just after each jump, as a new array
-    on each access. ``len()`` counts the jumps, and iteration gives a
-    :class:`JumpEvent` view of each.
+    The rest of each row is in the stored rows of the trace that owns the
+    log (:meth:`attach`): every instant with a jump has one, holding the
+    state after the instant's last jump, and w_hat changes only at jumps,
+    so the stored row before an instant holds each sender's w_hat before
+    it. Only the first stored row, at t = 0, has none before it; for it
+    the log keeps each agent's w_hat before its first jump. ``pre`` and
+    ``post`` rebuild the (E, 5n) rows just before and just after each
+    jump, as a new array on each access. ``len()`` counts the jumps, and
+    iteration gives a :class:`JumpEvent` view of each.
     """
 
     _INITIAL_CAPACITY = 64
@@ -109,7 +109,7 @@ class EventLog:
         # Python floats: each agent's last jump time
         self._last = [math.nan] * n
         self._what0 = np.full(n, math.nan)  # each agent's w_hat before its first jump
-        self._samples = None  # the owning trace's (times, states)
+        self._stored = None  # the owning trace's stored (times, rows)
 
     def append(self, agent: int, t: float, psi: float, before, what_w: float,
                eta: float) -> None:
@@ -137,12 +137,13 @@ class EventLog:
         self._pre_tau[k] = tau
         self._size = k + 1
 
-    def attach(self, times: np.ndarray, states: np.ndarray) -> None:
-        """Give the log the samples of its trace, (m,) times and (m, 5n)
-        rows, from which ``pre`` and ``post`` rebuild the rows around each
-        jump. Each logged t must be a sample time, and the sample there the
-        state after the last jump at that t."""
-        self._samples = (times, states)
+    def attach(self, times: np.ndarray, rows: np.ndarray) -> None:
+        """Give the log the stored rows of its trace, (r,) times and
+        (r, 5n) rows, from which ``pre`` and ``post`` rebuild the rows
+        around each jump. Each logged t must be a stored time, and the row
+        there the state after the last jump at that t; w_hat changes only
+        at jumps, so the row before it holds the senders' w_hat before."""
+        self._stored = (times, rows)
 
     @property
     def j(self) -> np.ndarray:
@@ -163,25 +164,26 @@ class EventLog:
 
     def _pre_rows(self, lo: int, hi: int) -> np.ndarray:
         """The pre-jump rows of jumps lo..hi-1, and ``lo`` may fall inside
-        an instant. Each starts from its instant's sample, the row after
-        the instant's last jump. Undoing the instant's jumps, its last
-        first, leaves each sender with its values before its first jump
-        there, which gives the row before the instant; the instant's jumps
-        before k are then replayed on it."""
-        n, t, (times, states) = self._n, self.t, self._samples
+        an instant. Each starts from its instant's stored row, the row
+        after the instant's last jump. Undoing the instant's jumps, its
+        last first, leaves each sender with its values before its first
+        jump there (w_hat from the stored row before), which gives the row
+        before the instant; the instant's jumps before k are then replayed
+        on it."""
+        n, t, (times, stored) = self._n, self.t, self._stored
         k = np.arange(lo, hi)
         first = np.searchsorted(t, t[lo:hi], side="left")
         end = np.searchsorted(t, t[lo:hi], side="right")
-        sample = np.searchsorted(times, t[lo:hi])
-        rows = states[sample]
+        at = np.searchsorted(times, t[lo:hi])
+        rows = stored[at]
         z = rows.reshape(hi - lo, 5, n)
         size = end - first
         for d in range(1, int(size.max(initial=0)) + 1):
             r = np.flatnonzero(size >= d)
-            q, s = end[r] - d, sample[r]
+            q, s = end[r] - d, at[r]
             i = self._agent[q]
             z[r, 1, i] = self._pre_e[q]
-            z[r, 2, i] = np.where(s > 0, states[s - 1, 2 * n + i], self._what0[i])
+            z[r, 2, i] = np.where(s > 0, stored[s - 1, 2 * n + i], self._what0[i])
             z[r, 3, i] = self._pre_eta[q]
             z[r, 4, i] = self._pre_tau[q]
         depth = k - first  # the instant's jumps before k

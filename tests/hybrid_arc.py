@@ -8,9 +8,11 @@ further clauses that the engine does not meet on every run yet.
 
 import numpy as np
 
-from etcsim.engine import TRIGGER_TOL, _in_jump_set
+from etcsim.engine import TRIGGER_TOL, Scenario, SolutionTrace, _in_jump_set
 from etcsim.etm import eta_reset
 from etcsim.graph import is_weight_balanced
+from etcsim.hybrid import EventLog
+from etcsim.signals import NoiseSignal
 
 FLOW_TOL = 1e-12
 # 2-point Gauss-Legendre on each side of the timer gate, exact for cubics:
@@ -40,29 +42,54 @@ def _grid(sc, tr):
     return k, sc.noise.step_table(int(k[-1]), sc.step)
 
 
-def _steps(tr, k, pre):
+def _steps(states, jumps, k, pre):
     """The steps from each sample to the next: the rows of those one step h
     long (a slice of all rows when every step is recorded), and the
     (m - 1, 5n) rows at their ends, where jumps follow the instant's first
     pre-jump row instead of the sample."""
     one = np.diff(k) == 1
-    jumped = tr.jumps[1:] > tr.jumps[:-1]
-    end = tr.states[1:].copy()
-    end[jumped] = pre[tr.jumps[:-1][jumped]]
+    jumped = jumps[1:] > jumps[:-1]
+    end = states[1:].copy()
+    end[jumped] = pre[jumps[:-1][jumped]]
     return slice(None) if one.all() else one, end
+
+
+def stored_trace(scheme, rows, log=None):
+    """A trace of ``scheme`` whose samples are the (m, 5n) ``rows``, one
+    unit step apart, all stored, so nothing is replayed; ``log`` defaults
+    to an empty one."""
+    rows = np.asarray(rows, dtype=float)
+    n, k = scheme.n, np.arange(rows.shape[0])
+    noise = NoiseSignal(seed=0, amplitude=np.zeros(n), sample_rate=1.0, n=n)
+    sc = Scenario(scheme=scheme, noise=noise, x0=rows[0, :n], feedback=np.eye(n),
+                  t_final=float(max(k[-1], 1)), step=1.0)
+    return SolutionTrace(scenario=sc, row_k=k, rows=rows, blocks=k,
+                         events=EventLog(n) if log is None else log)
 
 
 def check_arc(sc, tr, label="arc"):
     """Assert that the trace of scenario ``sc`` is a solution of the hybrid
-    system: its time domain, every jump and every flow step."""
+    system: its held noise, its time domain, every jump and every flow
+    step."""
     sch, log, n, h = sc.scheme, tr.events, tr.n, sc.step
     dynamic = sch.mode == "dynamic"
     pre, post = log.pre, log.post
+    states = tr.states  # materialised on each access: read once
     count = len(log)
+
+    # held noise: the step divides the hold, and row k of the table, held
+    # along step k + 1, is the configured signal's window holding k h,
+    # found by integer division
+    k, table = _grid(sc, tr)
+    per = round(1.0 / (sc.noise.sample_rate * h))  # steps per window
+    assert per >= 1 and abs(per * h * sc.noise.sample_rate - 1.0) <= 1e-9, \
+        f"{label}: a step straddles or skips a noise window"
+    window = np.arange(table.shape[0]) // per
+    assert np.array_equal(table, sc.noise.window_table(window).T), \
+        f"{label}: held noise is not a window of the signal"
 
     # time domain: samples on the step grid, t strictly increasing (so no
     # (t, j) repeats), j the number of jumps up to t, gaps per agent
-    k, table = _grid(sc, tr)
     assert np.array_equal(k * h, tr.times), f"{label}: samples off the step grid"
     assert np.all(np.diff(tr.times) > 0.0), f"{label}: t steps back or repeats"
     assert np.all(np.diff(log.t) >= 0.0), f"{label}: event times step back"
@@ -97,12 +124,12 @@ def check_arc(sc, tr, label="arc"):
     last = np.r_[~chained, True][:count]
     at = np.searchsorted(tr.times, log.t[last])
     assert np.array_equal(tr.times[at], log.t[last]), f"{label}: unsampled instant"
-    assert np.array_equal(tr.states[at], post[last]), f"{label}: instant sample"
+    assert np.array_equal(states[at], post[last]), f"{label}: instant sample"
 
     # flow along each step h: x moves by h u, x + e, tau + h and w_hat hold
-    x, e, what_w, eta, tau = _split(tr.states, n)
+    x, e, what_w, eta, tau = _split(states, n)
     u = -(x + e + what_w) @ sc.feedback.T
-    one, end = _steps(tr, k, pre)
+    one, end = _steps(states, tr.jumps, k, pre)
     x1, e1, what1, _, tau1 = _split(end, n)
     drift = np.abs(x1 - (x[:-1] + h * u[:-1]))[one].max(initial=0.0)
     assert drift <= FLOW_TOL, f"{label}: x off x0 + h u by {drift}"
@@ -142,8 +169,9 @@ def check_eta_flow(sc, tr):
     each side of the time where the timer gate opens."""
     sch, n, h = sc.scheme, tr.n, sc.step
     k, table = _grid(sc, tr)
-    one, end = _steps(tr, k, tr.events.pre)
-    x0, e0, what0, eta0, tau0 = _split(tr.states[:-1], n)
+    states = tr.states
+    one, end = _steps(states, tr.jumps, k, tr.events.pre)
+    x0, e0, what0, eta0, tau0 = _split(states[:-1], n)
     u, w = -(x0 + e0 + what0) @ sc.feedback.T, table[k[:-1]]
     e_tilde0 = e0 + what0 - w
     gate = np.clip(sch.tau_miet - tau0, 0.0, h)

@@ -387,6 +387,14 @@ def test_non_finite_value_is_a_validation_error(tmp_path, capsys, section, key, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("t_final", ["1.5e-4", "4e-5"])
+def test_horizon_off_the_step_grid_is_a_validation_error(tmp_path, capsys, t_final):
+    out = tmp_path / "o"
+    assert run_main("--preset", "dolk-c0", "--t-final", t_final, "--out", str(out)) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @st.composite
 def codec_scenarios(draw):
     """Scenarios of every family with random valid params: each value

@@ -20,7 +20,7 @@ from etcsim.graph import Graph, benchmark_topology, laplacian
 from etcsim.hybrid import EventLog
 from etcsim.presets import build_preset
 from etcsim.signals import NoiseSignal
-from hybrid_arc import check_arc, check_eta_flow
+from hybrid_arc import check_arc, check_eta_flow, stored_trace
 
 
 def two_agent_scenario(c=0.01, amp=0.0, seed=3, t_final=2.0, mode="static"):
@@ -189,13 +189,13 @@ def _replay_against_oracle(sc, tr):
     reach that sample, or, when jumps lie between, the first pre-jump row."""
     h = sc.step
     noise = sc.noise.step_table(round(sc.t_final / h), h)
-    log = tr.events
-    for k in range(len(tr.times) - 1):
-        st = tr.states[k].reshape(5, -1).copy()
-        k0 = round(tr.times[k] / h)
-        for step in range(k0, round(tr.times[k + 1] / h)):
+    times, states, jumps, pre = tr.times, tr.states, tr.jumps, tr.events.pre
+    for k in range(len(times) - 1):
+        st = states[k].reshape(5, -1).copy()
+        k0 = round(times[k] / h)
+        for step in range(k0, round(times[k + 1] / h)):
             flow_advance(st, control(sc, st), h, noise[step], sc.scheme)
-        target = log.pre[tr.jumps[k]] if tr.jumps[k + 1] > tr.jumps[k] else tr.states[k + 1]
+        target = pre[jumps[k]] if jumps[k + 1] > jumps[k] else states[k + 1]
         assert np.allclose(st.ravel(), target, rtol=1e-12, atol=1e-12), f"sample {k + 1}"
 
 
@@ -384,12 +384,13 @@ def test_trigger_consistency_and_flow_membership():
         assert psi[ev.agent] <= tol
     # flow-set membership at samples away from event instants
     ev_times = {round(ev.time.t, 12) for ev in tr.events}
-    for k in range(len(tr.times)):
-        if round(float(tr.times[k]), 12) in ev_times:
+    times, states = tr.times, tr.states
+    for k in range(len(times)):
+        if round(float(times[k]), 12) in ev_times:
             continue
-        st = tr.states[k].reshape(5, -1)
+        st = states[k].reshape(5, -1)
         x, e, what_w, _, tau = st
-        w = noise[round(tr.times[k] / s.step)]
+        w = noise[round(times[k] / s.step)]
         psi = sch.psi_vec(u=control(s, st), e_tilde=e + what_w - w, tau=tau, x=x, w=w)
         assert np.all(psi >= -tol)
 
@@ -481,17 +482,30 @@ def test_step_must_divide_the_noise_hold():
         assert Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, step=step).step == step
 
 
+def test_horizon_must_be_a_whole_number_of_steps():
+    g = Graph.from_edge_list(2, [(0, 1)], undirected=True)
+    sch = GarciaScheme(g, GarciaParams(a=0.2, c=0.01))
+    noise = NoiseSignal(seed=1, amplitude=np.zeros(2), sample_rate=1e4, n=2)
+    # 1.5e-4 would stop at 1e-4 or 2e-4, 4e-5 take no step at all, and
+    # 5e-324 makes t_final/h 0
+    for t_final in (1.5e-4, 4e-5, 1e-4 * (1 + 1e-8), 5e-324):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, t_final=t_final)
+    for t_final in (1e-4, 0.3, 8.0, 1e-4 * (1 + 1e-12)):
+        sc = Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, t_final=t_final)
+        assert simulate(sc).times[-1] == round(t_final / sc.step) * sc.step
+
+
 # ---------------------------------------------------------------------------
 # metric extraction
 
 
-def _dummy_trace(events, n=2, t_final=3.0):
-    z = np.zeros(5 * n)
-    log = EventLog(n)
+def _dummy_trace(events, t_final=3.0):
+    sch = two_agent_scenario().scheme
+    log = EventLog(sch.n)
     for agent, t in events:
-        log.append(agent, t, 0.0, z[:4], 0.0, 0.0)
-    return SolutionTrace(times=np.array([0.0, t_final]), states=np.zeros((2, 5 * n)),
-                         events=log, n=n)
+        log.append(agent, t, 0.0, np.zeros(4), 0.0, 0.0)
+    return stored_trace(sch, np.zeros((int(t_final) + 1, 5 * sch.n)), log)
 
 
 def test_inter_event_stats_arithmetic():
@@ -527,7 +541,7 @@ def test_consensus_metrics_on_agreement():
     n = 8
     states = np.zeros((4, 5 * n))
     states[:, :n] = 2.5
-    tr = SolutionTrace(times=np.linspace(0, 1, 4), states=states, events=EventLog(n), n=n)
+    tr = stored_trace(sch, states)
     cm = consensus_metrics(tr, sch)
     assert np.allclose(cm["distance_series"], 0.0)
     assert cm["final_max_deviation"] == 0.0
@@ -539,7 +553,7 @@ def test_storage_zero_on_consensus():
     n = 8
     states = np.zeros((2, 5 * n))
     states[:, :n] = 1.0  # on the agreement subspace
-    tr = SolutionTrace(times=np.array([0.0, 1.0]), states=states, events=EventLog(n), n=n)
+    tr = stored_trace(sch, states)
     u = sch.storage(tr.states, laplacian(g))
     du = engine_mod.jump_storage_change(tr, sch, laplacian(g))
     assert np.allclose(u, 0.0)
@@ -610,7 +624,10 @@ def test_noise_chunk_seams_change_no_bit(monkeypatch, name):
     monkeypatch.setattr(NoiseSignal, "step_table", recording_step_table)
     monkeypatch.setattr(engine_mod, "NOISE_CHUNK_STEPS", engine_mod.BLOCK_MAX + 1)
     chunked = _run_columns(sc)
-    assert len(firsts) > 3 and firsts == sorted(set(firsts))
+    # simulate tabulates each chunk once, in order; reading the samples of a
+    # dynamic run replays its blocks, which tabulates them again
+    run = firsts[: firsts.index(0, 1)] if firsts.count(0) > 1 else firsts
+    assert len(run) > 3 and run == sorted(set(run))
     for key, col in whole.items():
         assert chunked[key] == col, key
 
@@ -625,6 +642,69 @@ def test_blocked_consensus_metrics_match_a_whole_trace_evaluation(preset_runs, m
     whole = np.linalg.norm(x - x.mean(axis=1, keepdims=True), axis=1)
     monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", rows)
     assert consensus_metrics(tr, sc.scheme)["distance_series"].tobytes() == whole.tobytes()
+
+
+def _flowed_rows(monkeypatch, sc):
+    """Simulate sc, keeping the rows each block flowed: the trace, and the
+    run's rows at steps 0..steps as the run committed them, each block's
+    rows up to its end and then the final row."""
+    flowed, flow_block = [], engine_mod._flow_block
+
+    def keeping_flow_block(*args):
+        rows, due = flow_block(*args)
+        flowed.append(rows.copy())
+        return rows, due
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_mod, "_flow_block", keeping_flow_block)
+        tr = simulate(sc)
+    return tr, np.concatenate([rows[:m] for rows, m in zip(flowed, np.diff(tr.blocks))]
+                              + [tr.rows[-1:]])
+
+
+@pytest.mark.parametrize("size", [3, 7])
+@pytest.mark.parametrize("dec", [1, 7])
+@pytest.mark.parametrize("name", ["garcia-c0", "small-dolk"])
+def test_chunked_reads_match_the_flowed_rows(monkeypatch, name, dec, size):
+    # chunks of 3 and 7 samples start inside blocks, and next to or across
+    # instants; a read from mid-run replays from the last stored row, and
+    # the dynamic rule's replay re-runs its blocks under their noise rows
+    if name == "garcia-c0":
+        sc = dataclasses.replace(build_preset(name)[0][1], t_final=0.3)
+    else:
+        sc = small_dolk_scenario(t_final=0.2)
+    tr, flowed = _flowed_rows(monkeypatch, dataclasses.replace(sc, decimation=dec))
+    steps = np.rint(tr.times / sc.step).astype(np.int64)
+    states = tr.states
+    assert np.array_equal(states, flowed[steps])
+    chunks = list(tr.chunks(size=size))
+    assert all(k.size == size for k, _ in chunks[:-1])
+    first = np.array([k[0] for k, _ in chunks[1:]])
+    assert not np.isin(first, tr.blocks).all()  # a chunk starts inside a block
+    assert np.array_equal(np.concatenate([k for k, _ in chunks]), steps)
+    assert np.array_equal(np.concatenate([rows for _, rows in chunks]), states)
+    lo, hi = steps.size // 3, 2 * steps.size // 3
+    part = np.concatenate([rows for _, rows in tr.chunks(lo, hi, size)])
+    assert np.array_equal(part, states[lo:hi])
+    assert np.array_equal(tr.x_series, states[:, : tr.n])
+
+
+def test_zeno_stretch_matches_per_step_oracle():
+    sc = zeno_stretch()
+    tr = simulate(sc)
+    assert np.unique(tr.events.t).size > 400
+    _replay_against_oracle(sc, tr)
+
+
+def test_trace_grows_with_instants_not_with_steps(preset_runs):
+    # 80 001 samples of 40 values would be 25.6 MB; the trace stores the
+    # rows at t = 0, after each instant and at the end, and its blocks
+    [(_, sc, tr)] = preset_runs("garcia-c2e-6")
+    log = tr.events
+    held = sum(a.nbytes for a in (*vars(tr).values(), *vars(log).values())
+               if isinstance(a, np.ndarray))
+    assert tr.rows.shape[0] <= np.unique(log.t).size + 2
+    assert held < 1_000_000 < tr.times.size * 5 * tr.n * 8
 
 
 def _traced_peak(fn, *args):
@@ -653,6 +733,14 @@ def test_simulate_holds_no_whole_run_noise_table():
     steps = round(sc.t_final / sc.step)
     assert steps > 8 * engine_mod.NOISE_CHUNK_STEPS
     assert peak < (steps + 1) * tr.n * 8 / 2
+
+
+def test_x_series_holds_no_whole_run_rows(preset_runs):
+    # the (samples, n) output, and the chunks of 5n-wide rows it is read from
+    [(_, sc, tr)] = preset_runs("garcia-c2e-6")
+    x, peak = _traced_peak(lambda: tr.x_series)
+    assert x.shape == (tr.times.size, tr.n)
+    assert peak < 1.5 * x.nbytes
 
 
 def test_consensus_metrics_hold_no_whole_run_temporary(preset_runs):

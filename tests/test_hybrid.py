@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from etcsim.engine import SolutionTrace, _control_law, _flow_block, consensus_metrics
+from etcsim.engine import _control_law, _flow_block, consensus_metrics
 from etcsim.etm import GarciaParams, GarciaScheme, SingleParams, SingleSystemScheme
 from etcsim.graph import benchmark_topology, laplacian
 from etcsim.hybrid import EventLog, apply_jump
+from hybrid_arc import stored_trace
 
 X0 = np.array([8.0, 6.0, 4.0, 2.0, -2.0, -4.0, -6.0, -8.0])
 
@@ -121,7 +122,7 @@ def test_distance_to_consensus_value():
         n = x.size
         states = np.zeros((1, 5 * n))
         states[0, :n] = x
-        tr = SolutionTrace(times=np.zeros(1), states=states, events=EventLog(n), n=n)
+        tr = stored_trace(scheme8(), states)
         return consensus_metrics(tr, scheme8())["distance_series"][0]
 
     x = X0.copy()
@@ -138,7 +139,7 @@ def test_single_plant_target_set_is_the_origin():
     sch = SingleSystemScheme(SingleParams(delta_coef=0.0625, beta_coef=2.0, c=1e-6))
     states = np.zeros((2, 5))
     states[:, 0] = [4.0, -7.5e-4]
-    tr = SolutionTrace(times=np.array([0.0, 1.0]), states=states, events=EventLog(1), n=1)
+    tr = stored_trace(sch, states)
     cm = consensus_metrics(tr, sch)
     assert cm["distance_series"].tolist() == [4.0, 7.5e-4]
     assert cm["final_max_deviation"] == 7.5e-4
@@ -181,7 +182,7 @@ def test_event_log_chains_the_jumps_of_an_instant():
             row = jumped(row, agent, what_w, eta)
             want_post.append(row)
         samples.append(row)
-    SolutionTrace(times=np.array(times), states=np.array(samples), events=log, n=n)
+    log.attach(np.array(times), np.array(samples))
     want_pre, want_post = np.array(want_pre), np.array(want_post)
     # j and the gaps since the same agent's previous jump are the log's own
     assert np.array_equal(log.j, np.arange(1, len(want_pre) + 1))
