@@ -41,12 +41,12 @@ instant: the next instant and every block start evaluate u from the
 state afresh.
 
 A trace stores the arc as its blocks (:class:`SolutionTrace`): the row
-at t = 0, the row after each instant with jumps, the final row, and the
-first step of each block. Every other sample is a step end inside a
-block, or the start of a block that chains from the previous block's
-end, and replaying the block from its start row gives it bit for bit: a
+committed at each block boundary before that instant's jumps, at t = 0,
+at the end of every block and at the end of the run. Applying the
+instant's logged jumps to it gives the block's start row, and replaying
+the block from there gives every step end inside it bit for bit: a
 block's rows depend only on its start row, its length and, for eta, its
-noise rows. So a trace grows with instants, not with t_final / h. Its
+noise rows. So a trace grows with blocks, not with t_final / h. Its
 samples are read through one chunked reader, :meth:`SolutionTrace.chunks`;
 ``states`` and ``x_series`` materialise them on each access, at
 O(samples) cost and memory, and decimation is only a choice of which
@@ -72,7 +72,7 @@ import numpy as np
 
 from .etm import QuadraticTrigger, trigger_value
 from .graph import Graph, laplacian
-from .hybrid import EventLog, _mapped, apply_jump
+from .hybrid import EventLog, _grown, _mapped, apply_jump
 from .signals import NoiseSignal
 
 __all__ = [
@@ -172,21 +172,21 @@ class SolutionTrace:
     """Recorded hybrid arc, stored as its blocks, plus the full
     transmission log.
 
-    The trace stores the row at t = 0, the row after the last jump of
-    each instant with jumps and the final row (``rows``, at the steps
-    ``row_k``), and the first step of each block followed by the run's
-    step count (``blocks``). Its samples are every ``decimation``-th step
-    end of the scenario plus every stored row; each is a stored row or a
-    row of a block replayed from its start (module docstring).
-    :meth:`chunks` reads them; ``times``, ``jumps``, ``states`` and
-    ``x_series`` build whole-run arrays on each access. The log rebuilds
-    the rows around each jump from the stored rows, which the trace
-    attaches to it."""
+    ``rows`` holds the state at each block boundary before the jumps
+    there, at the steps ``row_k``: block b flows from ``rows[b]``, after
+    the jumps logged at ``row_k[b]`` h are applied, for
+    ``row_k[b + 1] - row_k[b]`` steps, and the final row comes last. Its
+    samples are every ``decimation``-th step end of the scenario, every
+    instant with jumps and the final step; each is a boundary's row after
+    its jumps or a row of a block replayed from its start (module
+    docstring). :meth:`chunks` reads them; ``times``, ``jumps``,
+    ``states`` and ``x_series`` build whole-run arrays on each access.
+    The log rebuilds the rows around each jump from the stored rows,
+    which the trace attaches to it."""
 
     scenario: Scenario  # the run's setup: step, scheme, feedback and noise replay its blocks
-    row_k: np.ndarray  # (r,) step of each stored row, increasing
-    rows: np.ndarray  # (r, 5n) stored rows: x, e, w_hat, eta, tau
-    blocks: np.ndarray  # (B + 1,) first step of each block, then the step count
+    row_k: np.ndarray  # (B + 1,) first step of each block, then the step count
+    rows: np.ndarray  # (B + 1, 5n) rows there before the jumps: x, e, w_hat, eta, tau
     events: EventLog
 
     def __post_init__(self) -> None:
@@ -222,16 +222,15 @@ class SolutionTrace:
         its (c, 5n) rows."""
         return self._read(self._sample_steps()[lo:hi], size or STORAGE_BLOCK_ROWS)
 
-    def _stored(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per step of k: the index of the stored row there, and whether there is one."""
-        r = self.row_k.searchsorted(k)
-        return r, self.row_k[np.minimum(r, self.row_k.size - 1)] == k
-
     def _sample_steps(self) -> np.ndarray:
-        """The step of each sample: every decimation-th step and every stored row."""
-        dec = self.scenario.decimation
-        grid = np.arange(0, int(self.blocks[-1]) + 1, dec)
-        return grid if dec == 1 else np.union1d(grid, self.row_k)
+        """The step of each sample: every decimation-th step, every instant
+        with jumps and the final step."""
+        dec, k = self.scenario.decimation, self.row_k
+        grid = np.arange(0, int(k[-1]) + 1, dec)
+        if dec == 1:
+            return grid
+        return np.union1d(grid, k[np.isin(k * self.scenario.step, self.events.t)
+                                  | (k == k[-1])])
 
     def _gather(self, width: int) -> np.ndarray:
         """The first ``width`` columns of every sample's row."""
@@ -245,67 +244,49 @@ class SolutionTrace:
 
     def _read(self, ks: np.ndarray, size: int):
         """The rows of the samples at the increasing steps ks, ``size`` at
-        a time: stored rows are copied, every other row is read from its
-        block's replay."""
-        bounds, dec = self.blocks, self.scenario.decimation
+        a time: a sample at a block boundary is its stored row after the
+        jumps there, every other one is read from its block's replay."""
+        dec = self.scenario.decimation
         replay = self._replayer()
         for lo in range(0, ks.size, size):
             k = ks[lo : lo + size]
-            r, stored = self._stored(k)
-            out = np.empty((k.size, self.rows.shape[1]))
-            out[stored] = self.rows[r[stored]]
-            # rows are stored at block starts only, so the other samples of a
-            # block are consecutive samples, on the decimation grid
-            todo = np.flatnonzero(~stored)
-            block = bounds.searchsorted(k[todo], side="right") - 1
+            block = self.row_k.searchsorted(k, side="right") - 1  # the final step's is B
+            used, at = np.unique(block, return_inverse=True)
+            starts = self.events._settled(used)  # each block's start row
+            out = starts[at]
+            # samples after a block's start are consecutive samples on the
+            # decimation grid: every instant with jumps is a block start
             cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()  # where the block changes
-            for a, b in zip([0, *cuts], [*cuts, todo.size]) if todo.size else ():
-                i, first = todo.item(a), block.item(a)
-                m = k.item(i) - bounds.item(first)
-                out[i : i + b - a] = replay(first)[m : m + (b - a - 1) * dec + 1 : dec]
+            for a, b in zip([0, *cuts], [*cuts, k.size]):
+                first = block.item(a)
+                a += k.item(a) == self.row_k.item(first)  # the start is in out already
+                if a < b:
+                    m = k.item(a) - self.row_k.item(first)
+                    rows = replay(first, starts[at.item(a)])
+                    out[a:b] = rows[m : m + (b - a - 1) * dec + 1 : dec]
             yield k, out
 
     def _replayer(self):
-        """``replay(b)``: block b's (m + 1, 5n) rows, from its start row to
-        its last step end, eta unclamped there, as the run flowed them. A
-        block whose start row is not stored starts from the previous
-        block's end with eta clamped: the replay chains from the last
-        block with a stored start row, or from the block replayed last."""
-        s, n, rows = self.scenario, self.n, self.rows
-        at, has = self._stored(self.blocks)
-        # the last block at or before each one that starts at a stored row
-        base = np.maximum.accumulate(np.where(has, np.arange(has.size), 0)).tolist()
-        at, bounds = at.tolist(), self.blocks.tolist()
+        """``replay(b, start)``: block b's (m + 1, 5n) rows from its start
+        row to its last step end, eta unclamped there, as the run flowed
+        them."""
+        s, n = self.scenario, self.n
+        bounds = self.row_k.tolist()
         z = np.empty((5, n))
         control = _control_law(s.feedback, z)
         noise = _NoiseRows(s.noise, s.step, bounds[-1]) if s.scheme.mode == "dynamic" else None
         last = [-1, None]  # the block replayed last, and its rows
 
-        def flow(b: int, start: np.ndarray) -> np.ndarray:
-            k, m = bounds[b], bounds[b + 1] - bounds[b]
-            z[...] = start.reshape(5, n)
-            if noise is None:
-                return _row_flow(start, control(), s.step, m).reshape(m + 1, 5 * n)
-            return _flow_block(start, control(), s.step, noise.rows(k, m), s.scheme)[0]
-
-        def clamped(row: np.ndarray) -> np.ndarray:
-            row = row.copy()
-            np.maximum(row[3 * n : 4 * n], 0.0, out=row[3 * n : 4 * n])
-            return row
-
-        def replay(b: int) -> np.ndarray:
-            if last[0] == b:
-                return last[1]
-            c = base[b]
-            if c <= last[0] < b:  # the chain passes the block replayed last
-                c, start = last[0] + 1, clamped(last[1][-1])
-            else:
-                start = rows[at[c]]
-            out = flow(c, start)
-            for c in range(c + 1, b + 1):
-                out = flow(c, clamped(out[-1]))
-            last[:] = b, out
-            return out
+        def replay(b: int, start: np.ndarray) -> np.ndarray:
+            if last[0] != b:
+                k, m = bounds[b], bounds[b + 1] - bounds[b]
+                z[...] = start.reshape(5, n)
+                if noise is None:
+                    out = _row_flow(start, control(), s.step, m).reshape(m + 1, 5 * n)
+                else:
+                    out = _flow_block(start, control(), s.step, noise.rows(k, m), s.scheme)[0]
+                last[:] = b, out
+            return last[1]
 
         return replay
 
@@ -440,9 +421,8 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
                    log: EventLog):
     """The jump resolution of one run, on its (5, n) state view z and event
     log: ``resolve(t, w)`` applies the jumps due at time t under the noise
-    w and returns how many it applied (module docstring). Raises
-    :class:`JumpStormError` past JUMPS_PER_INSTANT_FACTOR jumps per agent
-    at one instant."""
+    w (module docstring). Raises :class:`JumpStormError` past
+    JUMPS_PER_INSTANT_FACTOR jumps per agent at one instant."""
     n = scheme.n
     control = _control_law(feedback, z)
     dynamic = scheme.mode == "dynamic"
@@ -454,14 +434,14 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
     storm_cap = n * JUMPS_PER_INSTANT_FACTOR
     x, e, what_w, eta_v, tau_v = z
 
-    def resolve(t: float, w: np.ndarray) -> int:
+    def resolve(t: float, w: np.ndarray) -> None:
         u = control()
         d = scheme.driver(u, x, w)
         e_tilde = e + what_w - w
         psi = trigger_value(scheme.a, scheme.b, scheme.c, scheme.tau_miet, d, e_tilde, tau_v)
         due = _in_jump_set(psi, eta_v, scheme.theta, dynamic)
         if not due.any():
-            return 0
+            return
         psi, due, e_tilde, d_list = psi.tolist(), due.tolist(), e_tilde.tolist(), d.tolist()
         # for consensus d is u: one shared list, so the updates of u below reach d
         u, d = d_list if d is u else u.tolist(), d_list
@@ -471,9 +451,8 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
             for i in range(n):
                 if not due[i]:
                     continue
-                before = z[1:, i].tolist()  # the sender's e, w_hat, eta and tau
                 eta[i] = apply_jump(z, i, w, scheme)
-                log.append(i, t, psi[i], before, w.item(i), eta[i])
+                log.append(i, t, psi[i], w.item(i), eta[i])
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(
@@ -484,7 +463,6 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
                     u[r] += m_ri * et_i
                     psi[r] = p = trigger_value(a[r], b[r], c[r], gate[r], d[r], e_tilde[r], tau[r])
                     due[r] = _in_jump_set(p, eta[r], theta[r], dynamic)
-        return total
 
     return resolve
 
@@ -504,21 +482,19 @@ def simulate(s: Scenario) -> SolutionTrace:
     control = _control_law(s.feedback, z)
     log = EventLog(n)
     resolve = _jump_resolver(scheme, s.feedback, z, log)
-    # at most one stored row and one block start per step end, in mappings
-    # whose untouched pages are never resident
-    row_k, rows = _mapped((steps + 1,), np.int64), _mapped((steps + 1, 5 * n))
-    blocks = _mapped((steps + 1,), np.int64)
+    # the row at each block boundary before its jumps, in mappings that
+    # double when full
+    row_k, rows = _mapped((BLOCK_MIN,), np.int64), _mapped((BLOCK_MIN, 5 * n))
+    row_k[0], rows[0] = 0, row
+    stored = 1
 
     # jumps may already be due at t=0
     resolve(0.0, w[0])
-    row_k[0], rows[0] = 0, row
-    stored, started = 1, 0  # rows stored, blocks started
 
     k, size = 0, BLOCK_MIN  # steps taken, length of the next block
     while k < steps:
         size = min(size, longest, steps - k)
         w = noise.rows(k, size)
-        blocks[started], started = k, started + 1
         out, due = _flow_block(row, control(), h, w, scheme)
         if dynamic:
             due |= out[1:, 3 * n : 4 * n] < 0.0
@@ -528,15 +504,16 @@ def simulate(s: Scenario) -> SolutionTrace:
         row[:] = out[m]
         np.maximum(eta, 0.0, out=eta)  # discrete detection lets eta undershoot slightly
         k += m
-        applied = resolve(k * h, w[m]) if stopped else 0
-        if applied or k == steps:
-            row_k[stored], rows[stored], stored = k, row, stored + 1
+        if stored == row_k.shape[0]:
+            row_k, rows = _grown(row_k, stored), _grown(rows, stored)
+        row_k[stored], rows[stored], stored = k, row, stored + 1
+        if stopped:
+            resolve(k * h, w[m])
         size = BLOCK_MIN if stopped else 2 * size
-    blocks[started] = steps
 
-    # the stored rows and the blocks are views of their mappings' filled parts
+    # the stored rows are views of their mappings' filled parts
     return SolutionTrace(scenario=dataclasses.replace(s), row_k=row_k[:stored],
-                         rows=rows[:stored], blocks=blocks[: started + 1], events=log)
+                         rows=rows[:stored], events=log)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +561,8 @@ def _distance(x: np.ndarray, origin: bool) -> np.ndarray:
 def final_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
     """The final worst deviation from the point of the target set the run
     aims at, the final distance to that set, and the initial mean, read
-    from the stored rows at t = 0 and at the end: no block is replayed.
+    from the x of the stored rows at t = 0 and at the end, which no jump
+    changes: no block is replayed.
     For the consensus schemes the set is the agreement subspace and the
     point the initial mean; for the single plant (kind ``single``) both
     are the origin."""

@@ -12,9 +12,10 @@ network-induced error evolves as the exact negative of the state.
 
 The transmission log, :class:`EventLog`, derives j, the gaps and the
 resolution instants from the logged t, and keeps no state row: the
-trace stores the state after the last jump of each instant, and a jump
-changes only its own agent's e, w_hat, eta and tau, so the log keeps
-those of the sender, before and after, per jump.
+trace stores the state each instant starts from, and a jump changes
+only its own agent's e, w_hat, eta and tau, so the log keeps the
+sender's latched noise and eta after it, per jump; every row after a
+jump is rebuilt forward from the stored row.
 """
 
 from __future__ import annotations
@@ -75,24 +76,21 @@ class EventLog:
     ``agent`` and ``t`` say who jumped and when, ``psi`` is the trigger
     value that commanded the jump; ``j`` (1..E) and ``gap``, the time since
     that agent's previous jump (NaN at its first), follow from them. A jump
-    changes only the sender's e, w_hat, eta and tau, so the log keeps five
-    scalars of state per jump: the sender's e, eta and tau before it, and
-    its latched noise and eta after it.
+    zeroes the sender's e and tau and sets its w_hat and eta, so the log
+    keeps two scalars of state per jump: the sender's latched noise and
+    eta after it.
 
     The rest of each row is in the stored rows of the trace that owns the
     log (:meth:`attach`): every instant with a jump has one, holding the
-    state after the instant's last jump, and w_hat changes only at jumps,
-    so the stored row before an instant holds each sender's w_hat before
-    it. Only the first stored row, at t = 0, has none before it; for it
-    the log keeps each agent's w_hat before its first jump. ``pre`` and
-    ``post`` rebuild the (E, 5n) rows just before and just after each
-    jump, as a new array on each access. ``len()`` counts the jumps, and
-    iteration gives a :class:`JumpEvent` view of each.
+    state before the instant's first jump, and applying the instant's
+    jumps to it in order gives every row after them. ``pre`` and ``post``
+    rebuild the (E, 5n) rows just before and just after each jump, as a
+    new array on each access. ``len()`` counts the jumps, and iteration
+    gives a :class:`JumpEvent` view of each.
     """
 
     _INITIAL_CAPACITY = 64
-    # one entry per jump; pre_* are the sender's values before the jump
-    _NAMES = ("agent", "t", "gap", "psi", "what_w", "eta", "pre_e", "pre_eta", "pre_tau")
+    _NAMES = ("agent", "t", "gap", "psi", "what_w", "eta")
 
     agent = _Column()
     t = _Column()
@@ -108,41 +106,30 @@ class EventLog:
             setattr(self, "_" + name, np.empty(cap))
         # Python floats: each agent's last jump time
         self._last = [math.nan] * n
-        self._what0 = np.full(n, math.nan)  # each agent's w_hat before its first jump
         self._stored = None  # the owning trace's stored (times, rows)
 
-    def append(self, agent: int, t: float, psi: float, before, what_w: float,
-               eta: float) -> None:
-        """Log one jump, in time order: ``before`` is the sender's e, w_hat,
-        eta and tau before it, and what_w and eta its latched noise and eta
-        after it. w_hat before is kept at the agent's first jump only."""
+    def append(self, agent: int, t: float, psi: float, what_w: float, eta: float) -> None:
+        """Log one jump, in time order: what_w and eta are the sender's
+        latched noise and eta after it."""
         k = self._size
         if k == self._t.shape[0]:
             for name in self._NAMES:
                 key = "_" + name
                 setattr(self, key, _grown(getattr(self, key), k))
-        e, what_before, eta_before, tau = before
-        last = self._last[agent]
-        if math.isnan(last):
-            self._what0[agent] = what_before
         self._agent[k] = agent
         self._t[k] = t
-        self._gap[k] = t - last
+        self._gap[k] = t - self._last[agent]
         self._last[agent] = t
         self._psi[k] = psi
         self._what_w[k] = what_w
         self._eta[k] = eta
-        self._pre_e[k] = e
-        self._pre_eta[k] = eta_before
-        self._pre_tau[k] = tau
         self._size = k + 1
 
     def attach(self, times: np.ndarray, rows: np.ndarray) -> None:
         """Give the log the stored rows of its trace, (r,) times and
         (r, 5n) rows, from which ``pre`` and ``post`` rebuild the rows
         around each jump. Each logged t must be a stored time, and the row
-        there the state after the last jump at that t; w_hat changes only
-        at jumps, so the row before it holds the senders' w_hat before."""
+        there the state before the first jump at that t."""
         self._stored = (times, rows)
 
     @property
@@ -164,49 +151,41 @@ class EventLog:
 
     def _pre_rows(self, lo: int, hi: int) -> np.ndarray:
         """The pre-jump rows of jumps lo..hi-1, and ``lo`` may fall inside
-        an instant. Each starts from its instant's stored row, the row
-        after the instant's last jump. Undoing the instant's jumps, its
-        last first, leaves each sender with its values before its first
-        jump there (w_hat from the stored row before), which gives the row
-        before the instant; the instant's jumps before k are then replayed
-        on it."""
-        n, t, (times, stored) = self._n, self.t, self._stored
-        k = np.arange(lo, hi)
-        first = np.searchsorted(t, t[lo:hi], side="left")
-        end = np.searchsorted(t, t[lo:hi], side="right")
-        at = np.searchsorted(times, t[lo:hi])
-        rows = stored[at]
-        z = rows.reshape(hi - lo, 5, n)
-        size = end - first
-        for d in range(1, int(size.max(initial=0)) + 1):
-            r = np.flatnonzero(size >= d)
-            q, s = end[r] - d, at[r]
-            i = self._agent[q]
-            z[r, 1, i] = self._pre_e[q]
-            z[r, 2, i] = np.where(s > 0, stored[s - 1, 2 * n + i], self._what0[i])
-            z[r, 3, i] = self._pre_eta[q]
-            z[r, 4, i] = self._pre_tau[q]
-        depth = k - first  # the instant's jumps before k
-        # oldest first, so that an agent's later jump in the instant wins
-        for d in range(int(depth.max(initial=0)), 0, -1):
-            r = np.flatnonzero(depth >= d)
-            self._replay(z, r, k[r] - d)
-        return rows
+        an instant: each is its instant's stored row with the instant's
+        jumps before it applied."""
+        times, stored = self._stored
+        t = self.t[lo:hi]
+        return self._forward(stored[times.searchsorted(t)], self.t.searchsorted(t),
+                             np.arange(lo, hi))
+
+    def _settled(self, at: np.ndarray) -> np.ndarray:
+        """The stored rows ``at``, each with all the jumps at its time
+        applied: the state after its instant."""
+        times, stored = self._stored
+        t = times[at]
+        return self._forward(stored[at], self.t.searchsorted(t),
+                             self.t.searchsorted(t, side="right"))
 
     def _to_post(self, rows: np.ndarray, lo: int) -> np.ndarray:
         """The pre-jump rows of jumps lo.. turned, in place, into their
         post-jump rows."""
-        m = rows.shape[0]
-        self._replay(rows.reshape(m, 5, self._n), np.arange(m), np.arange(lo, lo + m))
-        return rows
+        k = np.arange(lo, lo + rows.shape[0])
+        return self._forward(rows, k, k + 1)
 
-    def _replay(self, z: np.ndarray, r: np.ndarray, k: np.ndarray) -> None:
-        """Apply jump k[q] to row r[q] of the (m, 5, n) view z, in place."""
-        i = self._agent[k]
-        z[r, 1, i] = 0.0
-        z[r, 2, i] = self._what_w[k]
-        z[r, 3, i] = self._eta[k]
-        z[r, 4, i] = 0.0
+    def _forward(self, rows: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Apply jumps first[q]..end[q]-1 to the (m, 5n) rows[q], in place,
+        oldest first, so that an agent's later jump in an instant wins."""
+        z = rows.reshape(rows.shape[0], 5, self._n)
+        depth = end - first
+        for d in range(int(depth.max(initial=0))):
+            r = np.flatnonzero(depth > d)
+            k = first[r] + d
+            i = self._agent[k]
+            z[r, 1, i] = 0.0
+            z[r, 2, i] = self._what_w[k]
+            z[r, 3, i] = self._eta[k]
+            z[r, 4, i] = 0.0
+        return rows
 
     def __len__(self) -> int:
         return self._size

@@ -56,14 +56,14 @@ def _steps(states, jumps, k, pre):
 
 def stored_trace(scheme, rows, log=None):
     """A trace of ``scheme`` whose samples are the (m, 5n) ``rows``, one
-    unit step apart, all stored, so nothing is replayed; ``log`` defaults
-    to an empty one."""
+    unit step apart, each a stored block boundary, so nothing is replayed;
+    ``log`` defaults to an empty one."""
     rows = np.asarray(rows, dtype=float)
     n, k = scheme.n, np.arange(rows.shape[0])
     noise = NoiseSignal(seed=0, amplitude=np.zeros(n), sample_rate=1.0, n=n)
     sc = Scenario(scheme=scheme, noise=noise, x0=rows[0, :n], feedback=np.eye(n),
                   t_final=float(max(k[-1], 1)), step=1.0)
-    return SolutionTrace(scenario=sc, row_k=k, rows=rows, blocks=k,
+    return SolutionTrace(scenario=sc, row_k=k, rows=rows,
                          events=EventLog(n) if log is None else log)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import etcsim.engine as engine_mod
+import etcsim.hybrid as hybrid_mod
 from etcsim.engine import (
     JumpStormError,
     Scenario,
@@ -504,7 +505,7 @@ def _dummy_trace(events, t_final=3.0):
     sch = two_agent_scenario().scheme
     log = EventLog(sch.n)
     for agent, t in events:
-        log.append(agent, t, 0.0, np.zeros(4), 0.0, 0.0)
+        log.append(agent, t, 0.0, 0.0, 0.0)
     return stored_trace(sch, np.zeros((int(t_final) + 1, 5 * sch.n)), log)
 
 
@@ -645,21 +646,34 @@ def test_blocked_consensus_metrics_match_a_whole_trace_evaluation(preset_runs, m
 
 
 def _flowed_rows(monkeypatch, sc):
-    """Simulate sc, keeping the rows each block flowed: the trace, and the
-    run's rows at steps 0..steps as the run committed them, each block's
-    rows up to its end and then the final row."""
-    flowed, flow_block = [], engine_mod._flow_block
+    """Simulate sc, keeping what each block flowed: the trace; the run's
+    rows at steps 0..steps as the run committed them, each block's rows up
+    to its end and then the final row after the final instant's jumps;
+    each block's start row (its ``row`` argument); and its first step (the
+    first noise row it reads)."""
+    flowed, starts, steps, live = [], [], [], []
+    flow_block, noise_rows = engine_mod._flow_block, engine_mod._NoiseRows.rows
 
-    def keeping_flow_block(*args):
-        rows, due = flow_block(*args)
-        flowed.append(rows.copy())
-        return rows, due
+    def keeping_flow_block(row, *args):
+        out, due = flow_block(row, *args)
+        flowed.append(out.copy())
+        starts.append(row.copy())
+        live[:] = [row]  # the run's own state row, which it updates in place
+        return out, due
+
+    def keeping_noise_rows(self, k, m):
+        steps.append(k)
+        return noise_rows(self, k, m)
 
     with monkeypatch.context() as patch:
         patch.setattr(engine_mod, "_flow_block", keeping_flow_block)
+        patch.setattr(engine_mod._NoiseRows, "rows", keeping_noise_rows)
         tr = simulate(sc)
-    return tr, np.concatenate([rows[:m] for rows, m in zip(flowed, np.diff(tr.blocks))]
-                              + [tr.rows[-1:]])
+    final = live[0].copy()  # the state the run ended in
+    steps = np.array(steps[1:])  # after the noise at t = 0, one call per block
+    lengths = np.diff([*steps, round(sc.t_final / sc.step)])
+    rows = np.concatenate([rows[:m] for rows, m in zip(flowed, lengths)] + [final[None]])
+    return tr, rows, np.array(starts), steps
 
 
 @pytest.mark.parametrize("size", [3, 7])
@@ -667,20 +681,26 @@ def _flowed_rows(monkeypatch, sc):
 @pytest.mark.parametrize("name", ["garcia-c0", "small-dolk"])
 def test_chunked_reads_match_the_flowed_rows(monkeypatch, name, dec, size):
     # chunks of 3 and 7 samples start inside blocks, and next to or across
-    # instants; a read from mid-run replays from the last stored row, and
-    # the dynamic rule's replay re-runs its blocks under their noise rows
+    # instants; each block replays from its own stored row after the
+    # instant's jumps, and the dynamic rule's replay re-runs its blocks
+    # under their noise rows
     if name == "garcia-c0":
         sc = dataclasses.replace(build_preset(name)[0][1], t_final=0.3)
     else:
         sc = small_dolk_scenario(t_final=0.2)
-    tr, flowed = _flowed_rows(monkeypatch, dataclasses.replace(sc, decimation=dec))
+    tr, flowed, starts, block_steps = _flowed_rows(monkeypatch,
+                                                   dataclasses.replace(sc, decimation=dec))
+    # a row is stored at each block's start, before the jumps there, and
+    # applying them rebuilds the row the block flowed from
+    assert np.array_equal(tr.row_k[:-1], block_steps)
+    assert tr.events._settled(np.arange(block_steps.size)).tobytes() == starts.tobytes()
     steps = np.rint(tr.times / sc.step).astype(np.int64)
     states = tr.states
     assert np.array_equal(states, flowed[steps])
     chunks = list(tr.chunks(size=size))
     assert all(k.size == size for k, _ in chunks[:-1])
     first = np.array([k[0] for k, _ in chunks[1:]])
-    assert not np.isin(first, tr.blocks).all()  # a chunk starts inside a block
+    assert not np.isin(first, tr.row_k).all()  # a chunk starts inside a block
     assert np.array_equal(np.concatenate([k for k, _ in chunks]), steps)
     assert np.array_equal(np.concatenate([rows for _, rows in chunks]), states)
     lo, hi = steps.size // 3, 2 * steps.size // 3
@@ -697,13 +717,17 @@ def test_zeno_stretch_matches_per_step_oracle():
 
 
 def test_trace_grows_with_instants_not_with_steps(preset_runs):
-    # 80 001 samples of 40 values would be 25.6 MB; the trace stores the
-    # rows at t = 0, after each instant and at the end, and its blocks
+    # 80 001 samples of 40 values would be 25.6 MB; the trace stores a row
+    # per block boundary, and after each instant the blocks double from
+    # BLOCK_MIN to BLOCK_MAX steps
     [(_, sc, tr)] = preset_runs("garcia-c2e-6")
     log = tr.events
     held = sum(a.nbytes for a in (*vars(tr).values(), *vars(log).values())
                if isinstance(a, np.ndarray))
-    assert tr.rows.shape[0] <= np.unique(log.t).size + 2
+    doublings = math.log2(engine_mod.BLOCK_MAX / engine_mod.BLOCK_MIN) + 1
+    steps = round(sc.t_final / sc.step)
+    assert (tr.rows.shape[0]
+            <= (np.unique(log.t).size + 1) * doublings + steps / engine_mod.BLOCK_MAX + 2)
     assert held < 1_000_000 < tr.times.size * 5 * tr.n * 8
 
 
@@ -733,6 +757,25 @@ def test_simulate_holds_no_whole_run_noise_table():
     steps = round(sc.t_final / sc.step)
     assert steps > 8 * engine_mod.NOISE_CHUNK_STEPS
     assert peak < (steps + 1) * tr.n * 8 / 2
+
+
+def test_simulate_maps_no_whole_run_buffer(monkeypatch):
+    # a buffer of steps + 1 rows would be 32 GB at t_final = 1e4; the
+    # stored rows double from BLOCK_MIN, so no mapping is longer than
+    # twice the rows stored plus BLOCK_MIN
+    sc = dataclasses.replace(build_preset("garcia-c2e-6")[0][1], t_final=1.0)
+    lengths, mapped = [], hybrid_mod._mapped
+
+    def recording_mapped(shape, dtype=float):
+        lengths.append(shape[0])
+        return mapped(shape, dtype)
+
+    monkeypatch.setattr(engine_mod, "_mapped", recording_mapped)
+    monkeypatch.setattr(hybrid_mod, "_mapped", recording_mapped)
+    tr = simulate(sc)
+    stored = tr.rows.shape[0]
+    assert stored > 4 * engine_mod.BLOCK_MIN  # the buffers grew
+    assert len(lengths) > 3 and max(lengths) <= 2 * stored + engine_mod.BLOCK_MIN
 
 
 def test_x_series_holds_no_whole_run_rows(preset_runs):

@@ -157,10 +157,9 @@ def jumped(row, agent, what_w, eta):
 
 
 def test_event_log_chains_the_jumps_of_an_instant():
-    # four instants between flowing samples: the first at t = 0, where no
-    # sample holds the sender's w_hat before it; at t = 1 agent 0 jumps
-    # twice, in two passes, and the jump after its second sees the second's
-    # values
+    # four instants between flowing samples, each stored before its first
+    # jump, the first at t = 0; at t = 1 agent 0 jumps twice, in two
+    # passes, and the jump after its second sees the second's values
     n = 3
     rng = np.random.default_rng(5)
     jumps = {0.0: [(1, 1.5, 1.6)],
@@ -169,20 +168,19 @@ def test_event_log_chains_the_jumps_of_an_instant():
     times = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     log = EventLog(n)
     row = rng.standard_normal(5 * n)
-    samples, want_pre, want_post = [], [], []
+    stored, want_pre, want_post = [], [], []
     for t in times:
         if t:  # flow from the previous sample: everything but w_hat moves
             flow = rng.standard_normal((5, n))
             flow[2] = 0.0
             row = row + flow.ravel()
+        stored.append(row)
         for agent, what_w, eta in jumps.get(t, []):
             want_pre.append(row)
-            before = row.reshape(5, n)[1:, agent].tolist()
-            log.append(agent, t, 0.0, before, what_w, eta)
+            log.append(agent, t, 0.0, what_w, eta)
             row = jumped(row, agent, what_w, eta)
             want_post.append(row)
-        samples.append(row)
-    log.attach(np.array(times), np.array(samples))
+    log.attach(np.array(times), np.array(stored))
     want_pre, want_post = np.array(want_pre), np.array(want_post)
     # j and the gaps since the same agent's previous jump are the log's own
     assert np.array_equal(log.j, np.arange(1, len(want_pre) + 1))

@@ -44,14 +44,12 @@ def jump_resolver_oracle(scheme, feedback, z, log):
             for i in range(n):
                 if not due[i]:
                     continue
-                before = [e.item(i), what_w.item(i), eta.item(i), tau.item(i)]
                 apply_jump(z, i, w, scheme)
-                log.append(i, t, psi.item(i), before, what_w.item(i), eta.item(i))
+                log.append(i, t, psi.item(i), what_w.item(i), eta.item(i))
                 total += 1
                 if total > storm_cap:
                     raise JumpStormError(f"{total} jumps at t={t:.6f}")
                 psi, due = judge(w)
-        return total
 
     return resolve
 
