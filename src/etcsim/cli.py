@@ -61,6 +61,9 @@ _FMT = "%.17g"
 # whole-run copy of a trace is made; also the fewest rows a forked
 # writer process is given
 _CHUNK_ROWS = 4096
+# rows of states.csv whose repeated w_hat, eta and tau values are formatted
+# once: a short table of texts per write
+_TEXT_ROWS = 512
 
 
 def _fmt(x: float) -> str:
@@ -344,22 +347,32 @@ def _write_rows(path: Path, header: str, nrows: int, write_range) -> Callable[[]
 
 
 def _write_states(path: Path, trace: SolutionTrace) -> Callable[[], None]:
+    """Each row is one ``%`` of t, j, x and e, with the w_hat, eta and tau
+    texts inserted as ``%s``. Those columns repeat, so each distinct 64-bit
+    pattern among them is formatted once per slice of ``_TEXT_ROWS`` rows:
+    keyed on bits, not on float equality, so that -0.0 keeps its sign. The
+    bytes are those of ``np.savetxt`` with ``%.17g`` for every float."""
     n = trace.n
     cols = (["t", "j"]
             + [f"x{i}" for i in range(n)] + [f"e{i}" for i in range(n)]
             + [f"what_w{i}" for i in range(n)] + [f"eta{i}" for i in range(n)]
             + [f"tau{i}" for i in range(n)])
-    fmts = [_FMT, "%d"] + [_FMT] * (5 * n)
+    line = ",".join([_FMT, "%d"] + [_FMT] * (2 * n) + ["%s"] * (3 * n)) + "\n"
 
     def write_range(fh, lo, hi):
         # each writer replays the blocks of its own range
         for k, rows in trace.chunks(lo, hi, _CHUNK_ROWS):
             times = k * trace.scenario.step
             j = np.searchsorted(trace.events.t, times, side="right")  # trace.jumps
-            data = np.column_stack([times, j.astype(float), rows])
-            np.savetxt(fh, data, fmt=fmts, delimiter=",")
+            for a in range(0, k.size, _TEXT_ROWS):
+                part = slice(a, a + _TEXT_ROWS)
+                keys, at = np.unique(rows[part, 2 * n :].view(np.int64), return_inverse=True)
+                texts = np.array([_FMT % v for v in keys.view(float).tolist()], dtype=object)
+                head = np.column_stack([times[part], j[part], rows[part, : 2 * n]]).tolist()
+                tail = texts[at.reshape(len(head), 3 * n)].tolist()
+                fh.write("".join([line % (*h, *t) for h, t in zip(head, tail)]))
 
-    return _write_rows(path, ",".join(cols) + "\n", trace.times.size, write_range)
+    return _write_rows(path, ",".join(cols) + "\n", trace.sample_count, write_range)
 
 
 def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> Callable[[], None]:

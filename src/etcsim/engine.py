@@ -179,7 +179,8 @@ class SolutionTrace:
     samples are every ``decimation``-th step end of the scenario, every
     instant with jumps and the final step; each is a boundary's row after
     its jumps or a row of a block replayed from its start (module
-    docstring). :meth:`chunks` reads them; ``times``, ``jumps``,
+    docstring). :meth:`chunks` reads them and ``sample_count`` counts
+    them, neither building a whole-run array; ``times``, ``jumps``,
     ``states`` and ``x_series`` build whole-run arrays on each access.
     The log rebuilds the rows around each jump from the stored rows,
     which the trace attaches to it."""
@@ -191,15 +192,31 @@ class SolutionTrace:
 
     def __post_init__(self) -> None:
         self.events.attach(self.row_k * self.scenario.step, self.rows)
+        # the increasing steps of the samples off the decimation grid (the
+        # instants with jumps and the final step that are not on it), and
+        # the index of each among the samples: the grid points below it
+        # come first
+        dec, k = self.scenario.decimation, self.row_k[:0]
+        if dec > 1:
+            k = self.row_k[self.row_k % dec != 0]
+            k = k[np.isin(k * self.scenario.step, self.events.t) | (k == self.row_k[-1])]
+        self._off_grid = k, np.arange(k.size) + k // dec + 1
 
     @property
     def n(self) -> int:
         return self.rows.shape[1] // 5
 
     @property
+    def sample_count(self) -> int:
+        """The number of samples, counted from the decimation grid and the
+        off-grid samples; no sample is read."""
+        return int(self.row_k[-1]) // self.scenario.decimation + 1 + self._off_grid[0].size
+
+    @property
     def times(self) -> np.ndarray:
         """(m,) continuous time per sample."""
-        return self._sample_steps() * self.scenario.step
+        [steps] = self._step_chunks()
+        return steps * self.scenario.step
 
     @property
     def jumps(self) -> np.ndarray:
@@ -219,37 +236,12 @@ class SolutionTrace:
     def chunks(self, lo: int = 0, hi: int | None = None, size: int | None = None):
         """Yield samples lo..hi-1 in order, in chunks of at most ``size``
         (default STORAGE_BLOCK_ROWS): each chunk's (c,) step numbers and
-        its (c, 5n) rows."""
-        return self._read(self._sample_steps()[lo:hi], size or STORAGE_BLOCK_ROWS)
-
-    def _sample_steps(self) -> np.ndarray:
-        """The step of each sample: every decimation-th step, every instant
-        with jumps and the final step."""
-        dec, k = self.scenario.decimation, self.row_k
-        grid = np.arange(0, int(k[-1]) + 1, dec)
-        if dec == 1:
-            return grid
-        return np.union1d(grid, k[np.isin(k * self.scenario.step, self.events.t)
-                                  | (k == k[-1])])
-
-    def _gather(self, width: int) -> np.ndarray:
-        """The first ``width`` columns of every sample's row."""
-        ks = self._sample_steps()
-        out = np.empty((ks.size, width))
-        lo = 0
-        for _, rows in self._read(ks, STORAGE_BLOCK_ROWS):
-            out[lo : lo + rows.shape[0]] = rows[:, :width]
-            lo += rows.shape[0]
-        return out
-
-    def _read(self, ks: np.ndarray, size: int):
-        """The rows of the samples at the increasing steps ks, ``size`` at
-        a time: a sample at a block boundary is its stored row after the
-        jumps there, every other one is read from its block's replay."""
+        its (c, 5n) rows. A sample at a block boundary is its stored row
+        after the jumps there, every other one is read from its block's
+        replay."""
         dec = self.scenario.decimation
         replay = self._replayer()
-        for lo in range(0, ks.size, size):
-            k = ks[lo : lo + size]
+        for k in self._step_chunks(lo, hi, size or STORAGE_BLOCK_ROWS):
             block = self.row_k.searchsorted(k, side="right") - 1  # the final step's is B
             used, at = np.unique(block, return_inverse=True)
             starts = self.events._settled(used)  # each block's start row
@@ -266,20 +258,45 @@ class SolutionTrace:
                     out[a:b] = rows[m : m + (b - a - 1) * dec + 1 : dec]
             yield k, out
 
+    def _step_chunks(self, lo: int = 0, hi: int | None = None, size: int | None = None):
+        """Yield the steps of samples lo..hi-1 (a slice of the samples), in
+        chunks of at most ``size`` (default all at once). The samples are
+        every decimation-th step, every instant with jumps and the final
+        step; each chunk is built from the grid and the off-grid samples
+        alone, so no whole-run step array is made."""
+        dec, (off, at) = self.scenario.decimation, self._off_grid
+        lo, hi, _ = slice(lo, hi).indices(self.sample_count)
+        size = size or max(hi - lo, 1)
+        for a in range(lo, hi, size):
+            b = min(a + size, hi)
+            p, q = at.searchsorted(a), at.searchsorted(b)
+            # the grid points of samples a..b-1, with off[p:q] inserted after
+            # the grid point below each
+            grid = np.arange((a - p) * dec, (b - q) * dec, dec)
+            yield np.insert(grid, off[p:q] // dec + 1 - (a - p), off[p:q]) if q > p else grid
+
+    def _gather(self, width: int) -> np.ndarray:
+        """The first ``width`` columns of every sample's row."""
+        out = np.empty((self.sample_count, width))
+        lo = 0
+        for _, rows in self.chunks():
+            out[lo : lo + rows.shape[0]] = rows[:, :width]
+            lo += rows.shape[0]
+        return out
+
     def _replayer(self):
         """``replay(b, start)``: block b's (m + 1, 5n) rows from its start
         row to its last step end, eta unclamped there, as the run flowed
         them."""
-        s, n = self.scenario, self.n
-        bounds = self.row_k.tolist()
+        s, n, bounds = self.scenario, self.n, self.row_k
         z = np.empty((5, n))
         control = _control_law(s.feedback, z)
-        noise = _NoiseRows(s.noise, s.step, bounds[-1]) if s.scheme.mode == "dynamic" else None
+        noise = _NoiseRows(s.noise, s.step, bounds.item(-1)) if s.scheme.mode == "dynamic" else None
         last = [-1, None]  # the block replayed last, and its rows
 
         def replay(b: int, start: np.ndarray) -> np.ndarray:
             if last[0] != b:
-                k, m = bounds[b], bounds[b + 1] - bounds[b]
+                k, m = bounds.item(b), bounds.item(b + 1) - bounds.item(b)
                 z[...] = start.reshape(5, n)
                 if noise is None:
                     out = _row_flow(start, control(), s.step, m).reshape(m + 1, 5 * n)
@@ -582,10 +599,9 @@ def consensus_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
     ``STORAGE_BLOCK_ROWS`` samples; each sample's value depends on its own
     row only, so the chunks do not change a bit of it."""
     origin = scheme.kind == "single"
-    ks = trace._sample_steps()
-    dist = np.empty(ks.size)
+    dist = np.empty(trace.sample_count)
     lo = 0
-    for _, rows in trace._read(ks, STORAGE_BLOCK_ROWS):
+    for _, rows in trace.chunks():
         dist[lo : lo + rows.shape[0]] = _distance(rows[:, : trace.n], origin)
         lo += rows.shape[0]
     return {"distance_series": dist, **final_metrics(trace, scheme)}

@@ -485,6 +485,34 @@ def test_chunked_writers_match_a_one_shot_write(tmp_path, monkeypatch):
         assert chunked.count(b"\n") == 1 + (tr.times.size if name == "states.csv" else len(tr.events))
 
 
+@pytest.mark.parametrize("name, silent_agent0", [("garcia-c0", False), ("dolk-c0", False),
+                                                  ("garcia-c2e-6", True)])
+def test_states_csv_is_savetxt_of_the_trace(tmp_path, monkeypatch, name, silent_agent0):
+    # the bytes np.savetxt gives with %.17g for every float; chunks of 1000
+    # rows put chunk ends inside the writer's 512-row text tables. Agent 0
+    # with noise amplitude 0 latches 0.0 * (a negative draw), so its w_hat
+    # column holds both 0 and -0
+    sc = dataclasses.replace(cli.build_preset(name)[0][1], t_final=0.5)
+    if silent_agent0:
+        amplitude = sc.noise.amplitude.copy()
+        amplitude[0] = 0.0
+        sc = dataclasses.replace(sc, noise=dataclasses.replace(sc.noise, amplitude=amplitude))
+    tr = simulate(sc)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)
+    cli._write_states(tmp_path / "states.csv", tr)()
+    header, body = (tmp_path / "states.csv").read_text().split("\n", 1)
+    want = io.StringIO()
+    np.savetxt(want, np.column_stack([tr.times, tr.jumps, tr.states]),
+               fmt=["%.17g", "%d"] + ["%.17g"] * (5 * tr.n), delimiter=",")
+    rows, want = body.splitlines(), want.getvalue().splitlines()
+    bad = next((i for i, pair in enumerate(zip(rows, want)) if pair[0] != pair[1]), None)
+    assert bad is None, f"row {bad}: {rows[bad]!r}, savetxt gives {want[bad]!r}"
+    assert len(rows) == len(want)
+    assert header.split(",")[2 * tr.n + 2] == "what_w0"
+    what_w0 = {row.split(",")[2 * tr.n + 2] for row in rows}
+    assert {"0", "-0"} <= what_w0 if silent_agent0 else "-0" not in what_w0
+
+
 @pytest.fixture(scope="module")
 def short_garcia_c0():
     sc = cli.build_preset("garcia-c0")[0][1]

@@ -750,6 +750,37 @@ def _traced_peak(fn, *args):
     return out, peak - before
 
 
+@pytest.mark.parametrize("dec", [1, 7])
+def test_chunk_steps_are_the_grid_the_instants_and_the_final_step(dec):
+    sc = dataclasses.replace(build_preset("garcia-c2e-6")[0][1], t_final=0.5, decimation=dec)
+    tr = simulate(sc)
+    steps = round(sc.t_final / sc.step)
+    instants = np.rint(np.unique(tr.events.t) / sc.step).astype(np.int64)
+    want = np.union1d(np.arange(0, steps + 1, dec), np.append(instants, steps))
+    if dec > 1:
+        assert want.size > steps // dec + 1  # samples off the grid
+    assert tr.sample_count == want.size and np.array_equal(tr.times, want * sc.step)
+    ranges = np.sort(np.random.default_rng(5).integers(0, want.size + 1, (12, 2)), axis=1)
+    for lo, hi in [(0, None), (0, 10), (want.size - 10, want.size), (7, 7), *ranges.tolist()]:
+        for size in (3, 64, None):
+            got = [k for k, _ in tr.chunks(lo, hi, size)]
+            assert np.array_equal(np.concatenate([np.empty(0, np.int64), *got]), want[lo:hi])
+
+
+@pytest.mark.parametrize("dec", [1, 7])
+def test_reading_a_few_samples_holds_nothing_sized_by_the_run(dec):
+    # their steps come from the decimation grid and the off-grid instants,
+    # so 10 samples of the 8 s run take what they take of a 1 s run; the
+    # 8 s run's whole (samples,) step array alone would be 640 KB
+    [(_, sc)] = build_preset("garcia-c2e-6")
+    peaks = []
+    for t_final in (1.0, 8.0):
+        tr = simulate(dataclasses.replace(sc, t_final=t_final, decimation=dec))
+        list(tr.chunks(0, 10))  # first calls allocate numpy's own caches
+        peaks.append(_traced_peak(lambda: list(tr.chunks(0, 10)))[1])
+    assert peaks[1] < peaks[0] + 8_000
+
+
 def test_simulate_holds_no_whole_run_noise_table():
     # the 8 s run's full (steps + 1, n) noise table would be 5.1 MB
     [(_, sc)] = build_preset("garcia-c2e-6")
