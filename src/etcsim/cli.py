@@ -57,12 +57,11 @@ EXIT_IO = 4
 BENCHMARK_GRAPH_KEYWORD = "paper-fig2"
 
 _FMT = "%.17g"
-# rows of states.csv and events.csv formatted per write, so that no
-# whole-run copy of a trace is made; also the fewest rows a forked
-# writer process is given
+# rows of events.csv formatted per write, so that no whole-run copy of a
+# trace is made; also the fewest rows a forked writer process is given
 _CHUNK_ROWS = 4096
-# rows of states.csv whose repeated w_hat, eta and tau values are formatted
-# once: a short table of texts per write
+# rows of states.csv read and formatted per write, whose repeated w_hat,
+# eta and tau values are formatted once: a short table of texts per write
 _TEXT_ROWS = 512
 
 
@@ -349,7 +348,7 @@ def _write_rows(path: Path, header: str, nrows: int, write_range) -> Callable[[]
 def _write_states(path: Path, trace: SolutionTrace) -> Callable[[], None]:
     """Each row is one ``%`` of t, j, x and e, with the w_hat, eta and tau
     texts inserted as ``%s``. Those columns repeat, so each distinct 64-bit
-    pattern among them is formatted once per slice of ``_TEXT_ROWS`` rows:
+    pattern among them is formatted once per chunk of ``_TEXT_ROWS`` rows:
     keyed on bits, not on float equality, so that -0.0 keeps its sign. The
     bytes are those of ``np.savetxt`` with ``%.17g`` for every float."""
     n = trace.n
@@ -361,16 +360,14 @@ def _write_states(path: Path, trace: SolutionTrace) -> Callable[[], None]:
 
     def write_range(fh, lo, hi):
         # each writer replays the blocks of its own range
-        for k, rows in trace.chunks(lo, hi, _CHUNK_ROWS):
+        for k, rows in trace.chunks(lo, hi, _TEXT_ROWS):
             times = k * trace.scenario.step
             j = np.searchsorted(trace.events.t, times, side="right")  # trace.jumps
-            for a in range(0, k.size, _TEXT_ROWS):
-                part = slice(a, a + _TEXT_ROWS)
-                keys, at = np.unique(rows[part, 2 * n :].view(np.int64), return_inverse=True)
-                texts = np.array([_FMT % v for v in keys.view(float).tolist()], dtype=object)
-                head = np.column_stack([times[part], j[part], rows[part, : 2 * n]]).tolist()
-                tail = texts[at.reshape(len(head), 3 * n)].tolist()
-                fh.write("".join([line % (*h, *t) for h, t in zip(head, tail)]))
+            keys, at = np.unique(rows[:, 2 * n :].view(np.int64), return_inverse=True)
+            texts = np.array([_FMT % v for v in keys.view(float).tolist()], dtype=object)
+            head = np.column_stack([times, j, rows[:, : 2 * n]]).tolist()
+            tail = texts[at.reshape(len(head), 3 * n)].tolist()
+            fh.write("".join([line % (*h, *t) for h, t in zip(head, tail)]))
 
     return _write_rows(path, ",".join(cols) + "\n", trace.sample_count, write_range)
 
@@ -402,18 +399,18 @@ def _write_metrics(path: Path, trace: SolutionTrace, final: dict) -> None:
         fh.write(f"final_distance,{_fmt(final['final_distance'])},,\n")
 
 
-def write_run_artifacts(out_dir: Path, scenario: Scenario, trace: SolutionTrace,
-                        final: dict, manifest: configparser.ConfigParser) -> Callable[[], None]:
+def write_run_artifacts(out_dir: Path, trace: SolutionTrace, final: dict,
+                        manifest: configparser.ConfigParser) -> Callable[[], None]:
     """Write the four artifacts; ``final`` is the trace's final_metrics
     (or its consensus_metrics, which include them) and ``manifest`` the
-    scenario's scenario_to_config.
+    scenario_to_config of its scenario.
 
     Forked writers may still be formatting states.csv and events.csv
     when this returns; they read the trace as it was at the call. Return
     the finish step that completes both files. It raises OSError if a
     writer failed."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    delta_u = jump_storage_change(trace, scenario.scheme, scenario.feedback)
+    delta_u = jump_storage_change(trace)
     with contextlib.ExitStack() as writers:
         writers.callback(_write_states(out_dir / "states.csv", trace))
         writers.callback(_write_events(out_dir / "events.csv", trace, delta_u))
@@ -496,10 +493,10 @@ class _Pipeline:
         except JumpStormError as exc:
             print(f"jump storm: {exc}", file=sys.stderr)
             return EXIT_JUMP_STORM
-        final = final_metrics(trace, scenario.scheme)  # from the stored rows: nothing replayed
+        final = final_metrics(trace)  # from the stored rows: nothing replayed
         code = self.join()
         try:
-            finish = write_run_artifacts(out_dir, scenario, trace, final, manifest)
+            finish = write_run_artifacts(out_dir, trace, final, manifest)
         except OSError as exc:
             print(f"I/O error: {exc}", file=sys.stderr)
             return max(code, EXIT_IO)

@@ -104,10 +104,10 @@ class JumpStormError(RuntimeError):
     """More jumps at one continuous time than the safety cap allows."""
 
 
-def _whole(ratio: float) -> bool:
-    """Whether ratio is within a relative 1e-9 of a positive integer."""
+def _whole(ratio: float) -> int:
+    """The positive integer within a relative 1e-9 of ratio, or 0."""
     k = round(ratio) if math.isfinite(ratio) else 0
-    return k >= 1 and abs(ratio - k) <= 1e-9 * k
+    return k if k >= 1 and abs(ratio - k) <= 1e-9 * k else 0
 
 
 @dataclass
@@ -146,14 +146,16 @@ class Scenario:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if (isinstance(self.decimation, bool) or not isinstance(self.decimation, (int, np.integer))
-                or self.decimation < 1):
-            raise ValueError(f"decimation must be a positive integer, got {self.decimation!r}")
+                or not 1 <= self.decimation <= np.iinfo(np.int64).max):
+            # past 2**63 - 1, step numbers modulo the decimation overflow int64
+            raise ValueError(f"decimation must be an integer from 1 to 2**63 - 1, "
+                             f"got {self.decimation!r}")
         if self.noise.n != n:
             raise ValueError(f"noise channel count {self.noise.n} != n={n}")
         # the engine holds the window at a step's start along the whole step,
         # so a step may neither straddle a window's edge nor skip a window
-        hold = 1.0 / self.noise.sample_rate
-        if not _whole(hold / self.step):
+        if not self.steps_per_window:
+            hold = 1.0 / self.noise.sample_rate
             raise ValueError(f"step {self.step!r} must divide the noise hold 1/sample_rate = "
                              f"{hold!r} a whole number of times; hold/step = {hold / self.step!r}")
         # the run takes round(t_final / step) steps, so that must be t_final
@@ -165,6 +167,12 @@ class Scenario:
             raise ValueError(f"x0 shape {self.x0.shape} != ({n},)")
         if not np.isfinite(self.x0).all():
             raise ValueError(f"x0 must be finite, got {self.x0.tolist()}")
+
+    @property
+    def steps_per_window(self) -> int:
+        """The steps in one noise hold 1/sample_rate, or 0 unless the step
+        divides the hold: step k ends in window k // steps_per_window."""
+        return _whole(1.0 / self.noise.sample_rate / self.step)
 
 
 @dataclass
@@ -185,7 +193,7 @@ class SolutionTrace:
     The log rebuilds the rows around each jump from the stored rows,
     which the trace attaches to it."""
 
-    scenario: Scenario  # the run's setup: step, scheme, feedback and noise replay its blocks
+    scenario: Scenario  # the run's setup, which replays its blocks and defines its metrics
     row_k: np.ndarray  # (B + 1,) first step of each block, then the step count
     rows: np.ndarray  # (B + 1, 5n) rows there before the jumps: x, e, w_hat, eta, tau
     events: EventLog
@@ -291,7 +299,8 @@ class SolutionTrace:
         s, n, bounds = self.scenario, self.n, self.row_k
         z = np.empty((5, n))
         control = _control_law(s.feedback, z)
-        noise = _NoiseRows(s.noise, s.step, bounds.item(-1)) if s.scheme.mode == "dynamic" else None
+        noise = (_NoiseRows(s.noise, s.steps_per_window, bounds.item(-1))
+                 if s.scheme.mode == "dynamic" else None)
         last = [-1, None]  # the block replayed last, and its rows
 
         def replay(b: int, start: np.ndarray) -> np.ndarray:
@@ -314,8 +323,8 @@ class _NoiseRows:
     of an m-step block from step k, from the chunk held, or else from a
     new one tabulated from row k."""
 
-    def __init__(self, noise: NoiseSignal, h: float, steps: int) -> None:
-        self.noise, self.h, self.steps = noise, h, steps
+    def __init__(self, noise: NoiseSignal, per: int, steps: int) -> None:
+        self.noise, self.per, self.steps = noise, per, steps
         self.base, self.table = 0, np.empty((0, noise.n))
 
     def rows(self, k: int, m: int) -> np.ndarray:
@@ -323,7 +332,7 @@ class _NoiseRows:
         if lo < 0 or lo + m >= self.table.shape[0]:
             self.base, lo = k, 0
             self.table = self.noise.step_table(min(k + NOISE_CHUNK_STEPS - 1, self.steps),
-                                               self.h, k)
+                                               self.per, k)
         return self.table[lo : lo + m + 1]
 
 
@@ -485,13 +494,16 @@ def _jump_resolver(scheme: QuadraticTrigger, feedback: np.ndarray, z: np.ndarray
 
 
 def simulate(s: Scenario) -> SolutionTrace:
+    # the trace's copy, made first: it re-runs the validation that a field
+    # set after construction skipped, before any step is taken
+    s = dataclasses.replace(s)
     scheme = s.scheme
     n = scheme.n
     h = s.step
     steps = int(round(s.t_final / h))
     longest = _block_limit(scheme, h)
     dynamic = scheme.mode == "dynamic"
-    noise = _NoiseRows(s.noise, h, steps)
+    noise = _NoiseRows(s.noise, s.steps_per_window, steps)
     w = noise.rows(0, 0)
     z = np.zeros((5, n))
     z[0], z[2] = s.x0, w[0]
@@ -529,7 +541,7 @@ def simulate(s: Scenario) -> SolutionTrace:
         size = BLOCK_MIN if stopped else 2 * size
 
     # the stored rows are views of their mappings' filled parts
-    return SolutionTrace(scenario=dataclasses.replace(s), row_k=row_k[:stored],
+    return SolutionTrace(scenario=s, row_k=row_k[:stored],
                          rows=rows[:stored], events=log)
 
 
@@ -555,12 +567,12 @@ def inter_event_stats(trace: SolutionTrace) -> dict[int, dict]:
     return out
 
 
-def jump_storage_change(trace: SolutionTrace, scheme: QuadraticTrigger,
-                        feedback: np.ndarray) -> np.ndarray:
-    """Per-event ΔU = U(post) - U(pre) of the scheme's storage function,
-    evaluated in blocks of ``STORAGE_BLOCK_ROWS`` events. Each block's
-    pre-jump rows are rebuilt once and then turned into its post-jump rows."""
-    log = trace.events
+def jump_storage_change(trace: SolutionTrace) -> np.ndarray:
+    """Per-event ΔU = U(post) - U(pre) of the run's storage function, its
+    scheme's under its feedback, evaluated in blocks of
+    ``STORAGE_BLOCK_ROWS`` events. Each block's pre-jump rows are rebuilt
+    once and then turned into its post-jump rows."""
+    log, scheme, feedback = trace.events, trace.scenario.scheme, trace.scenario.feedback
     out = np.empty_like(log.psi)
     for lo in range(0, out.size, STORAGE_BLOCK_ROWS):
         hi = min(lo + STORAGE_BLOCK_ROWS, out.size)
@@ -575,7 +587,7 @@ def _distance(x: np.ndarray, origin: bool) -> np.ndarray:
     return np.linalg.norm(x if origin else x - x.mean(axis=1, keepdims=True), axis=1)
 
 
-def final_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
+def final_metrics(trace: SolutionTrace) -> dict:
     """The final worst deviation from the point of the target set the run
     aims at, the final distance to that set, and the initial mean, read
     from the x of the stored rows at t = 0 and at the end, which no jump
@@ -583,7 +595,7 @@ def final_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
     For the consensus schemes the set is the agreement subspace and the
     point the initial mean; for the single plant (kind ``single``) both
     are the origin."""
-    n, origin = trace.n, scheme.kind == "single"
+    n, origin = trace.n, trace.scenario.scheme.kind == "single"
     mean0 = float(trace.rows[0, :n].mean())
     last = trace.rows[-1:, :n]
     return {
@@ -593,15 +605,15 @@ def final_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
     }
 
 
-def consensus_metrics(trace: SolutionTrace, scheme: QuadraticTrigger) -> dict:
+def consensus_metrics(trace: SolutionTrace) -> dict:
     """:func:`final_metrics` and the distance of each sample to the
     target set. The series is filled from the trace's chunks of
     ``STORAGE_BLOCK_ROWS`` samples; each sample's value depends on its own
     row only, so the chunks do not change a bit of it."""
-    origin = scheme.kind == "single"
+    origin = trace.scenario.scheme.kind == "single"
     dist = np.empty(trace.sample_count)
     lo = 0
     for _, rows in trace.chunks():
         dist[lo : lo + rows.shape[0]] = _distance(rows[:, : trace.n], origin)
         lo += rows.shape[0]
-    return {"distance_series": dist, **final_metrics(trace, scheme)}
+    return {"distance_series": dist, **final_metrics(trace)}

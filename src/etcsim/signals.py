@@ -77,12 +77,13 @@ class NoiseSignal:
             table[i] = self.amplitude[i] * (2.0 * _uniform01(self.seed, i, windows) - 1.0)
         return table
 
-    def step_table(self, steps: int, h: float, first: int = 0) -> np.ndarray:
+    def step_table(self, steps: int, per: int, first: int = 0) -> np.ndarray:
         """C-contiguous (steps - first + 1, n) noise at the step boundaries
-        k h, k = first..steps: row k - first is the window that k h falls
-        in, held along step k + 1. Each row has the bits of that row of
-        the full table (``first`` = 0), since a window's value depends only
-        on (seed, agent, window); a run reads its noise as such chunks. The
-        nudge keeps a boundary whose product rounds a ulp low in window k."""
-        k = np.arange(first, steps + 1) * (h * self.sample_rate) * (1 + 1e-12)
-        return np.ascontiguousarray(self.window_table(np.floor(k).astype(np.int64)).T)
+        k = first..steps of a grid with ``per`` steps per window: row
+        k - first is window k // per, held along step k + 1. Each row has
+        the bits of that row of the full table (``first`` = 0), since a
+        window's value depends only on (seed, agent, window); a run reads
+        its noise as such chunks."""
+        if isinstance(per, bool) or not isinstance(per, (int, np.integer)) or per < 1:
+            raise ValueError(f"steps per window must be a positive integer, got {per!r}")
+        return np.ascontiguousarray(self.window_table(np.arange(first, steps + 1) // int(per)).T)

@@ -35,11 +35,21 @@ def _in_d(sc, rows, w):
     return _in_jump_set(psi, eta, sch.theta, sch.mode == "dynamic")
 
 
+def _steps_per_window(sc):
+    """The whole number of steps h in one noise hold, derived here and not
+    taken from the engine."""
+    per = round(1.0 / (sc.noise.sample_rate * sc.step))
+    assert per >= 1 and abs(per * sc.step * sc.noise.sample_rate - 1.0) <= 1e-9, \
+        "a step straddles or skips a noise window"
+    return per
+
+
 def _grid(sc, tr):
-    """Each sample's step number k, and the noise table: row k is the noise
-    at k h, held along step k + 1."""
+    """Each sample's step number k, and the noise table of the configured
+    signal: row k is the noise at k h, held along step k + 1, the window
+    holding k h, found by integer division."""
     k = np.rint(tr.times / sc.step).astype(np.int64)
-    return k, sc.noise.step_table(int(k[-1]), sc.step)
+    return k, sc.noise.window_table(np.arange(k[-1] + 1) // _steps_per_window(sc)).T
 
 
 def _steps(states, jumps, k, pre):
@@ -54,14 +64,15 @@ def _steps(states, jumps, k, pre):
     return slice(None) if one.all() else one, end
 
 
-def stored_trace(scheme, rows, log=None):
+def stored_trace(scheme, rows, log=None, feedback=None):
     """A trace of ``scheme`` whose samples are the (m, 5n) ``rows``, one
     unit step apart, each a stored block boundary, so nothing is replayed;
-    ``log`` defaults to an empty one."""
+    ``log`` defaults to an empty one and ``feedback`` to the identity."""
     rows = np.asarray(rows, dtype=float)
     n, k = scheme.n, np.arange(rows.shape[0])
     noise = NoiseSignal(seed=0, amplitude=np.zeros(n), sample_rate=1.0, n=n)
-    sc = Scenario(scheme=scheme, noise=noise, x0=rows[0, :n], feedback=np.eye(n),
+    sc = Scenario(scheme=scheme, noise=noise, x0=rows[0, :n],
+                  feedback=np.eye(n) if feedback is None else feedback,
                   t_final=float(max(k[-1], 1)), step=1.0)
     return SolutionTrace(scenario=sc, row_k=k, rows=rows,
                          events=EventLog(n) if log is None else log)
@@ -77,15 +88,12 @@ def check_arc(sc, tr, label="arc"):
     states = tr.states  # materialised on each access: read once
     count = len(log)
 
-    # held noise: the step divides the hold, and row k of the table, held
-    # along step k + 1, is the configured signal's window holding k h,
-    # found by integer division
+    # held noise: the step divides the hold as the scenario says, and the
+    # noise latched at t = 0 is the configured signal's first window (the
+    # latched noise of each jump is checked below)
+    assert _steps_per_window(sc) == sc.steps_per_window, f"{label}: steps per window"
     k, table = _grid(sc, tr)
-    per = round(1.0 / (sc.noise.sample_rate * h))  # steps per window
-    assert per >= 1 and abs(per * h * sc.noise.sample_rate - 1.0) <= 1e-9, \
-        f"{label}: a step straddles or skips a noise window"
-    window = np.arange(table.shape[0]) // per
-    assert np.array_equal(table, sc.noise.window_table(window).T), \
+    assert np.array_equal(states[0, 2 * n : 3 * n], table[0]), \
         f"{label}: held noise is not a window of the signal"
 
     # time domain: samples on the step grid, t strictly increasing (so no

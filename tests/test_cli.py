@@ -136,7 +136,7 @@ def test_missing_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize("override", ["--decimate=0", "--step=0", "--step=-1e-4",
                                       "--t-final=-1", "--decimate=-3", "--t-final=nan",
-                                      "--step=inf"])
+                                      "--step=inf", "--decimate=100000000000000000000"])
 def test_bad_override_is_a_validation_error(tmp_path, capsys, override):
     # an override goes through the scenario's own validation
     out = tmp_path / "o"
@@ -468,7 +468,7 @@ def test_chunked_writers_match_a_one_shot_write(tmp_path, monkeypatch):
     sc = cli.build_preset("garcia-c0")[0][1]
     sc.t_final = 0.3
     tr = simulate(sc)
-    du = jump_storage_change(tr, sc.scheme, sc.feedback)
+    du = jump_storage_change(tr)
     assert len(tr.events) > 3 * 4 and tr.times.size > 3 * 4
 
     def write(chunk, d):
@@ -518,7 +518,7 @@ def short_garcia_c0():
     sc = cli.build_preset("garcia-c0")[0][1]
     sc.t_final = 0.3
     tr = simulate(sc)
-    return tr, jump_storage_change(tr, sc.scheme, sc.feedback)
+    return tr, jump_storage_change(tr)
 
 
 @pytest.mark.parametrize("workers", [2, 3])

@@ -101,7 +101,7 @@ def test_flow_step_matches_generic_rk4():
     s = small_dolk_scenario()
     z = first_state(s)
     L = laplacian(s.graph)
-    w = s.noise.step_table(0, s.step)[0]
+    w = s.noise.step_table(0, s.steps_per_window)[0]
     h = s.step
 
     def f(r):
@@ -130,7 +130,7 @@ def _block_and_oracle(sc, z, steps):
     scenario's step-boundary noise, and the per-step oracle's rows and
     jump-set masks."""
     h = sc.step
-    w = sc.noise.step_table(steps, h)
+    w = sc.noise.step_table(steps, sc.steps_per_window)
     rows, due = engine_mod._flow_block(z, control(sc, z), h, w, sc.scheme)
     ref, ref_due = [z.ravel().copy()], []
     st = z.copy()
@@ -189,7 +189,7 @@ def _replay_against_oracle(sc, tr):
     """Flow the per-step oracle from every sample to the next one; it must
     reach that sample, or, when jumps lie between, the first pre-jump row."""
     h = sc.step
-    noise = sc.noise.step_table(round(sc.t_final / h), h)
+    noise = sc.noise.step_table(round(sc.t_final / h), sc.steps_per_window)
     times, states, jumps, pre = tr.times, tr.states, tr.jumps, tr.events.pre
     for k in range(len(times) - 1):
         st = states[k].reshape(5, -1).copy()
@@ -359,7 +359,7 @@ def test_zero_noise_two_agent_conservation_and_decrease():
     x = tr.x_series
     # undirected graph: the state sum is a conserved quantity
     assert np.abs(x.sum(axis=1)).max() <= 1e-12
-    cm = consensus_metrics(tr, s.scheme)
+    cm = consensus_metrics(tr)
     d = cm["distance_series"]
     # distance decreases monotonically until it reaches the c-limited scale
     floor = np.sqrt(s.scheme.c[0])
@@ -375,7 +375,7 @@ def test_trigger_consistency_and_flow_membership():
     tr = simulate(s)
     sch = s.scheme
     tol = engine_mod.TRIGGER_TOL
-    noise = s.noise.step_table(round(s.t_final / s.step), s.step)
+    noise = s.noise.step_table(round(s.t_final / s.step), s.steps_per_window)
     log = tr.events
     for k, ev in enumerate(log):
         assert log.psi[k] <= tol
@@ -422,8 +422,8 @@ def test_step_halving_stability():
     s1 = two_agent_scenario(c=1e-4, amp=1e-4, t_final=2.0)
     s2 = two_agent_scenario(c=1e-4, amp=1e-4, t_final=2.0)
     s2.step = 5e-5
-    d1 = consensus_metrics(simulate(s1), s1.scheme)["final_max_deviation"]
-    d2 = consensus_metrics(simulate(s2), s2.scheme)["final_max_deviation"]
+    d1 = consensus_metrics(simulate(s1))["final_max_deviation"]
+    d2 = consensus_metrics(simulate(s2))["final_max_deviation"]
     assert abs(d1 - d2) <= 1e-3 * (1 + abs(d1))
 
 
@@ -463,11 +463,15 @@ def test_scenario_validation():
             Scenario(scheme=sch, noise=noise, x0=np.array([0.0, value]), graph=g)
         with pytest.raises(ValueError, match="feedback must be finite"):
             Scenario(scheme=sch, noise=noise, x0=np.zeros(2), feedback=np.full((2, 2), value))
-    for decimation in (0, 2.0, 2.5, True):
+    # past 2**63 - 1 the step numbers modulo the decimation overflow int64
+    for decimation in (0, 2.0, 2.5, True, 2**63, np.uint64(2**63), 10**20):
         with pytest.raises(ValueError, match="decimation"):
             Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, decimation=decimation)
     assert Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g,
                     decimation=np.int64(3)).decimation == 3
+    sc = Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, t_final=1e-3,
+                  decimation=2**63 - 1)
+    assert simulate(sc).times.tolist() == [0.0, 1e-3]
 
 
 def test_step_must_divide_the_noise_hold():
@@ -479,8 +483,20 @@ def test_step_must_divide_the_noise_hold():
     for step in (2.5e-4, 3e-5, 1.5e-4, 1e-4 * (1 + 1e-8), 5e-324):
         with pytest.raises(ValueError, match="must divide the noise hold"):
             Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, step=step)
-    for step in (1e-4, 5e-5, 2.5e-5, 1e-5, 1e-4 * (1 + 1e-12)):
-        assert Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, step=step).step == step
+    for step, per in ((1e-4, 1), (5e-5, 2), (2.5e-5, 4), (1e-5, 10), (1e-4 * (1 + 1e-12), 1)):
+        sc = Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, step=step)
+        assert sc.step == step and sc.steps_per_window == per
+
+
+@pytest.mark.parametrize("step, per", [(9.999999995e-05, 1), (5e-5 * (1 - 5e-10), 2)])
+def test_a_step_a_hair_below_the_hold_flows_under_the_windows_it_divides(step, per):
+    # hold/step is within the 1e-9 tolerance of per, but k * step * rate
+    # falls short of k / per: row k must still be window k // per
+    sc = dataclasses.replace(build_preset("garcia-c2e-6")[0][1], step=step, t_final=0.1)
+    assert sc.steps_per_window == per
+    tr = simulate(sc)
+    assert len(tr.events) > 0
+    check_arc(sc, tr)
 
 
 def test_horizon_must_be_a_whole_number_of_steps():
@@ -495,6 +511,14 @@ def test_horizon_must_be_a_whole_number_of_steps():
     for t_final in (1e-4, 0.3, 8.0, 1e-4 * (1 + 1e-12)):
         sc = Scenario(scheme=sch, noise=noise, x0=np.zeros(2), graph=g, t_final=t_final)
         assert simulate(sc).times[-1] == round(t_final / sc.step) * sc.step
+
+
+def test_a_field_set_after_construction_is_refused_before_simulating(monkeypatch):
+    sc = two_agent_scenario()
+    sc.t_final = 1.5e-4
+    monkeypatch.setattr(engine_mod, "_flow_block", lambda *args: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        simulate(sc)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +567,7 @@ def test_consensus_metrics_on_agreement():
     states = np.zeros((4, 5 * n))
     states[:, :n] = 2.5
     tr = stored_trace(sch, states)
-    cm = consensus_metrics(tr, sch)
+    cm = consensus_metrics(tr)
     assert np.allclose(cm["distance_series"], 0.0)
     assert cm["final_max_deviation"] == 0.0
 
@@ -554,9 +578,9 @@ def test_storage_zero_on_consensus():
     n = 8
     states = np.zeros((2, 5 * n))
     states[:, :n] = 1.0  # on the agreement subspace
-    tr = stored_trace(sch, states)
+    tr = stored_trace(sch, states, feedback=laplacian(g))
     u = sch.storage(tr.states, laplacian(g))
-    du = engine_mod.jump_storage_change(tr, sch, laplacian(g))
+    du = engine_mod.jump_storage_change(tr)
     assert np.allclose(u, 0.0)
     assert du.size == 0
 
@@ -587,7 +611,7 @@ def test_blocked_storage_change_matches_a_whole_log_evaluation(preset_runs, monk
     assert len(log) > 3 * 3
     monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", 3)
     whole = sc.scheme.storage(log.post, M) - sc.scheme.storage(log.pre, M)
-    assert np.array_equal(engine_mod.jump_storage_change(tr, sc.scheme, M), whole)
+    assert np.array_equal(engine_mod.jump_storage_change(tr), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +642,9 @@ def test_noise_chunk_seams_change_no_bit(monkeypatch, name):
     firsts = []
     step_table = NoiseSignal.step_table
 
-    def recording_step_table(self, steps, h, first=0):
+    def recording_step_table(self, steps, per, first=0):
         firsts.append(first)
-        return step_table(self, steps, h, first)
+        return step_table(self, steps, per, first)
 
     monkeypatch.setattr(NoiseSignal, "step_table", recording_step_table)
     monkeypatch.setattr(engine_mod, "NOISE_CHUNK_STEPS", engine_mod.BLOCK_MAX + 1)
@@ -642,7 +666,7 @@ def test_blocked_consensus_metrics_match_a_whole_trace_evaluation(preset_runs, m
     assert x.shape[0] > 3 * rows and (x.shape[0] % rows == 0) == (rows == 3)
     whole = np.linalg.norm(x - x.mean(axis=1, keepdims=True), axis=1)
     monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", rows)
-    assert consensus_metrics(tr, sc.scheme)["distance_series"].tobytes() == whole.tobytes()
+    assert consensus_metrics(tr)["distance_series"].tobytes() == whole.tobytes()
 
 
 def _flowed_rows(monkeypatch, sc):
@@ -820,5 +844,5 @@ def test_x_series_holds_no_whole_run_rows(preset_runs):
 def test_consensus_metrics_hold_no_whole_run_temporary(preset_runs):
     # the (samples, n) deviations from the mean would be 5.1 MB at 8 s
     [(_, sc, tr)] = preset_runs("garcia-c2e-6")
-    _, peak = _traced_peak(consensus_metrics, tr, sc.scheme)
+    _, peak = _traced_peak(consensus_metrics, tr)
     assert peak < tr.times.size * tr.n * 8 / 2

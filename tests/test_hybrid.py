@@ -123,7 +123,7 @@ def test_distance_to_consensus_value():
         states = np.zeros((1, 5 * n))
         states[0, :n] = x
         tr = stored_trace(scheme8(), states)
-        return consensus_metrics(tr, scheme8())["distance_series"][0]
+        return consensus_metrics(tr)["distance_series"][0]
 
     x = X0.copy()
     cs = np.linspace(-5, 5, 100001)
@@ -140,7 +140,7 @@ def test_single_plant_target_set_is_the_origin():
     states = np.zeros((2, 5))
     states[:, 0] = [4.0, -7.5e-4]
     tr = stored_trace(sch, states)
-    cm = consensus_metrics(tr, sch)
+    cm = consensus_metrics(tr)
     assert cm["distance_series"].tolist() == [4.0, 7.5e-4]
     assert cm["final_max_deviation"] == 7.5e-4
 

@@ -37,29 +37,50 @@ def test_bounds():
 def test_piecewise_constant():
     sig = make_signal(rate=1e4)
     # all step boundaries inside one 1e-4 s window give the same value:
-    # at h = 1e-6, boundaries 42300..42399 lie in window 423
-    table = sig.step_table(42400, 1e-6)[:, 0]
+    # at h = 1e-6, 100 steps per window, boundaries 42300..42399 lie in window 423
+    table = sig.step_table(42400, 100)[:, 0]
     base = table[42310]
     for k in (42350, 42399, 42300):
         assert table[k] == base
     assert table[42400] != base  # the next window, 424, differs for this seed
 
 
-def test_window_boundary_nudge():
+@pytest.mark.parametrize("per", [1, 2, 7, 100])
+def test_step_table_row_k_is_window_k_div_per(per):
+    sig = make_signal(n=3)
+    steps = 5 * per + 3
+    table = sig.step_table(steps, per)
+    windows = sig.window_table(steps // per + 1).T
+    for k in range(steps + 1):
+        assert np.array_equal(table[k], windows[k // per])
+    # a window's first step starts it, its last step ends in the one before
+    for m in range(1, 6):
+        assert np.array_equal(table[m * per], windows[m])
+        assert np.array_equal(table[m * per - 1], windows[m - 1])
+
+
+def test_step_7m_lands_in_window_m():
+    # 7 steps per window, read as one-row chunks: step 7m starts window m
+    # and step 7m - 1 is the last of window m - 1, far out in the run too
     sig = make_signal(rate=1e4)
-    # boundary k of step h starts window m exactly, but k * (h * rate) rounds
-    # a ulp below m (7e-6 * 1e4 == 0.06999999999999999): it must land in m
-    for h, k, m in ((7e-6, 100, 7), (7e-6, 54300, 3801), (2.7e-5, 100, 27), (7.5e-5, 4, 3)):
-        assert np.floor(k * (h * sig.sample_rate)) == m - 1
+    for m in (1, 7, 3801, 10**6):
         here, before = sig.window_table([m, m - 1]).T
         assert not np.array_equal(here, before)
-        assert np.array_equal(sig.step_table(k, h)[k], here)
+        assert np.array_equal(sig.step_table(7 * m, 7, 7 * m)[0], here)
+        assert np.array_equal(sig.step_table(7 * m - 1, 7, 7 * m - 1)[0], before)
+
+
+@pytest.mark.parametrize("per", [1e-4, 2.0, 0, -3, True, None])
+def test_step_table_refuses_a_per_that_is_not_a_positive_integer(per):
+    # a step length passed where steps per window belong fails loudly
+    with pytest.raises(ValueError, match="steps per window"):
+        make_signal().step_table(10, per)
 
 
 def test_window_table_matches_pointwise():
     sig = make_signal(n=4)
     table = sig.window_table(50)
-    steps = sig.step_table(49, 1.0 / sig.sample_rate)
+    steps = sig.step_table(49, 1)
     for i in range(4):
         for k in range(50):
             assert table[i, k] == steps[k, i]
@@ -105,19 +126,20 @@ def test_validation():
 
 
 @settings(max_examples=60, deadline=None)
-@given(h=st.floats(min_value=1e-6, max_value=3e-4).filter(lambda h: h * 1e4 != round(h * 1e4)),
+@given(per=st.integers(min_value=1, max_value=100),
        first=st.integers(min_value=0, max_value=400), extra=st.integers(min_value=0, max_value=400))
-# the boundaries of test_window_boundary_nudge, as a chunk's first row and inside one
-@example(h=7e-6, first=100, extra=0)
-@example(h=7e-6, first=54290, extra=20)
-@example(h=2.7e-5, first=99, extra=2)
-@example(h=7.5e-5, first=4, extra=0)
-def test_step_table_chunk_is_rows_of_the_full_table(h, first, extra):
+# chunks that start on a window's edge, off it, and end one step past one
+@example(per=7, first=98, extra=0)
+@example(per=7, first=100, extra=20)
+@example(per=2, first=99, extra=2)
+@example(per=100, first=250, extra=150)
+@example(per=1, first=4, extra=0)
+def test_step_table_chunk_is_rows_of_the_full_table(per, first, extra):
     sig = make_signal(n=3)
     steps = first + extra
-    chunk = sig.step_table(steps, h, first)
+    chunk = sig.step_table(steps, per, first)
     assert chunk.flags.c_contiguous and chunk.shape == (extra + 1, 3)
-    assert chunk.tobytes() == sig.step_table(steps, h)[first:].tobytes()
+    assert chunk.tobytes() == sig.step_table(steps, per)[first:].tobytes()
 
 
 @settings(max_examples=50, deadline=None)
