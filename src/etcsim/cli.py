@@ -570,6 +570,10 @@ def main(argv=None) -> int:
     if args.batch:
         names = list(PRESETS) if args.batch == "all" else \
             [s.strip() for s in args.batch.split(",") if s.strip()]
+        if not names or len(set(names)) < len(names):
+            print(f"validation error: --batch {args.batch!r} names no preset or one twice",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
         jobs = [(name, Path(args.out) / name) for name in names]
     elif args.preset or args.config:
         jobs = [(args.preset, Path(args.out))]

@@ -190,8 +190,9 @@ class SolutionTrace:
     docstring). :meth:`chunks` reads them and ``sample_count`` counts
     them, neither building a whole-run array; ``times``, ``jumps``,
     ``states`` and ``x_series`` build whole-run arrays on each access.
-    The log rebuilds the rows around each jump from the stored rows,
-    which the trace attaches to it."""
+    ``pre`` and ``post`` are the (E, 5n) rows just before and just after
+    each logged jump, each its instant's stored row with the instant's
+    jumps up to it applied, as a new array on each access."""
 
     scenario: Scenario  # the run's setup, which replays its blocks and defines its metrics
     row_k: np.ndarray  # (B + 1,) first step of each block, then the step count
@@ -199,7 +200,7 @@ class SolutionTrace:
     events: EventLog
 
     def __post_init__(self) -> None:
-        self.events.attach(self.row_k * self.scenario.step, self.rows)
+        self._row_t = self.row_k * self.scenario.step  # k h, with the bits of the log's t
         # the increasing steps of the samples off the decimation grid (the
         # instants with jumps and the final step that are not on it), and
         # the index of each among the samples: the grid points below it
@@ -232,6 +233,18 @@ class SolutionTrace:
         return np.searchsorted(self.events.t, self.times, side="right")
 
     @property
+    def pre(self) -> np.ndarray:
+        """(E, 5n) rows just before each jump."""
+        return self._pre_rows(0, len(self.events))
+
+    @property
+    def post(self) -> np.ndarray:
+        """(E, 5n) rows just after each jump: the transmitting agent's e
+        and tau are 0, its w_hat and eta the logged values; x and every
+        other agent are as before the jump."""
+        return self._to_post(self.pre, 0)
+
+    @property
     def states(self) -> np.ndarray:
         """(m, 5n) rows per sample: x, e, w_hat, eta, tau."""
         return self._gather(self.rows.shape[1])
@@ -252,7 +265,7 @@ class SolutionTrace:
         for k in self._step_chunks(lo, hi, size or STORAGE_BLOCK_ROWS):
             block = self.row_k.searchsorted(k, side="right") - 1  # the final step's is B
             used, at = np.unique(block, return_inverse=True)
-            starts = self.events._settled(used)  # each block's start row
+            starts = self._settled(used)  # each block's start row
             out = starts[at]
             # samples after a block's start are consecutive samples on the
             # decimation grid: every instant with jumps is a block start
@@ -291,6 +304,43 @@ class SolutionTrace:
             out[lo : lo + rows.shape[0]] = rows[:, :width]
             lo += rows.shape[0]
         return out
+
+    def _pre_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The pre-jump rows of jumps lo..hi-1, and ``lo`` may fall inside
+        an instant: each is its instant's stored row with the instant's
+        jumps before it applied."""
+        t = self.events.t[lo:hi]
+        return self._forward(self.rows[self._row_t.searchsorted(t)],
+                             self.events.t.searchsorted(t), np.arange(lo, hi))
+
+    def _settled(self, at: np.ndarray) -> np.ndarray:
+        """The stored rows ``at``, each with all the jumps at its time
+        applied: the state after its instant."""
+        t, log_t = self._row_t[at], self.events.t
+        return self._forward(self.rows[at], log_t.searchsorted(t),
+                             log_t.searchsorted(t, side="right"))
+
+    def _to_post(self, rows: np.ndarray, lo: int) -> np.ndarray:
+        """The pre-jump rows of jumps lo.. turned, in place, into their
+        post-jump rows."""
+        k = np.arange(lo, lo + rows.shape[0])
+        return self._forward(rows, k, k + 1)
+
+    def _forward(self, rows: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Apply jumps first[q]..end[q]-1 to the (m, 5n) rows[q], in place,
+        oldest first, so that an agent's later jump in an instant wins."""
+        log, z = self.events, rows.reshape(rows.shape[0], 5, self.n)
+        agent, what_w, eta = log.agent, log.what_w, log.eta
+        depth = end - first
+        for d in range(int(depth.max(initial=0))):
+            r = np.flatnonzero(depth > d)
+            k = first[r] + d
+            i = agent[k]
+            z[r, 1, i] = 0.0
+            z[r, 2, i] = what_w[k]
+            z[r, 3, i] = eta[k]
+            z[r, 4, i] = 0.0
+        return rows
 
     def _replayer(self):
         """``replay(b, start)``: block b's (m + 1, 5n) rows from its start
@@ -572,13 +622,13 @@ def jump_storage_change(trace: SolutionTrace) -> np.ndarray:
     scheme's under its feedback, evaluated in blocks of
     ``STORAGE_BLOCK_ROWS`` events. Each block's pre-jump rows are rebuilt
     once and then turned into its post-jump rows."""
-    log, scheme, feedback = trace.events, trace.scenario.scheme, trace.scenario.feedback
-    out = np.empty_like(log.psi)
+    scheme, feedback = trace.scenario.scheme, trace.scenario.feedback
+    out = np.empty_like(trace.events.psi)
     for lo in range(0, out.size, STORAGE_BLOCK_ROWS):
         hi = min(lo + STORAGE_BLOCK_ROWS, out.size)
-        rows = log._pre_rows(lo, hi)
+        rows = trace._pre_rows(lo, hi)
         before = scheme.storage(rows, feedback)
-        out[lo:hi] = scheme.storage(log._to_post(rows, lo), feedback) - before
+        out[lo:hi] = scheme.storage(trace._to_post(rows, lo), feedback) - before
     return out
 
 

@@ -82,7 +82,15 @@ def _check_params(params) -> None:
 
 
 @dataclass(frozen=True)
-class GarciaParams:
+class _Params:
+    """Base of the parameter records: each checks its fields on construction."""
+
+    def __post_init__(self) -> None:
+        _check_params(self)
+
+
+@dataclass(frozen=True)
+class GarciaParams(_Params):
     """Quadratic consensus trigger on undirected graphs.
 
     beta_i(s) = (1/a) N_i s^2, delta_i = sigma_i (1 - 2 a N_i) u_i^2,
@@ -98,12 +106,9 @@ class GarciaParams:
     eps_eta: float = 0.05  # linear eta-decay rate (dynamic mode)
     form: Literal["modified", "original"] = "modified"
 
-    def __post_init__(self) -> None:
-        _check_params(self)
-
 
 @dataclass(frozen=True)
-class DolkParams:
+class DolkParams(_Params):
     """Timer-regularized dynamic consensus trigger.
 
     Derived per agent: gamma_i = sqrt(N_i/a + mu_i), sigma_i from the
@@ -126,12 +131,9 @@ class DolkParams:
     # 'modified' uses (1-varrho)(1-2 a N_i).
     sigma_form: SigmaForm = "original"
 
-    def __post_init__(self) -> None:
-        _check_params(self)
-
 
 @dataclass(frozen=True)
-class BerneburgParams:
+class BerneburgParams(_Params):
     """Quadratic consensus trigger for weight-balanced digraphs.
 
     rho_edge maps directed edges (i, j) to the positive split weights;
@@ -147,12 +149,9 @@ class BerneburgParams:
     mode: Mode = "static"
     eps_eta: float = 0.05
 
-    def __post_init__(self) -> None:
-        _check_params(self)
-
 
 @dataclass(frozen=True)
-class SingleParams:
+class SingleParams(_Params):
     """Quadratic single-plant trigger: psi = delta_coef y~^2 - beta_coef e~^2 + c.
 
     beta_coef is already composed on 2s, so the Zeno-freeness bound is
@@ -166,9 +165,6 @@ class SingleParams:
     theta: float = 0.0
     mode: Mode = "static"
     eps_eta: float = 0.05
-
-    def __post_init__(self) -> None:
-        _check_params(self)
 
 
 # ---------------------------------------------------------------------------

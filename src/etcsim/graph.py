@@ -72,15 +72,17 @@ class Graph:
         undirected: bool = True,
         one_based: bool = False,
     ) -> "Graph":
-        """Build a graph, mirroring each edge when ``undirected``."""
+        """Build a graph, mirroring each edge when ``undirected``. An edge,
+        or its mirror, may repeat with its weight but not with another."""
         off = 1 if one_based else 0
         directed: dict[tuple[int, int], float] = {}
         for edge in edges:
             i, j = edge[0] - off, edge[1] - off
             w = float(edge[2]) if len(edge) > 2 else 1.0
-            directed[(i, j)] = w
-            if undirected:
-                directed[(j, i)] = w
+            for key in ((i, j), (j, i)) if undirected else ((i, j),):
+                if key in directed and directed[key] != w:
+                    raise ValueError(f"edge {key} given with weights {directed[key]} and {w}")
+                directed[key] = w
         triples = tuple(sorted((i, j, w) for (i, j), w in directed.items()))
         return cls(n=n, edges=triples, undirected=undirected)
 

@@ -10,12 +10,9 @@ through the graph Laplacian applied to the latest transmitted (noisy)
 outputs. Along a flow interval the sampled output is held, so the
 network-induced error evolves as the exact negative of the state.
 
-The transmission log, :class:`EventLog`, derives j, the gaps and the
-resolution instants from the logged t, and keeps no state row: the
-trace stores the state each instant starts from, and a jump changes
-only its own agent's e, w_hat, eta and tau, so the log keeps the
-sender's latched noise and eta after it, per jump; every row after a
-jump is rebuilt forward from the stored row.
+The transmission log, :class:`EventLog`, keeps per jump its agent, t,
+psi and the sender's latched noise and eta after it, and derives j and
+the gaps from them.
 """
 
 from __future__ import annotations
@@ -74,19 +71,11 @@ class EventLog:
     """Transmissions in hybrid-time order, stored as columns.
 
     ``agent`` and ``t`` say who jumped and when, ``psi`` is the trigger
-    value that commanded the jump; ``j`` (1..E) and ``gap``, the time since
-    that agent's previous jump (NaN at its first), follow from them. A jump
-    zeroes the sender's e and tau and sets its w_hat and eta, so the log
-    keeps two scalars of state per jump: the sender's latched noise and
-    eta after it.
-
-    The rest of each row is in the stored rows of the trace that owns the
-    log (:meth:`attach`): every instant with a jump has one, holding the
-    state before the instant's first jump, and applying the instant's
-    jumps to it in order gives every row after them. ``pre`` and ``post``
-    rebuild the (E, 5n) rows just before and just after each jump, as a
-    new array on each access. ``len()`` counts the jumps, and iteration
-    gives a :class:`JumpEvent` view of each.
+    value that commanded the jump, ``what_w`` and ``eta`` the sender's
+    latched noise and eta after it; ``j`` (1..E) and ``gap``, the time
+    since that agent's previous jump (NaN at its first), follow from
+    them. ``len()`` counts the jumps, and iteration gives a
+    :class:`JumpEvent` view of each.
     """
 
     _INITIAL_CAPACITY = 64
@@ -96,17 +85,17 @@ class EventLog:
     t = _Column()
     gap = _Column()
     psi = _Column()
+    what_w = _Column()
+    eta = _Column()
 
     def __init__(self, n: int) -> None:
         cap = self._INITIAL_CAPACITY
-        self._n = n
         self._size = 0
         self._agent = np.empty(cap, dtype=np.int64)
         for name in self._NAMES[1:]:
             setattr(self, "_" + name, np.empty(cap))
         # Python floats: each agent's last jump time
         self._last = [math.nan] * n
-        self._stored = None  # the owning trace's stored (times, rows)
 
     def append(self, agent: int, t: float, psi: float, what_w: float, eta: float) -> None:
         """Log one jump, in time order: what_w and eta are the sender's
@@ -125,67 +114,10 @@ class EventLog:
         self._eta[k] = eta
         self._size = k + 1
 
-    def attach(self, times: np.ndarray, rows: np.ndarray) -> None:
-        """Give the log the stored rows of its trace, (r,) times and
-        (r, 5n) rows, from which ``pre`` and ``post`` rebuild the rows
-        around each jump. Each logged t must be a stored time, and the row
-        there the state before the first jump at that t."""
-        self._stored = (times, rows)
-
     @property
     def j(self) -> np.ndarray:
         """(E,) jump counter after each jump: 1..E."""
         return np.arange(1, self._size + 1)
-
-    @property
-    def pre(self) -> np.ndarray:
-        """(E, 5n) rows just before each jump."""
-        return self._pre_rows(0, self._size)
-
-    @property
-    def post(self) -> np.ndarray:
-        """(E, 5n) rows just after each jump: the transmitting agent's e
-        and tau are 0, its w_hat and eta the logged values; x and every
-        other agent are as before the jump."""
-        return self._to_post(self._pre_rows(0, self._size), 0)
-
-    def _pre_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The pre-jump rows of jumps lo..hi-1, and ``lo`` may fall inside
-        an instant: each is its instant's stored row with the instant's
-        jumps before it applied."""
-        times, stored = self._stored
-        t = self.t[lo:hi]
-        return self._forward(stored[times.searchsorted(t)], self.t.searchsorted(t),
-                             np.arange(lo, hi))
-
-    def _settled(self, at: np.ndarray) -> np.ndarray:
-        """The stored rows ``at``, each with all the jumps at its time
-        applied: the state after its instant."""
-        times, stored = self._stored
-        t = times[at]
-        return self._forward(stored[at], self.t.searchsorted(t),
-                             self.t.searchsorted(t, side="right"))
-
-    def _to_post(self, rows: np.ndarray, lo: int) -> np.ndarray:
-        """The pre-jump rows of jumps lo.. turned, in place, into their
-        post-jump rows."""
-        k = np.arange(lo, lo + rows.shape[0])
-        return self._forward(rows, k, k + 1)
-
-    def _forward(self, rows: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray:
-        """Apply jumps first[q]..end[q]-1 to the (m, 5n) rows[q], in place,
-        oldest first, so that an agent's later jump in an instant wins."""
-        z = rows.reshape(rows.shape[0], 5, self._n)
-        depth = end - first
-        for d in range(int(depth.max(initial=0))):
-            r = np.flatnonzero(depth > d)
-            k = first[r] + d
-            i = self._agent[k]
-            z[r, 1, i] = 0.0
-            z[r, 2, i] = self._what_w[k]
-            z[r, 3, i] = self._eta[k]
-            z[r, 4, i] = 0.0
-        return rows
 
     def __len__(self) -> int:
         return self._size

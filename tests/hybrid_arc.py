@@ -84,7 +84,7 @@ def check_arc(sc, tr, label="arc"):
     step."""
     sch, log, n, h = sc.scheme, tr.events, tr.n, sc.step
     dynamic = sch.mode == "dynamic"
-    pre, post = log.pre, log.post
+    pre, post = tr.pre, tr.post
     states = tr.states  # materialised on each access: read once
     count = len(log)
 
@@ -178,7 +178,7 @@ def check_eta_flow(sc, tr):
     sch, n, h = sc.scheme, tr.n, sc.step
     k, table = _grid(sc, tr)
     states = tr.states
-    one, end = _steps(states, tr.jumps, k, tr.events.pre)
+    one, end = _steps(states, tr.jumps, k, tr.pre)
     x0, e0, what0, eta0, tau0 = _split(states[:-1], n)
     u, w = -(x0 + e0 + what0) @ sc.feedback.T, table[k[:-1]]
     e_tilde0 = e0 + what0 - w

@@ -99,7 +99,7 @@ def test_criterion_08_jump_monotonicity(preset_runs):
     for name in ("dolk-c0", "dolk-c1e-7", "dolk-remark5"):
         for _, sc, tr in preset_runs(name):
             sch, log = sc.scheme, tr.events
-            du = sch.storage(log.post, sc.feedback) - sch.storage(log.pre, sc.feedback)
+            du = sch.storage(tr.post, sc.feedback) - sch.storage(tr.pre, sc.feedback)
             bad = np.flatnonzero(~(du <= 1e-12))
             assert bad.size == 0, f"{name} jump at t={log.t[bad[0]]}: dU={du[bad[0]]}"
     report(8, "Delta U <= 1e-12 at every jump, standard and noise-aware eta resets")
@@ -115,8 +115,8 @@ def test_criterion_09_invariant_suite(preset_runs):
             assert np.array_equal(tr.states, tr2.states), f"{label}: nondeterministic states"
             assert np.array_equal(tr.times, tr2.times)
             assert len(tr.events) == len(tr2.events)
-            for col in ("agent", "t", "j", "gap", "psi", "pre", "post"):
-                a, b = getattr(tr.events, col), getattr(tr2.events, col)
+            for col in ("agent", "t", "j", "gap", "psi", "what_w", "eta", "pre", "post"):
+                a, b = (getattr(r if col in ("pre", "post") else r.events, col) for r in (tr, tr2))
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
                     f"{label}: nondeterministic event {col}"
     report(9, "every preset run is a hybrid arc (tests/hybrid_arc.py) and replays bit-exactly")

@@ -178,6 +178,21 @@ def test_batch_mode(tmp_path):
     assert (out / "single-scalar-demo" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("names", [",", " , ", "garcia-c2e-6,garcia-c2e-6",
+                                   "dolk-c0, garcia-c2e-6 ,dolk-c0"])
+def test_batch_naming_no_preset_or_one_twice_is_a_validation_error(tmp_path, capsys,
+                                                                   monkeypatch, names):
+    def refused(_):
+        raise AssertionError("simulated a refused batch")
+
+    monkeypatch.setattr(cli, "simulate", refused)
+    out = tmp_path / "o"
+    assert run_main("--batch", names, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_every_preset_resolves_without_validation_error():
     for name in PRESETS:
         pairs = cli.build_preset(name)
@@ -384,6 +399,19 @@ def test_non_finite_value_is_a_validation_error(tmp_path, capsys, section, key, 
     assert run_main("--config", str(cfg), "--validate-only") == 2
     assert run_main("--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edges", ["\n0 1 1\n1 2 1\n0 1 5", "\n0 1 1\n1 0 2\n1 2 1"])
+def test_an_edge_given_twice_with_another_weight_is_a_validation_error(tmp_path, capsys, edges):
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(_INLINE_GARCIA)
+    cp["graph"]["edges"] = edges
+    cfg = _write_ini(cp, tmp_path / "twice.ini")
+    assert run_main("--config", str(cfg), "--validate-only") == 2
+    assert run_main("--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "given with weights" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -190,7 +190,7 @@ def _replay_against_oracle(sc, tr):
     reach that sample, or, when jumps lie between, the first pre-jump row."""
     h = sc.step
     noise = sc.noise.step_table(round(sc.t_final / h), sc.steps_per_window)
-    times, states, jumps, pre = tr.times, tr.states, tr.jumps, tr.events.pre
+    times, states, jumps, pre = tr.times, tr.states, tr.jumps, tr.pre
     for k in range(len(times) - 1):
         st = states[k].reshape(5, -1).copy()
         k0 = round(times[k] / h)
@@ -225,7 +225,7 @@ def test_large_eps_h_stays_finite_and_matches_oracle():
     assert engine_mod._block_limit(sch, sc.step) == 1
     tr = simulate(sc)
     assert len(tr.events) > 0
-    assert np.isfinite(tr.states).all() and np.isfinite(tr.events.pre).all()
+    assert np.isfinite(tr.states).all() and np.isfinite(tr.pre).all()
     assert np.isfinite(tr.events.psi).all()
     _replay_against_oracle(sc, tr)
 
@@ -236,8 +236,9 @@ def test_determinism_bit_exact():
     t1, t2 = simulate(s1), simulate(s2)
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.times, t2.times)
-    for col in ("agent", "t", "j", "pre"):
+    for col in ("agent", "t", "j"):
         assert np.array_equal(getattr(t1.events, col), getattr(t2.events, col)), col
+    assert np.array_equal(t1.pre, t2.pre)
 
 
 def test_event_log_keeps_every_row_past_its_initial_capacity():
@@ -253,7 +254,7 @@ def test_event_log_keeps_every_row_past_its_initial_capacity():
     assert e_count == tr.jumps[-1]
     for col in (log.agent, log.t, log.j, log.gap, log.psi):
         assert col.shape == (e_count,)
-    assert log.pre.shape == log.post.shape == (e_count, 5 * n)
+    assert tr.pre.shape == tr.post.shape == (e_count, 5 * n)
     check_arc(sc, tr)
 
 
@@ -314,9 +315,9 @@ def test_logged_rows_are_the_states_around_each_jump(monkeypatch, name):
         at_zero = np.flatnonzero(log.t == 0.0)
         assert at_zero.size > 1
         cols = 2 * tr.n + log.agent[at_zero]
-        assert np.all(log.pre[at_zero, cols] != log.post[at_zero, cols])
-    assert np.array_equal(log.pre, np.array(before))
-    assert np.array_equal(log.post, np.array(after))
+        assert np.all(tr.pre[at_zero, cols] != tr.post[at_zero, cols])
+    assert np.array_equal(tr.pre, np.array(before))
+    assert np.array_equal(tr.post, np.array(after))
 
 
 def test_event_log_keeps_no_state_row():
@@ -379,7 +380,7 @@ def test_trigger_consistency_and_flow_membership():
     log = tr.events
     for k, ev in enumerate(log):
         assert log.psi[k] <= tol
-        x, e, what_w, _, tau = pre = log.pre[k].reshape(5, -1)
+        x, e, what_w, _, tau = pre = tr.pre[k].reshape(5, -1)
         w = noise[round(ev.time.t / s.step)]
         psi = sch.psi_vec(u=control(s, pre), e_tilde=e + what_w - w, tau=tau, x=x, w=w)
         assert psi[ev.agent] <= tol
@@ -590,7 +591,7 @@ def test_garcia_jumps_leave_w_unchanged():
     tr = simulate(s)
     L = s.feedback
     n = tr.n
-    for pre, post in zip(tr.events.pre, tr.events.post):
+    for pre, post in zip(tr.pre, tr.post):
         w_pre = 0.5 * pre[:n] @ L @ pre[:n]
         w_post = 0.5 * post[:n] @ L @ post[:n]
         assert w_pre == w_post  # x untouched by jumps
@@ -610,7 +611,7 @@ def test_blocked_storage_change_matches_a_whole_log_evaluation(preset_runs, monk
     log, M = tr.events, sc.feedback
     assert len(log) > 3 * 3
     monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", 3)
-    whole = sc.scheme.storage(log.post, M) - sc.scheme.storage(log.pre, M)
+    whole = sc.scheme.storage(tr.post, M) - sc.scheme.storage(tr.pre, M)
     assert np.array_equal(engine_mod.jump_storage_change(tr), whole)
 
 
@@ -623,7 +624,7 @@ def _run_columns(sc):
     tr = simulate(sc)
     log = tr.events
     cols = {"times": tr.times, "jumps": tr.jumps, "states": tr.states, "agent": log.agent,
-            "t": log.t, "gap": log.gap, "psi": log.psi, "pre": log.pre, "post": log.post}
+            "t": log.t, "gap": log.gap, "psi": log.psi, "pre": tr.pre, "post": tr.post}
     return {key: (col.shape, col.tobytes()) for key, col in cols.items()}
 
 
@@ -717,7 +718,7 @@ def test_chunked_reads_match_the_flowed_rows(monkeypatch, name, dec, size):
     # a row is stored at each block's start, before the jumps there, and
     # applying them rebuilds the row the block flowed from
     assert np.array_equal(tr.row_k[:-1], block_steps)
-    assert tr.events._settled(np.arange(block_steps.size)).tobytes() == starts.tobytes()
+    assert tr._settled(np.arange(block_steps.size)).tobytes() == starts.tobytes()
     steps = np.rint(tr.times / sc.step).astype(np.int64)
     states = tr.states
     assert np.array_equal(states, flowed[steps])

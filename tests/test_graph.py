@@ -74,6 +74,22 @@ def test_validation_errors():
         Graph(n=2, edges=((0, 1, 1.0),), undirected=True)  # missing mirror
 
 
+def test_an_edge_given_twice_must_keep_its_weight():
+    # a repeat with the same weight loads, as the manifests write both
+    # directions of every undirected edge
+    g = Graph.from_edge_list(3, [(0, 1, 2.0), (1, 0, 2.0), (1, 2), (1, 2)], undirected=True)
+    assert g.adjacency.tolist() == [[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    for undirected in (True, False):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) given with weights 1.0 and 5.0"):
+            Graph.from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 5.0)], undirected=undirected)
+    # the mirror of an undirected edge is the same edge
+    with pytest.raises(ValueError, match=r"edge \(1, 0\) given with weights 1.0 and 2.0"):
+        Graph.from_edge_list(2, [(0, 1, 1.0), (1, 0, 2.0)], undirected=True)
+    # a directed graph may weigh the two directions apart
+    g = Graph.from_edge_list(2, [(0, 1, 1.0), (1, 0, 2.0)], undirected=False)
+    assert g.adjacency.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+
+
 def test_disconnected_detected():
     g = Graph.from_edge_list(4, [(0, 1), (2, 3)], undirected=True)
     assert components(g) == 2

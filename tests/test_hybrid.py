@@ -3,7 +3,7 @@ import pytest
 
 from etcsim.engine import _control_law, _flow_block, consensus_metrics
 from etcsim.etm import GarciaParams, GarciaScheme, SingleParams, SingleSystemScheme
-from etcsim.graph import benchmark_topology, laplacian
+from etcsim.graph import Graph, benchmark_topology, laplacian
 from etcsim.hybrid import EventLog, apply_jump
 from hybrid_arc import stored_trace
 
@@ -158,46 +158,67 @@ def jumped(row, agent, what_w, eta):
 
 def test_event_log_chains_the_jumps_of_an_instant():
     # four instants between flowing samples, each stored before its first
-    # jump, the first at t = 0; at t = 1 agent 0 jumps twice, in two
+    # jump, the first at step 0; at step 2 agent 0 jumps twice, in two
     # passes, and the jump after its second sees the second's values
     n = 3
     rng = np.random.default_rng(5)
-    jumps = {0.0: [(1, 1.5, 1.6)],
-             1.0: [(0, 0.1, 0.2), (2, 0.3, 0.4), (0, 0.5, 0.6), (1, 1.3, 1.4)],
-             2.0: [(1, 0.7, 0.8), (2, 0.9, 1.0)], 3.0: [(0, 1.1, 1.2)]}
-    times = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    jumps = {0: [(1, 1.5, 1.6)],
+             2: [(0, 0.1, 0.2), (2, 0.3, 0.4), (0, 0.5, 0.6), (1, 1.3, 1.4)],
+             4: [(1, 0.7, 0.8), (2, 0.9, 1.0)], 6: [(0, 1.1, 1.2)]}
     log = EventLog(n)
     row = rng.standard_normal(5 * n)
     stored, want_pre, want_post = [], [], []
-    for t in times:
-        if t:  # flow from the previous sample: everything but w_hat moves
+    for k in range(7):
+        if k:  # flow from the previous sample: everything but w_hat moves
             flow = rng.standard_normal((5, n))
             flow[2] = 0.0
             row = row + flow.ravel()
         stored.append(row)
-        for agent, what_w, eta in jumps.get(t, []):
+        for agent, what_w, eta in jumps.get(k, []):
             want_pre.append(row)
-            log.append(agent, t, 0.0, what_w, eta)
+            log.append(agent, float(k), 0.0, what_w, eta)
             row = jumped(row, agent, what_w, eta)
             want_post.append(row)
-    log.attach(np.array(times), np.array(stored))
+    scheme = GarciaScheme(Graph.from_edge_list(n, [(0, 1), (1, 2)]), GarciaParams(a=0.1, c=0.01),
+                          allow_zeno=True)
+    tr = stored_trace(scheme, stored, log)
     want_pre, want_post = np.array(want_pre), np.array(want_post)
     # j and the gaps since the same agent's previous jump are the log's own
     assert np.array_equal(log.j, np.arange(1, len(want_pre) + 1))
     nan = np.nan
-    assert np.array_equal(log.gap, [nan, nan, nan, 0.0, 1.0, 1.0, 1.0, 2.0], equal_nan=True)
-    assert np.array_equal(log.pre, want_pre)
-    assert np.array_equal(log.post, want_post)
+    assert np.array_equal(log.gap, [nan, nan, nan, 0.0, 2.0, 2.0, 2.0, 4.0], equal_nan=True)
+    assert np.array_equal(tr.pre, want_pre)
+    assert np.array_equal(tr.post, want_post)
     # agent 0's second jump sees its first one's latched noise and eta,
     # and the jump after it the second one's
-    assert log.pre[3].reshape(5, n)[2:4, 0].tolist() == [0.1, 0.2]
-    assert log.pre[4].reshape(5, n)[2:4, 0].tolist() == [0.5, 0.6]
+    assert tr.pre[3].reshape(5, n)[2:4, 0].tolist() == [0.1, 0.2]
+    assert tr.pre[4].reshape(5, n)[2:4, 0].tolist() == [0.5, 0.6]
     # a block may start inside an instant, at any jump
     for lo in range(len(want_pre)):
         for hi in range(lo, len(want_pre) + 1):
-            assert np.array_equal(log._pre_rows(lo, hi), want_pre[lo:hi])
+            assert np.array_equal(tr._pre_rows(lo, hi), want_pre[lo:hi])
     # each access is a new array
-    log.pre[:] = 0.0
-    log.post[:] = 0.0
-    assert np.array_equal(log.pre, want_pre) and np.array_equal(log.post, want_post)
+    tr.pre[:] = 0.0
+    tr.post[:] = 0.0
+    assert np.array_equal(tr.pre, want_pre) and np.array_equal(tr.post, want_post)
 
+
+def test_event_log_is_a_column_log_without_a_trace():
+    # appended by hand, past its first buffers: every column reads back
+    log = EventLog(2)
+    count = 3 * EventLog._INITIAL_CAPACITY
+    for k in range(count):
+        log.append(k % 2, 0.5 * (k // 2), -k, 0.25 * k, 2.0 * k)
+    k = np.arange(count)
+    assert len(log) == count
+    assert np.array_equal(log.agent, k % 2) and log.agent.dtype == np.int64
+    assert np.array_equal(log.t, 0.5 * (k // 2))
+    assert np.array_equal(log.gap, np.where(k < 2, np.nan, 0.5), equal_nan=True)
+    assert np.array_equal(log.psi, -k)
+    assert np.array_equal(log.what_w, 0.25 * k)
+    assert np.array_equal(log.eta, 2.0 * k)
+    assert np.array_equal(log.j, k + 1)
+    events = list(log)
+    assert [ev.agent for ev in events] == (k % 2).tolist()
+    assert [ev.time for ev in events] == [(t, j) for t, j in zip(log.t.tolist(), k + 1)]
+    assert [ev.inter_event_gap for ev in events[:3]] == [None, None, 0.5]
