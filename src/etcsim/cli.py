@@ -5,10 +5,12 @@ re-runnable manifest, and offers a validate-only mode that reports the
 derived trigger constants and the robustness bound check per agent.
 
 With more than one CPU, forked writers format a run's states.csv and
-events.csv. In a batch, or a preset with sub-runs, run k's writers
-format while run k+1 simulates; run k is joined when run k+1 is ready to
-write. So at most one run's writers run at a time, and each run's
-stdout line appears in run order, once its artifacts are complete.
+events.csv, each the samples of its own range and the jumps at their
+instants, from one walk over the trace's blocks. In a batch, or a
+preset with sub-runs, run k's writers format while run k+1 simulates;
+run k is joined when run k+1 is ready to write. So at most one run's
+writers run at a time, and each run's stdout line appears in run order,
+once its artifacts are complete.
 
 Exit codes: 0 success, 2 validation failure, 3 jump storm, 4 I/O error.
 """
@@ -30,7 +32,7 @@ from typing import Callable, Literal, get_origin, get_type_hints
 import numpy as np
 
 from .engine import JumpStormError, Scenario, SolutionTrace, final_metrics, inter_event_stats, \
-    jump_storage_change, simulate
+    simulate
 from .etm import (
     BerneburgParams,
     BerneburgScheme,
@@ -57,11 +59,11 @@ EXIT_IO = 4
 BENCHMARK_GRAPH_KEYWORD = "paper-fig2"
 
 _FMT = "%.17g"
-# rows of events.csv formatted per write, so that no whole-run copy of a
-# trace is made; also the fewest rows a forked writer process is given
+# the fewest samples a forked writer process is given
 _CHUNK_ROWS = 4096
-# rows of states.csv read and formatted per write, whose repeated w_hat,
-# eta and tau values are formatted once: a short table of texts per write
+# samples read and formatted per write, with the jumps at their instants,
+# so that no whole-run copy of a trace is made; their repeated w_hat, eta
+# and tau values are formatted once: a short table of texts per write
 _TEXT_ROWS = 512
 
 
@@ -275,65 +277,73 @@ def _writer_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _write_part(part: Path, write_range, lo: int, hi: int) -> None:
-    with part.open("a") as fh:
-        write_range(fh, lo, hi)
+def _write_part(parts: list[Path], write_range, lo: int, hi: int) -> None:
+    with contextlib.ExitStack() as files:
+        write_range(*[files.enter_context(part.open("a")) for part in parts], lo, hi)
 
 
-def _write_rows(path: Path, header: str, nrows: int, write_range) -> Callable[[], None]:
-    """Write ``header`` and then rows [0, nrows) to ``path``;
-    ``write_range(fh, lo, hi)`` formats rows lo..hi, ``_CHUNK_ROWS`` at
-    a time. Return the finish step: ``path`` is complete once it has
-    returned.
+def _write_rows(files: list[tuple[Path, str]], nrows: int, write_range) -> Callable[[], None]:
+    """Write the header of each (path, header) of ``files`` and then rows
+    [0, nrows) of them all; ``write_range(*fhs, lo, hi)`` writes the lines
+    of rows lo..hi to each file's handle. Return the finish step: the
+    files are complete once it has returned.
 
     The rows are split into one contiguous range per CPU, each of at
     least ``_CHUNK_ROWS`` rows. With one range this process writes the
-    file, and the finish step does nothing. Otherwise a forked child
+    files, and the finish step does nothing. Otherwise a forked child
     formats each range while this process goes on: the first range's
-    child appends to ``path`` after the header, and each other child
-    writes a hidden part file next to it. The finish step joins the
+    child appends to each file after its header, and each other child
+    writes a hidden part file next to each. The finish step joins the
     children and appends the parts in order, so the bytes do not depend
     on the number of ranges; it removes the parts, and raises OSError if
     a child failed. A fork shares the trace with the children instead of
-    pickling it; a child only replays, slices and formats, since the
+    pickling it; a child only replays, slices, sums and formats, since the
     parent may hold BLAS threads.
     """
+    paths = [path for path, _ in files]
     w = max(1, min(_writer_count(), nrows // _CHUNK_ROWS))
     if w == 1:
-        with path.open("w") as fh:
-            fh.write(header)
-            write_range(fh, 0, nrows)
+        with contextlib.ExitStack() as opened:
+            fhs = [opened.enter_context(path.open("w")) for path in paths]
+            for fh, (_, header) in zip(fhs, files):
+                fh.write(header)
+            write_range(*fhs, 0, nrows)
         return lambda: None
 
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     bounds = [nrows * k // w for k in range(w + 1)]
-    parts = [path] + [path.with_name(f".{path.name}.{k}.part") for k in range(1, w)]
+    parts = [paths] + [[p.with_name(f".{p.name}.{k}.part") for p in paths] for k in range(1, w)]
     procs = []
 
     def reap() -> None:
         for proc in procs:
             proc.join()
         for part in parts[1:]:
-            part.unlink(missing_ok=True)
+            for p in part:
+                p.unlink(missing_ok=True)
 
     def finish() -> None:
         try:
             for proc, part in zip(procs, parts):
                 proc.join()
                 if proc.exitcode != 0:
-                    raise OSError(f"the writer of {part.name} exited with code {proc.exitcode}")
-            with path.open("ab") as fh:
-                for part in parts[1:]:
-                    with part.open("rb") as src:
-                        shutil.copyfileobj(src, fh)
+                    raise OSError(f"the writer of {part[0].name} exited with code "
+                                  f"{proc.exitcode}")
+            for i, path in enumerate(paths):
+                with path.open("ab") as fh:
+                    for part in parts[1:]:
+                        with part[i].open("rb") as src:
+                            shutil.copyfileobj(src, fh)
         finally:
             reap()
 
-    path.write_text(header)
+    for path, header in files:
+        path.write_text(header)
     for part in parts[1:]:
-        part.unlink(missing_ok=True)  # left by a killed run; the children append
+        for p in part:
+            p.unlink(missing_ok=True)  # left by a killed run; the children append
     try:
         for part, lo, hi in zip(parts, bounds, bounds[1:]):
             proc = ctx.Process(target=_write_part, args=(part, write_range, lo, hi))
@@ -345,45 +355,46 @@ def _write_rows(path: Path, header: str, nrows: int, write_range) -> Callable[[]
     return finish
 
 
-def _write_states(path: Path, trace: SolutionTrace) -> Callable[[], None]:
-    """Each row is one ``%`` of t, j, x and e, with the w_hat, eta and tau
-    texts inserted as ``%s``. Those columns repeat, so each distinct 64-bit
-    pattern among them is formatted once per chunk of ``_TEXT_ROWS`` rows:
-    keyed on bits, not on float equality, so that -0.0 keeps its sign. The
-    bytes are those of ``np.savetxt`` with ``%.17g`` for every float."""
-    n = trace.n
+def _write_tables(out_dir: Path, trace: SolutionTrace) -> Callable[[], None]:
+    """states.csv, one row per sample, and events.csv, one row per jump,
+    from one walk over each range of samples: a range writes its samples
+    and the jumps at their instants, with their delta_u.
+
+    Each states.csv row is one ``%`` of t, j, x and e, with the w_hat, eta
+    and tau texts inserted as ``%s``. Those columns repeat, so each
+    distinct 64-bit pattern among them is formatted once per chunk of
+    ``_TEXT_ROWS`` rows: keyed on bits, not on float equality, so that
+    -0.0 keeps its sign. The bytes are those of ``np.savetxt`` with
+    ``%.17g`` for every float."""
+    n, log, step = trace.n, trace.events, trace.scenario.step
     cols = (["t", "j"]
             + [f"x{i}" for i in range(n)] + [f"e{i}" for i in range(n)]
             + [f"what_w{i}" for i in range(n)] + [f"eta{i}" for i in range(n)]
             + [f"tau{i}" for i in range(n)])
     line = ",".join([_FMT, "%d"] + [_FMT] * (2 * n) + ["%s"] * (3 * n)) + "\n"
 
-    def write_range(fh, lo, hi):
+    def write_range(states, events, lo, hi):
         # each writer replays the blocks of its own range
-        for k, rows in trace.chunks(lo, hi, _TEXT_ROWS):
-            times = k * trace.scenario.step
-            j = np.searchsorted(trace.events.t, times, side="right")  # trace.jumps
+        for k, rows, delta_u in trace.chunks(lo, hi, _TEXT_ROWS, storage_change=True):
+            times = k * step
+            j = np.searchsorted(log.t, times, side="right")  # trace.jumps
             keys, at = np.unique(rows[:, 2 * n :].view(np.int64), return_inverse=True)
             texts = np.array([_FMT % v for v in keys.view(float).tolist()], dtype=object)
             head = np.column_stack([times, j, rows[:, : 2 * n]]).tolist()
             tail = texts[at.reshape(len(head), 3 * n)].tolist()
-            fh.write("".join([line % (*h, *t) for h, t in zip(head, tail)]))
-
-    return _write_rows(path, ",".join(cols) + "\n", trace.sample_count, write_range)
-
-
-def _write_events(path: Path, trace: SolutionTrace, delta_u: np.ndarray) -> Callable[[], None]:
-    log = trace.events
-    cols = (log.agent, log.t, log.j, log.gap, log.psi, delta_u)
-
-    def write_range(fh, lo, hi):
-        for a in range(lo, hi, _CHUNK_ROWS):
-            chunk = (c[a : min(a + _CHUNK_ROWS, hi)].tolist() for c in cols)
-            for agent, t, j, gap, psi, du in zip(*chunk):
+            states.write("".join([line % (*h, *t) for h, t in zip(head, tail)]))
+            # the jumps at these instants, jumps a..b-1 of the log
+            a = log.t.searchsorted(times.item(0))
+            b = a + delta_u.size
+            jumps = zip(*[c[a:b].tolist() for c in (log.agent, log.t, log.gap, log.psi)],
+                        delta_u.tolist())
+            for q, (agent, t, gap, psi, du) in enumerate(jumps, a + 1):
                 gap_s = "" if math.isnan(gap) else _FMT % gap
-                fh.write(f"{agent},{_FMT % t},{j},{gap_s},{_FMT % psi},{_FMT % du}\n")
+                events.write(f"{agent},{_FMT % t},{q},{gap_s},{_FMT % psi},{_FMT % du}\n")
 
-    return _write_rows(path, "agent,t,j,gap,psi,delta_u\n", len(log), write_range)
+    return _write_rows([(out_dir / "states.csv", ",".join(cols) + "\n"),
+                        (out_dir / "events.csv", "agent,t,j,gap,psi,delta_u\n")],
+                       trace.sample_count, write_range)
 
 
 def _write_metrics(path: Path, trace: SolutionTrace, final: dict) -> None:
@@ -410,10 +421,8 @@ def write_run_artifacts(out_dir: Path, trace: SolutionTrace, final: dict,
     the finish step that completes both files. It raises OSError if a
     writer failed."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    delta_u = jump_storage_change(trace)
     with contextlib.ExitStack() as writers:
-        writers.callback(_write_states(out_dir / "states.csv", trace))
-        writers.callback(_write_events(out_dir / "events.csv", trace, delta_u))
+        writers.callback(_write_tables(out_dir, trace))
         _write_metrics(out_dir / "metrics.csv", trace, final)
         with (out_dir / "manifest.ini").open("w") as fh:
             manifest.write(fh)
@@ -493,7 +502,7 @@ class _Pipeline:
         except JumpStormError as exc:
             print(f"jump storm: {exc}", file=sys.stderr)
             return EXIT_JUMP_STORM
-        final = final_metrics(trace)  # from the stored rows: nothing replayed
+        final = final_metrics(trace)  # from the kept first and last rows: nothing replayed
         code = self.join()
         try:
             finish = write_run_artifacts(out_dir, trace, final, manifest)
@@ -573,6 +582,11 @@ def main(argv=None) -> int:
         if not names or len(set(names)) < len(names):
             print(f"validation error: --batch {args.batch!r} names no preset or one twice",
                   file=sys.stderr)
+            return EXIT_VALIDATION
+        unknown = [name for name in names if name not in PRESETS]
+        if unknown:
+            print(f"validation error: --batch names an unknown preset {unknown[0]!r}; "
+                  f"available: {', '.join(PRESETS)}", file=sys.stderr)
             return EXIT_VALIDATION
         jobs = [(name, Path(args.out) / name) for name in names]
     elif args.preset or args.config:

@@ -40,19 +40,22 @@ differ from -M(x + e + w_hat) in the last bits, but only within one
 instant: the next instant and every block start evaluate u from the
 state afresh.
 
-A trace stores the arc as its blocks (:class:`SolutionTrace`): the row
-committed at each block boundary before that instant's jumps, at t = 0,
-at the end of every block and at the end of the run. Applying the
-instant's logged jumps to it gives the block's start row, and replaying
-the block from there gives every step end inside it bit for bit: a
-block's rows depend only on its start row, its length and, for eta, its
-noise rows. So a trace grows with blocks, not with t_final / h. Its
-samples are read through one chunked reader, :meth:`SolutionTrace.chunks`;
-``states`` and ``x_series`` materialise them on each access, at
-O(samples) cost and memory, and decimation is only a choice of which
-samples a reader asks for.
+A trace stores the arc as its blocks (:class:`SolutionTrace`): the step
+of each block boundary, and the row committed there before that
+instant's jumps at t = 0, at every CHECKPOINT_BLOCKS-th boundary and at
+the end of the run. Applying the instant's logged jumps to a boundary's
+row gives the block's start row, and replaying the block from there
+gives every step end inside it bit for bit, the last one with eta
+clamped being the next boundary's row: a block's rows depend only on
+its start row, its length and, for eta, its noise rows. So every other
+boundary's row is rebuilt by a forward walk from the kept row before it,
+and a trace grows with blocks, not with t_final / h, by one step number
+per block. Its samples are read through one chunked reader,
+:meth:`SolutionTrace.chunks`; ``states`` and ``x_series`` materialise
+them on each access, at O(samples) cost and memory, and decimation is
+only a choice of which samples a reader asks for.
 
-A run holds its stored rows, the event log, one chunk of
+A run holds its block steps and kept rows, the event log, one chunk of
 NOISE_CHUNK_STEPS rows of the noise's step table, and the temporaries of
 one block. A block reads its noise rows from the chunk; when it would
 run past the chunk's last row, the next chunk is tabulated from the
@@ -91,6 +94,10 @@ JUMPS_PER_INSTANT_FACTOR = 10
 # block lengths in steps: after an instant with jumps, and the cap of the doubling
 BLOCK_MIN = 8
 BLOCK_MAX = 512
+# a trace keeps the row at every CHECKPOINT_BLOCKS-th block boundary (and at
+# the last) and rebuilds the others forward: at most CHECKPOINT_BLOCKS - 1
+# block replays before a read reaches its first boundary
+CHECKPOINT_BLOCKS = 64
 # rows per block of the metrics passes (events in jump_storage_change,
 # samples read from a trace), which bounds their temporaries instead of
 # building whole-run (E, 5n) or (samples, 5n) arrays at once
@@ -180,10 +187,12 @@ class SolutionTrace:
     """Recorded hybrid arc, stored as its blocks, plus the full
     transmission log.
 
-    ``rows`` holds the state at each block boundary before the jumps
-    there, at the steps ``row_k``: block b flows from ``rows[b]``, after
-    the jumps logged at ``row_k[b]`` h are applied, for
-    ``row_k[b + 1] - row_k[b]`` steps, and the final row comes last. Its
+    ``row_k`` holds the first step of each block and then the step
+    count: block b flows from boundary b, after the jumps logged at
+    ``row_k[b]`` h, for ``row_k[b + 1] - row_k[b]`` steps. ``rows`` holds
+    the state before the jumps at the kept boundaries, in order: every
+    ``stride``-th one from t = 0 and the last. Every other boundary's row
+    is rebuilt forward from the kept row before it (:class:`_Walk`). Its
     samples are every ``decimation``-th step end of the scenario, every
     instant with jumps and the final step; each is a boundary's row after
     its jumps or a row of a block replayed from its start (module
@@ -191,15 +200,21 @@ class SolutionTrace:
     them, neither building a whole-run array; ``times``, ``jumps``,
     ``states`` and ``x_series`` build whole-run arrays on each access.
     ``pre`` and ``post`` are the (E, 5n) rows just before and just after
-    each logged jump, each its instant's stored row with the instant's
+    each logged jump, each its instant's boundary row with the instant's
     jumps up to it applied, as a new array on each access."""
 
     scenario: Scenario  # the run's setup, which replays its blocks and defines its metrics
     row_k: np.ndarray  # (B + 1,) first step of each block, then the step count
-    rows: np.ndarray  # (B + 1, 5n) rows there before the jumps: x, e, w_hat, eta, tau
+    rows: np.ndarray  # (kept, 5n) rows before the jumps there: x, e, w_hat, eta, tau
     events: EventLog
+    stride: int = 1  # boundary b is kept when stride divides it; the last always is
 
     def __post_init__(self) -> None:
+        last = self.row_k.size - 1
+        kept = last // self.stride + 1 + (last % self.stride != 0)
+        if self.rows.shape[0] != kept:
+            raise ValueError(f"{self.rows.shape[0]} rows for {kept} kept boundaries "
+                             f"of {last + 1} at stride {self.stride}")
         self._row_t = self.row_k * self.scenario.step  # k h, with the bits of the log's t
         # the increasing steps of the samples off the decimation grid (the
         # instants with jumps and the final step that are not on it), and
@@ -254,30 +269,37 @@ class SolutionTrace:
         """(m, n) agent states per sample."""
         return self._gather(self.n)
 
-    def chunks(self, lo: int = 0, hi: int | None = None, size: int | None = None):
+    def chunks(self, lo: int = 0, hi: int | None = None, size: int | None = None,
+               storage_change: bool = False):
         """Yield samples lo..hi-1 in order, in chunks of at most ``size``
         (default STORAGE_BLOCK_ROWS): each chunk's (c,) step numbers and
-        its (c, 5n) rows. A sample at a block boundary is its stored row
-        after the jumps there, every other one is read from its block's
-        replay."""
-        dec = self.scenario.decimation
-        replay = self._replayer()
+        its (c, 5n) rows, and with ``storage_change`` also the ΔU of the
+        jumps at the chunk's instants, the log's next ones, as
+        :func:`jump_storage_change` gives them. One walk over the blocks
+        serves every chunk: a sample at a block boundary is the boundary's
+        row after its jumps, every other one is read from its block's
+        replay, and the rows before the jumps are kept as it passes."""
+        walk, log_t = _Walk(self), self.events.t
         for k in self._step_chunks(lo, hi, size or STORAGE_BLOCK_ROWS):
             block = self.row_k.searchsorted(k, side="right") - 1  # the final step's is B
-            used, at = np.unique(block, return_inverse=True)
-            starts = self._settled(used)  # each block's start row
-            out = starts[at]
-            # samples after a block's start are consecutive samples on the
-            # decimation grid: every instant with jumps is a block start
+            out = np.empty((k.size, self.rows.shape[1]))
+            jumped, pre = (), {}
+            if storage_change:  # each instant with jumps is the first sample of its block
+                t = k[[0, -1]] * self.scenario.step
+                first, end = log_t.searchsorted(t.item(0)), log_t.searchsorted(t.item(1), "right")
+                jumped = set(self._row_t.searchsorted(log_t[first:end]).tolist())
             cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()  # where the block changes
-            for a, b in zip([0, *cuts], [*cuts, k.size]):
-                first = block.item(a)
-                a += k.item(a) == self.row_k.item(first)  # the start is in out already
-                if a < b:
-                    m = k.item(a) - self.row_k.item(first)
-                    rows = replay(first, starts[at.item(a)])
-                    out[a:b] = rows[m : m + (b - a - 1) * dec + 1 : dec]
-            yield k, out
+            for a, c in zip([0, *cuts], [*cuts, k.size]):
+                b = block.item(a)
+                if b in jumped:
+                    pre[b] = walk.pre(b).copy()
+                m = k[a:c] - self.row_k.item(b)  # steps into the block
+                out[a:c] = walk.flow(b)[m] if m.item(-1) else walk.start(b)
+            if storage_change:
+                yield k, out, self._storage_change(self._pre_rows(first, end, pre.__getitem__),
+                                                   first)
+            else:
+                yield k, out
 
     def _step_chunks(self, lo: int = 0, hi: int | None = None, size: int | None = None):
         """Yield the steps of samples lo..hi-1 (a slice of the samples), in
@@ -305,20 +327,23 @@ class SolutionTrace:
             lo += rows.shape[0]
         return out
 
-    def _pre_rows(self, lo: int, hi: int) -> np.ndarray:
+    def _pre_rows(self, lo: int, hi: int, pre=None) -> np.ndarray:
         """The pre-jump rows of jumps lo..hi-1, and ``lo`` may fall inside
-        an instant: each is its instant's stored row with the instant's
-        jumps before it applied."""
-        t = self.events.t[lo:hi]
-        return self._forward(self.rows[self._row_t.searchsorted(t)],
-                             self.events.t.searchsorted(t), np.arange(lo, hi))
+        an instant: each is its instant's boundary row, ``pre(b)`` (a new
+        walk's by default), with the instant's jumps before it applied."""
+        t, pre = self.events.t[lo:hi], pre or _Walk(self).pre
+        used, at = np.unique(self._row_t.searchsorted(t), return_inverse=True)
+        rows = np.empty((used.size, self.rows.shape[1]))
+        for r, b in enumerate(used.tolist()):
+            rows[r] = pre(b)
+        return self._forward(rows[at], self.events.t.searchsorted(t), np.arange(lo, hi))
 
-    def _settled(self, at: np.ndarray) -> np.ndarray:
-        """The stored rows ``at``, each with all the jumps at its time
-        applied: the state after its instant."""
-        t, log_t = self._row_t[at], self.events.t
-        return self._forward(self.rows[at], log_t.searchsorted(t),
-                             log_t.searchsorted(t, side="right"))
+    def _storage_change(self, rows: np.ndarray, lo: int) -> np.ndarray:
+        """ΔU of jumps lo.. from their (m, 5n) pre-jump rows, which are
+        turned into their post-jump rows."""
+        scheme, feedback = self.scenario.scheme, self.scenario.feedback
+        before = scheme.storage(rows, feedback)
+        return scheme.storage(self._to_post(rows, lo), feedback) - before
 
     def _to_post(self, rows: np.ndarray, lo: int) -> np.ndarray:
         """The pre-jump rows of jumps lo.. turned, in place, into their
@@ -342,29 +367,101 @@ class SolutionTrace:
             z[r, 4, i] = 0.0
         return rows
 
-    def _replayer(self):
-        """``replay(b, start)``: block b's (m + 1, 5n) rows from its start
-        row to its last step end, eta unclamped there, as the run flowed
-        them."""
-        s, n, bounds = self.scenario, self.n, self.row_k
-        z = np.empty((5, n))
-        control = _control_law(s.feedback, z)
-        noise = (_NoiseRows(s.noise, s.steps_per_window, bounds.item(-1))
-                 if s.scheme.mode == "dynamic" else None)
-        last = [-1, None]  # the block replayed last, and its rows
 
-        def replay(b: int, start: np.ndarray) -> np.ndarray:
-            if last[0] != b:
-                k, m = bounds.item(b), bounds.item(b + 1) - bounds.item(b)
-                z[...] = start.reshape(5, n)
-                if noise is None:
-                    out = _row_flow(start, control(), s.step, m).reshape(m + 1, 5 * n)
-                else:
-                    out = _flow_block(start, control(), s.step, noise.rows(k, m), s.scheme)[0]
-                last[:] = b, out
-            return last[1]
+class _Walk:
+    """One forward walk over a trace's blocks: ``pre(b)`` is the row at
+    boundary b before its jumps, ``start(b)`` block b's start row after
+    them, and ``flow(b)`` block b's (m + 1, 5n) rows from its start to its
+    last step end, eta unclamped there, as the run flowed them.
 
-        return replay
+    The walk starts at the kept row at or before the first boundary asked,
+    and skips ahead to a later kept row whenever one lies at or before the
+    boundary asked; so a read from anywhere replays at most stride - 1
+    blocks before it reaches its first boundary. Boundaries asked in
+    nondecreasing order cost one replay per block; one below the boundary
+    reached starts again from the kept row before it. From a row it reached, it
+    rebuilds the next boundary's row as ``simulate`` commits it: the
+    instant's logged jumps are applied, the block is replayed (a static
+    rule's row flow alone, a dynamic rule's under its noise rows) and its
+    last row, eta clamped at 0, is the next boundary's row. The rows it
+    returns are its own buffers or the trace's kept rows: a reader copies
+    what it keeps past the next call."""
+
+    def __init__(self, trace: SolutionTrace) -> None:
+        s, log = trace.scenario, trace.events
+        self.trace, self.n = trace, trace.n
+        self.log = log.t, log.agent, log.what_w, log.eta
+        self.z = np.empty((5, self.n))  # the start row of the boundary reached
+        self.row = self.z.reshape(-1)
+        # a static one-step block's increment and end, which a walk past it needs alone
+        self.inc, self.end = np.empty((5, self.n)), np.empty(5 * self.n)
+        self.control = _control_law(s.feedback, self.z)
+        self.noise = (_NoiseRows(s.noise, s.steps_per_window, trace.row_k.item(-1))
+                      if s.scheme.mode == "dynamic" else None)
+        # the boundary reached, its row before the jumps and the first jump
+        # at or after its time; its start row and its block's rows once built
+        self.b, self.q, self._pre = -1, 0, None
+        self._start = self._flow = None
+
+    def pre(self, b: int) -> np.ndarray:
+        self._reach(b)
+        return self._pre
+
+    def start(self, b: int) -> np.ndarray:
+        self._reach(b)
+        return self._settle()
+
+    def flow(self, b: int) -> np.ndarray:
+        self._reach(b)
+        return self._replay()
+
+    def _reach(self, b: int) -> None:
+        tr = self.trace
+        last = tr.row_k.size - 1
+        kept = b if b == last else b - b % tr.stride  # the kept boundary at or before b
+        if not kept <= self.b <= b:
+            # the last boundary's row is the last row, whether stride divides it or not
+            self.b, self._pre = kept, tr.rows[(kept + tr.stride - 1) // tr.stride]
+            self.q = self.log[0].searchsorted(tr._row_t.item(kept))
+            self._start = self._flow = None
+        eta, bounds, h = slice(3 * self.n, 4 * self.n), tr.row_k, tr.scenario.step
+        static = self.noise is None
+        while self.b < b:
+            if static and self._flow is None and bounds.item(self.b + 1) - bounds.item(self.b) == 1:
+                # the one-step row flow's last row, without its (2, 5, n) rows
+                start = self._settle()
+                row = np.add(start, _step_increment(self.control(), h, self.inc).reshape(-1),
+                             out=self.end)
+            else:
+                row = self._replay()[-1]
+            np.maximum(row[eta], 0.0, out=row[eta])  # as simulate commits it
+            self.b, self._pre, self._start, self._flow = self.b + 1, row, None, None
+
+    def _settle(self) -> np.ndarray:
+        """The boundary's row with its instant's jumps applied in z, oldest
+        first, as :meth:`SolutionTrace._forward` applies them."""
+        if self._start is None:
+            log_t, agent, what_w, eta = self.log
+            t, q, n, row = self.trace._row_t.item(self.b), self.q, self.n, self.row
+            row[:] = self._pre
+            while q < log_t.size and log_t.item(q) == t:
+                i = agent.item(q)
+                row[n + i] = row[4 * n + i] = 0.0
+                row[2 * n + i], row[3 * n + i] = what_w.item(q), eta.item(q)
+                q += 1
+            self.q, self._start = q, row  # the next boundary's first jump
+        return self._start
+
+    def _replay(self) -> np.ndarray:
+        if self._flow is None:
+            start, s, bounds = self._settle(), self.trace.scenario, self.trace.row_k
+            k, m = bounds.item(self.b), bounds.item(self.b + 1) - bounds.item(self.b)
+            if self.noise is None:
+                self._flow = _row_flow(start, self.control(), s.step, m).reshape(m + 1, -1)
+            else:
+                self._flow = _flow_block(start, self.control(), s.step,
+                                         self.noise.rows(k, m), s.scheme)[0]
+        return self._flow
 
 
 class _NoiseRows:
@@ -429,19 +526,24 @@ def _block_limit(scheme: QuadraticTrigger, h: float) -> int:
     return max(1, min(BLOCK_MAX, int(math.log(2.0) / abs(math.log(gain)))))
 
 
+def _step_increment(u: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """The (5, n) increment of one step of length h under u, in ``out``:
+    x by h u, e by -h u and tau by h; w_hat and eta do not flow, and
+    adding -0.0 keeps every value, -0.0 too."""
+    np.multiply(h, u, out=out[0])
+    np.negative(out[0], out=out[1])
+    out[2:4] = -0.0
+    out[4] = h
+    return out
+
+
 def _row_flow(row: np.ndarray, u: np.ndarray, h: float, k: int) -> np.ndarray:
     """The (K + 1, 5, n) rows at the step ends of flowing the state ``row``
     for K = k steps of length h with u frozen, row 0 being the start: x,
-    e and tau are one cumulative sum, w_hat and eta are kept."""
-    n = u.shape[0]
-    z = np.empty((k + 1, 5, n))
-    z[0] = row.reshape(5, n)
-    inc = z[1]  # the increment of one step, copied to every later row
-    np.multiply(h, u, out=inc[0])
-    np.negative(inc[0], out=inc[1])
-    inc[2:4] = -0.0  # w_hat and eta do not flow; adding -0.0 keeps every value, -0.0 too
-    inc[4] = h
-    z[2:] = inc
+    e and tau are one cumulative sum of the step increment."""
+    z = np.empty((k + 1, 5, u.shape[0]))
+    z[0] = row.reshape(z.shape[1:])
+    z[2:] = _step_increment(u, h, z[1])  # copied to every later row
     np.add.accumulate(z, axis=0, out=z)
     return z
 
@@ -561,11 +663,12 @@ def simulate(s: Scenario) -> SolutionTrace:
     control = _control_law(s.feedback, z)
     log = EventLog(n)
     resolve = _jump_resolver(scheme, s.feedback, z, log)
-    # the row at each block boundary before its jumps, in mappings that
+    # the step of each block boundary, and the row before its jumps at the
+    # kept ones (every CHECKPOINT_BLOCKS-th and the last), in mappings that
     # double when full
     row_k, rows = _mapped((BLOCK_MIN,), np.int64), _mapped((BLOCK_MIN, 5 * n))
     row_k[0], rows[0] = 0, row
-    stored = 1
+    bounds, stored = 1, 1
 
     # jumps may already be due at t=0
     resolve(0.0, w[0])
@@ -583,16 +686,21 @@ def simulate(s: Scenario) -> SolutionTrace:
         row[:] = out[m]
         np.maximum(eta, 0.0, out=eta)  # discrete detection lets eta undershoot slightly
         k += m
-        if stored == row_k.shape[0]:
-            row_k, rows = _grown(row_k, stored), _grown(rows, stored)
-        row_k[stored], rows[stored], stored = k, row, stored + 1
+        if bounds == row_k.shape[0]:
+            row_k = _grown(row_k, bounds)
+        row_k[bounds] = k
+        if bounds % CHECKPOINT_BLOCKS == 0 or k == steps:
+            if stored == rows.shape[0]:
+                rows = _grown(rows, stored)
+            rows[stored], stored = row, stored + 1
+        bounds += 1
         if stopped:
             resolve(k * h, w[m])
         size = BLOCK_MIN if stopped else 2 * size
 
     # the stored rows are views of their mappings' filled parts
-    return SolutionTrace(scenario=s, row_k=row_k[:stored],
-                         rows=rows[:stored], events=log)
+    return SolutionTrace(scenario=s, row_k=row_k[:bounds], rows=rows[:stored], events=log,
+                         stride=CHECKPOINT_BLOCKS)
 
 
 # ---------------------------------------------------------------------------
@@ -621,14 +729,14 @@ def jump_storage_change(trace: SolutionTrace) -> np.ndarray:
     """Per-event ΔU = U(post) - U(pre) of the run's storage function, its
     scheme's under its feedback, evaluated in blocks of
     ``STORAGE_BLOCK_ROWS`` events. Each block's pre-jump rows are rebuilt
-    once and then turned into its post-jump rows."""
-    scheme, feedback = trace.scenario.scheme, trace.scenario.feedback
+    once, by one walk over the trace's blocks, and then turned into its
+    post-jump rows; each event's value depends on its own rows only, so
+    the blocks do not change a bit."""
     out = np.empty_like(trace.events.psi)
+    pre = _Walk(trace).pre
     for lo in range(0, out.size, STORAGE_BLOCK_ROWS):
         hi = min(lo + STORAGE_BLOCK_ROWS, out.size)
-        rows = trace._pre_rows(lo, hi)
-        before = scheme.storage(rows, feedback)
-        out[lo:hi] = scheme.storage(trace._to_post(rows, lo), feedback) - before
+        out[lo:hi] = trace._storage_change(trace._pre_rows(lo, hi, pre), lo)
     return out
 
 

@@ -20,6 +20,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = float(1 << 53)
+_SEED_MAX = 2**64 - 1
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -33,7 +34,7 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def _uniform01(seed: int, agent: int, windows: np.ndarray) -> np.ndarray:
     """Uniform [0,1) values keyed by (seed, agent, window)."""
     with np.errstate(over="ignore"):
-        key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * np.uint64(agent + 1))
+        key = _mix64(np.uint64(seed) + _GOLDEN * np.uint64(agent + 1))
         z = _mix64(key + _GOLDEN * windows.astype(np.uint64))
     return (z >> np.uint64(11)).astype(np.float64) / _U53
 
@@ -52,6 +53,11 @@ class NoiseSignal:
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
+        # the generator keys on the seed's 64 bits: any other seed would
+        # repeat the noise of one in range
+        if not 0 <= self.seed <= _SEED_MAX:
+            raise ValueError(f"noise seed must be an integer from 0 to 2**64 - 1, "
+                             f"got {self.seed!r}")
         amp = np.atleast_1d(np.asarray(self.amplitude, dtype=float))
         if amp.size == 1:
             amp = np.full(self.n, amp[0])

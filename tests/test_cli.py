@@ -136,7 +136,8 @@ def test_missing_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize("override", ["--decimate=0", "--step=0", "--step=-1e-4",
                                       "--t-final=-1", "--decimate=-3", "--t-final=nan",
-                                      "--step=inf", "--decimate=100000000000000000000"])
+                                      "--step=inf", "--decimate=100000000000000000000",
+                                      "--seed=-1", "--seed=18446744073709551616"])
 def test_bad_override_is_a_validation_error(tmp_path, capsys, override):
     # an override goes through the scenario's own validation
     out = tmp_path / "o"
@@ -191,6 +192,19 @@ def test_batch_naming_no_preset_or_one_twice_is_a_validation_error(tmp_path, cap
     captured = capsys.readouterr()
     assert "validation error" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("names", ["garcia-c2e-6,nope", "nope,garcia-c2e-6"])
+def test_batch_naming_an_unknown_preset_simulates_nothing(tmp_path, capsys, monkeypatch, names):
+    def refused(_):
+        raise AssertionError("simulated a refused batch")
+
+    monkeypatch.setattr(cli, "simulate", refused)
+    out = tmp_path / "o"
+    assert run_main("--batch", names, "--t-final", "0.01", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err and "'nope'" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_every_preset_resolves_without_validation_error():
@@ -496,14 +510,13 @@ def test_chunked_writers_match_a_one_shot_write(tmp_path, monkeypatch):
     sc = cli.build_preset("garcia-c0")[0][1]
     sc.t_final = 0.3
     tr = simulate(sc)
-    du = jump_storage_change(tr)
     assert len(tr.events) > 3 * 4 and tr.times.size > 3 * 4
 
     def write(chunk, d):
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(cli, "_TEXT_ROWS", chunk)
         d.mkdir()
-        cli._write_states(d / "states.csv", tr)()
-        cli._write_events(d / "events.csv", tr, du)()
+        cli._write_tables(d, tr)()
 
     write(4, tmp_path / "chunked")
     write(10**9, tmp_path / "whole")
@@ -527,7 +540,7 @@ def test_states_csv_is_savetxt_of_the_trace(tmp_path, monkeypatch, name, silent_
         sc = dataclasses.replace(sc, noise=dataclasses.replace(sc.noise, amplitude=amplitude))
     tr = simulate(sc)
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 1000)
-    cli._write_states(tmp_path / "states.csv", tr)()
+    cli._write_tables(tmp_path, tr)()
     header, body = (tmp_path / "states.csv").read_text().split("\n", 1)
     want = io.StringIO()
     np.savetxt(want, np.column_stack([tr.times, tr.jumps, tr.states]),
@@ -551,6 +564,7 @@ def short_garcia_c0():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_forked_writers_match_a_one_process_write(short_garcia_c0, tmp_path, monkeypatch, workers):
+    # each writer computes the delta_u of the jumps in its own range
     tr, du = short_garcia_c0
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
     assert len(tr.events) >= 4 * workers and tr.times.size >= 4 * workers
@@ -558,21 +572,23 @@ def test_forked_writers_match_a_one_process_write(short_garcia_c0, tmp_path, mon
     def write(w, d):
         monkeypatch.setattr(cli, "_writer_count", lambda: w)
         d.mkdir()
-        cli._write_states(d / "states.csv", tr)()
-        cli._write_events(d / "events.csv", tr, du)()
+        cli._write_tables(d, tr)()
 
     write(1, tmp_path / "one")
     write(workers, tmp_path / "forked")
     for name in ("states.csv", "events.csv"):
         assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    rows = (tmp_path / "forked" / "events.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == [cli._FMT % v for v in du.tolist()]
     assert not list(tmp_path.rglob("*.part"))
 
 
 def test_failed_writer_process_is_an_io_error(tmp_path, monkeypatch):
     import multiprocessing
 
-    def broken(part, write_chunk, lo, hi):
-        part.write_text("partial")
+    def broken(parts, write_range, lo, hi):
+        for part in parts:
+            part.write_text("partial")
         raise RuntimeError("synthetic writer failure")
 
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
@@ -616,10 +632,10 @@ def test_failed_writer_in_a_batch_is_an_io_error_and_the_next_run_is_written(
 
     write_part = cli._write_part
 
-    def broken_in_dolk(part, write_chunk, lo, hi):
-        if part.parent.name == "dolk-c0":
+    def broken_in_dolk(parts, write_range, lo, hi):
+        if parts[0].parent.name == "dolk-c0":
             raise RuntimeError("synthetic writer failure")
-        write_part(part, write_chunk, lo, hi)
+        write_part(parts, write_range, lo, hi)
 
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(cli, "_writer_count", lambda: 1)

@@ -715,10 +715,13 @@ def test_chunked_reads_match_the_flowed_rows(monkeypatch, name, dec, size):
         sc = small_dolk_scenario(t_final=0.2)
     tr, flowed, starts, block_steps = _flowed_rows(monkeypatch,
                                                    dataclasses.replace(sc, decimation=dec))
-    # a row is stored at each block's start, before the jumps there, and
-    # applying them rebuilds the row the block flowed from
+    # each block's first step is stored, and the walk rebuilds the row each
+    # block flowed from: a kept row or the last one it rebuilt, with the
+    # jumps there applied
     assert np.array_equal(tr.row_k[:-1], block_steps)
-    assert tr._settled(np.arange(block_steps.size)).tobytes() == starts.tobytes()
+    walk = engine_mod._Walk(tr)
+    rebuilt = np.array([walk.start(b).copy() for b in range(block_steps.size)])
+    assert rebuilt.tobytes() == starts.tobytes()
     steps = np.rint(tr.times / sc.step).astype(np.int64)
     states = tr.states
     assert np.array_equal(states, flowed[steps])
@@ -734,6 +737,77 @@ def test_chunked_reads_match_the_flowed_rows(monkeypatch, name, dec, size):
     assert np.array_equal(tr.x_series, states[:, : tr.n])
 
 
+def _walk_scenario(name):
+    """A run with a kept row inside it, at boundary CHECKPOINT_BLOCKS, and
+    jumps on both sides of it. garcia-c0 (static rule) has an instant on
+    that boundary, and its Zeno stretch is almost all one-step blocks with
+    jumps at each; the small dolk run (dynamic rule) has instants a few
+    blocks before and after it."""
+    if name == "garcia-c0":
+        return dataclasses.replace(build_preset(name)[0][1], t_final=0.35)
+    return zeno_stretch() if name == "garcia-c0-stretch" else small_dolk_scenario(t_final=1.0)
+
+
+def _jumped_rows(monkeypatch, sc):
+    """Simulate sc, keeping the state just before and just after each jump
+    as the run applied it."""
+    pre, post = [], []
+    apply_jump = engine_mod.apply_jump
+
+    def keeping_apply_jump(z, i, w, scheme):
+        pre.append(z.reshape(-1).copy())
+        eta = apply_jump(z, i, w, scheme)
+        post.append(z.reshape(-1).copy())
+        return eta
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_mod, "apply_jump", keeping_apply_jump)
+        tr = simulate(sc)
+    return tr, np.array(pre), np.array(post)
+
+
+@pytest.mark.parametrize("name", ["garcia-c0", "garcia-c0-stretch", "small-dolk"])
+def test_walk_reads_samples_from_before_on_and_after_a_kept_row(monkeypatch, name):
+    # a read that starts one block before the kept row replays
+    # CHECKPOINT_BLOCKS - 1 blocks from the row before; one on it or after
+    # it starts from it
+    tr, flowed, _, _ = _flowed_rows(monkeypatch, _walk_scenario(name))
+    kept = engine_mod.CHECKPOINT_BLOCKS
+    assert tr.stride == kept and tr.row_k.size - 1 > kept + 1
+    assert tr.rows[1].tobytes() != tr.rows[0].tobytes()
+    for b in (kept - 1, kept, kept + 1):
+        lo = tr.row_k.item(b)  # every step is a sample: sample k is step k
+        for hi in (lo + 1, lo + 40, None):
+            for size in (3, None):
+                got = np.concatenate([rows for _, rows in tr.chunks(lo, hi, size)])
+                assert got.tobytes() == flowed[lo:hi].tobytes(), (b, hi, size)
+
+
+@pytest.mark.parametrize("name", ["garcia-c0", "garcia-c0-stretch", "small-dolk"])
+def test_walk_rebuilds_the_rows_around_jumps_across_a_kept_row(monkeypatch, name):
+    tr, pre, post = _jumped_rows(monkeypatch, _walk_scenario(name))
+    log_t, kept = tr.events.t, engine_mod.CHECKPOINT_BLOCKS
+    t = tr.row_k.item(kept) * tr.scenario.step
+    # the last jump before the kept boundary's instant, to the first after it
+    lo, hi = log_t.searchsorted(t) - 1, log_t.searchsorted(t, side="right") + 1
+    assert 0 <= lo and hi <= len(tr.events) and log_t[lo] < t < log_t[hi - 1]
+    for a, b in ((lo, hi), (lo + 1, hi), (lo, hi - 1), (lo + 1, lo + 2), (0, len(tr.events))):
+        assert tr._pre_rows(a, b).tobytes() == pre[a:b].tobytes(), (a, b)
+    assert tr.pre.tobytes() == pre.tobytes()
+    assert tr.post.tobytes() == post.tobytes()
+    # the storage change at each jump, from the metrics pass and from a
+    # chunked read that starts before, on or after the kept row
+    sch, fb = tr.scenario.scheme, tr.scenario.feedback
+    du = sch.storage(post, fb) - sch.storage(pre, fb)
+    assert engine_mod.jump_storage_change(tr).tobytes() == du.tobytes()
+    for b in (kept - 1, kept, kept + 1):
+        lo = tr.row_k.item(b)  # every step is a sample: sample k is step k
+        for size in (3, None):
+            got = [d for _, _, d in tr.chunks(lo, None, size, storage_change=True)]
+            first = log_t.searchsorted(lo * tr.scenario.step)
+            assert np.concatenate(got).tobytes() == du[first:].tobytes(), (b, size)
+
+
 def test_zeno_stretch_matches_per_step_oracle():
     sc = zeno_stretch()
     tr = simulate(sc)
@@ -742,18 +816,24 @@ def test_zeno_stretch_matches_per_step_oracle():
 
 
 def test_trace_grows_with_instants_not_with_steps(preset_runs):
-    # 80 001 samples of 40 values would be 25.6 MB; the trace stores a row
-    # per block boundary, and after each instant the blocks double from
-    # BLOCK_MIN to BLOCK_MAX steps
+    # 80 001 samples of 40 values would be 25.6 MB; the trace stores a step
+    # number per block boundary, and after each instant the blocks double
+    # from BLOCK_MIN to BLOCK_MAX steps; it keeps a row at every
+    # CHECKPOINT_BLOCKS-th boundary and at the last
     [(_, sc, tr)] = preset_runs("garcia-c2e-6")
     log = tr.events
     held = sum(a.nbytes for a in (*vars(tr).values(), *vars(log).values())
                if isinstance(a, np.ndarray))
     doublings = math.log2(engine_mod.BLOCK_MAX / engine_mod.BLOCK_MIN) + 1
     steps = round(sc.t_final / sc.step)
-    assert (tr.rows.shape[0]
-            <= (np.unique(log.t).size + 1) * doublings + steps / engine_mod.BLOCK_MAX + 2)
+    blocks = tr.row_k.size - 1
+    assert blocks + 1 <= (np.unique(log.t).size + 1) * doublings + steps / engine_mod.BLOCK_MAX + 2
+    assert tr.rows.shape[0] <= blocks // engine_mod.CHECKPOINT_BLOCKS + 2
     assert held < 1_000_000 < tr.times.size * 5 * tr.n * 8
+    # the Zeno run: 26 107 blocks, almost all one step long, keep 409 rows
+    [(_, sc, tr)] = preset_runs("garcia-c0")
+    blocks = tr.row_k.size - 1
+    assert blocks > 20_000 and tr.rows.shape[0] <= blocks // engine_mod.CHECKPOINT_BLOCKS + 2
 
 
 def _traced_peak(fn, *args):
@@ -816,22 +896,36 @@ def test_simulate_holds_no_whole_run_noise_table():
 
 
 def test_simulate_maps_no_whole_run_buffer(monkeypatch):
-    # a buffer of steps + 1 rows would be 32 GB at t_final = 1e4; the
-    # stored rows double from BLOCK_MIN, so no mapping is longer than
-    # twice the rows stored plus BLOCK_MIN
+    # a buffer of steps + 1 rows would be 32 GB at t_final = 1e4; each
+    # buffer doubles from its first length when full, so none is longer
+    # than twice what it holds plus that length: the block steps and the
+    # log's columns grow with blocks and jumps, the kept rows with one in
+    # CHECKPOINT_BLOCKS blocks
     sc = dataclasses.replace(build_preset("garcia-c2e-6")[0][1], t_final=1.0)
-    lengths, mapped = [], hybrid_mod._mapped
+    made, mapped = [], hybrid_mod._mapped
 
     def recording_mapped(shape, dtype=float):
-        lengths.append(shape[0])
-        return mapped(shape, dtype)
+        made.append(mapped(shape, dtype))
+        return made[-1]
 
     monkeypatch.setattr(engine_mod, "_mapped", recording_mapped)
     monkeypatch.setattr(hybrid_mod, "_mapped", recording_mapped)
     tr = simulate(sc)
-    stored = tr.rows.shape[0]
-    assert stored > 4 * engine_mod.BLOCK_MIN  # the buffers grew
-    assert len(lengths) > 3 and max(lengths) <= 2 * stored + engine_mod.BLOCK_MIN
+    log = tr.events
+
+    def length(held):
+        """The length of the one mapping that holds ``held``."""
+        [buf] = [a for a in made if np.shares_memory(a, held)]
+        return buf.shape[0]
+
+    blocks, kept = tr.row_k.size - 1, tr.rows.shape[0]
+    assert blocks > 4 * engine_mod.BLOCK_MIN and len(log) > EventLog._INITIAL_CAPACITY  # they grew
+    assert length(tr.row_k) <= 2 * (blocks + 1) + engine_mod.BLOCK_MIN
+    assert kept <= blocks // engine_mod.CHECKPOINT_BLOCKS + 2
+    assert length(tr.rows) <= 2 * kept + engine_mod.BLOCK_MIN
+    for name in EventLog._NAMES:
+        assert length(getattr(log, name)) <= 2 * len(log) + EventLog._INITIAL_CAPACITY, name
+    assert len(made) > 3
 
 
 def test_x_series_holds_no_whole_run_rows(preset_runs):

@@ -17,6 +17,23 @@ def test_seed_must_be_an_integer(seed):
         make_signal(seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**63), np.int64(-5)])
+def test_seed_outside_64_bits_is_refused(seed):
+    # the generator keys on 64 bits, so 2**64 would repeat seed 0 and -1
+    # would repeat 2**64 - 1
+    with pytest.raises(ValueError, match="seed"):
+        make_signal(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_seeds_at_the_ends_of_64_bits_are_distinct_signals(seed):
+    sig = make_signal(seed=seed)
+    assert type(sig.seed) is int and sig.seed == int(seed)
+    others = {0, 2**64 - 1} - {int(seed)}
+    for other in others:
+        assert not np.array_equal(sig.window_table(100), make_signal(seed=other).window_table(100))
+
+
 def test_numpy_integer_seed_gives_the_int_seed_table():
     sig = make_signal(seed=np.int64(7))
     assert type(sig.seed) is int
