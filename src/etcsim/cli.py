@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 validation failure, 3 jump storm, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import configparser
 import contextlib
 import dataclasses
@@ -59,7 +60,7 @@ EXIT_IO = 4
 BENCHMARK_GRAPH_KEYWORD = "paper-fig2"
 
 _FMT = "%.17g"
-# the fewest samples a forked writer process is given
+# a run forks at most one writer process per _CHUNK_ROWS samples
 _CHUNK_ROWS = 4096
 # samples read and formatted per write, with the jumps at their instants,
 # so that no whole-run copy of a trace is made; their repeated w_hat, eta
@@ -282,23 +283,25 @@ def _write_part(parts: list[Path], write_range, lo: int, hi: int) -> None:
         write_range(*[files.enter_context(part.open("a")) for part in parts], lo, hi)
 
 
-def _write_rows(files: list[tuple[Path, str]], nrows: int, write_range) -> Callable[[], None]:
+def _write_rows(files: list[tuple[Path, str]], nrows: int, write_range,
+                work) -> Callable[[], None]:
     """Write the header of each (path, header) of ``files`` and then rows
     [0, nrows) of them all; ``write_range(*fhs, lo, hi)`` writes the lines
     of rows lo..hi to each file's handle. Return the finish step: the
     files are complete once it has returned.
 
-    The rows are split into one contiguous range per CPU, each of at
-    least ``_CHUNK_ROWS`` rows. With one range this process writes the
-    files, and the finish step does nothing. Otherwise a forked child
-    formats each range while this process goes on: the first range's
-    child appends to each file after its header, and each other child
-    writes a hidden part file next to each. The finish step joins the
-    children and appends the parts in order, so the bytes do not depend
-    on the number of ranges; it removes the parts, and raises OSError if
-    a child failed. A fork shares the trace with the children instead of
-    pickling it; a child only replays, slices, sums and formats, since the
-    parent may hold BLAS threads.
+    The rows are split into one contiguous range per CPU, at most one per
+    ``_CHUNK_ROWS`` rows, of about equal ``work``: ``work(s)``,
+    nondecreasing in s, is the cost of writing rows [0, s). With one
+    range this process writes the files, and the finish step does
+    nothing. Otherwise a forked child formats each range while this
+    process goes on: the first range's child appends to each file after
+    its header, and each other child writes a hidden part file next to
+    each. The finish step joins the children and appends the parts in
+    order, so the bytes do not depend on the number of ranges; it removes
+    the parts, and raises OSError if a child failed. A fork shares the
+    trace with the children instead of pickling it; a child only replays,
+    slices, sums and formats, since the parent may hold BLAS threads.
     """
     paths = [path for path, _ in files]
     w = max(1, min(_writer_count(), nrows // _CHUNK_ROWS))
@@ -313,7 +316,9 @@ def _write_rows(files: list[tuple[Path, str]], nrows: int, write_range) -> Calla
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    bounds = [nrows * k // w for k in range(w + 1)]
+    total = work(nrows)
+    bounds = [0, *(bisect.bisect_left(range(nrows), total * k / w, key=work)
+                   for k in range(1, w)), nrows]
     parts = [paths] + [[p.with_name(f".{p.name}.{k}.part") for p in paths] for k in range(1, w)]
     procs = []
 
@@ -392,9 +397,19 @@ def _write_tables(out_dir: Path, trace: SolutionTrace) -> Callable[[], None]:
                 gap_s = "" if math.isnan(gap) else _FMT % gap
                 events.write(f"{agent},{_FMT % t},{q},{gap_s},{_FMT % psi},{_FMT % du}\n")
 
+    def work(s):
+        # samples [0, s) and the blocks and jumps before sample s: a
+        # sample's line costs about as much as two block replays or two
+        # jumps' lines, so a Zeno run's ranges, whose blocks and jumps
+        # crowd its second half, take about equal time
+        if s == trace.sample_count:
+            return 2 * s + trace.row_k.size + len(log)
+        [[k]] = trace._step_chunks(s, s + 1)
+        return 2 * s + int(trace.row_k.searchsorted(k)) + int(log.t.searchsorted(k * step))
+
     return _write_rows([(out_dir / "states.csv", ",".join(cols) + "\n"),
                         (out_dir / "events.csv", "agent,t,j,gap,psi,delta_u\n")],
-                       trace.sample_count, write_range)
+                       trace.sample_count, write_range, work)
 
 
 def _write_metrics(path: Path, trace: SolutionTrace, final: dict) -> None:

@@ -60,9 +60,8 @@ NOISE_CHUNK_STEPS rows of the noise's step table, and the temporaries of
 one block. A block reads its noise rows from the chunk; when it would
 run past the chunk's last row, the next chunk is tabulated from the
 block's first step, with the bits of the whole table's rows. The metrics
-passes over a trace work in row blocks of STORAGE_BLOCK_ROWS samples or
-events, so none of them builds a whole-run array either, other than its
-output.
+passes over a trace work in chunks of STORAGE_BLOCK_ROWS samples, so
+none of them builds a whole-run array either, other than its output.
 """
 
 from __future__ import annotations
@@ -98,9 +97,9 @@ BLOCK_MAX = 512
 # the last) and rebuilds the others forward: at most CHECKPOINT_BLOCKS - 1
 # block replays before a read reaches its first boundary
 CHECKPOINT_BLOCKS = 64
-# rows per block of the metrics passes (events in jump_storage_change,
-# samples read from a trace), which bounds their temporaries instead of
-# building whole-run (E, 5n) or (samples, 5n) arrays at once
+# samples per chunk of the metrics passes and of a trace's reads, which
+# bounds their temporaries (the chunk's rows and the rows around its
+# jumps) instead of building whole-run (E, 5n) or (samples, 5n) arrays
 STORAGE_BLOCK_ROWS = 1024
 # rows of the noise table a run holds at a time: at least the BLOCK_MAX + 1
 # rows that one block reads
@@ -207,7 +206,10 @@ class SolutionTrace:
     row_k: np.ndarray  # (B + 1,) first step of each block, then the step count
     rows: np.ndarray  # (kept, 5n) rows before the jumps there: x, e, w_hat, eta, tau
     events: EventLog
-    stride: int = 1  # boundary b is kept when stride divides it; the last always is
+    # boundary b is kept when stride divides it, and the last always is;
+    # simulate keeps every CHECKPOINT_BLOCKS-th, and the default keeps every
+    # row of a trace built by hand (the tests' stored arcs)
+    stride: int = 1
 
     def __post_init__(self) -> None:
         last = self.row_k.size - 1
@@ -273,13 +275,16 @@ class SolutionTrace:
                storage_change: bool = False):
         """Yield samples lo..hi-1 in order, in chunks of at most ``size``
         (default STORAGE_BLOCK_ROWS): each chunk's (c,) step numbers and
-        its (c, 5n) rows, and with ``storage_change`` also the ΔU of the
-        jumps at the chunk's instants, the log's next ones, as
-        :func:`jump_storage_change` gives them. One walk over the blocks
+        its (c, 5n) rows, and with ``storage_change`` also the ΔU =
+        U(post) - U(pre) of the run's storage function at the jumps at the
+        chunk's instants, the log's next ones. One walk over the blocks
         serves every chunk: a sample at a block boundary is the boundary's
         row after its jumps, every other one is read from its block's
-        replay, and the rows before the jumps are kept as it passes."""
+        replay, and the rows before the jumps are kept as it passes. Each
+        ΔU depends on its own rows only, so the chunks do not change a
+        bit of it."""
         walk, log_t = _Walk(self), self.events.t
+        scheme, feedback = self.scenario.scheme, self.scenario.feedback
         for k in self._step_chunks(lo, hi, size or STORAGE_BLOCK_ROWS):
             block = self.row_k.searchsorted(k, side="right") - 1  # the final step's is B
             out = np.empty((k.size, self.rows.shape[1]))
@@ -296,8 +301,9 @@ class SolutionTrace:
                 m = k[a:c] - self.row_k.item(b)  # steps into the block
                 out[a:c] = walk.flow(b)[m] if m.item(-1) else walk.start(b)
             if storage_change:
-                yield k, out, self._storage_change(self._pre_rows(first, end, pre.__getitem__),
-                                                   first)
+                rows = self._pre_rows(first, end, pre.__getitem__)
+                before = scheme.storage(rows, feedback)
+                yield k, out, scheme.storage(self._to_post(rows, first), feedback) - before
             else:
                 yield k, out
 
@@ -338,13 +344,6 @@ class SolutionTrace:
             rows[r] = pre(b)
         return self._forward(rows[at], self.events.t.searchsorted(t), np.arange(lo, hi))
 
-    def _storage_change(self, rows: np.ndarray, lo: int) -> np.ndarray:
-        """ΔU of jumps lo.. from their (m, 5n) pre-jump rows, which are
-        turned into their post-jump rows."""
-        scheme, feedback = self.scenario.scheme, self.scenario.feedback
-        before = scheme.storage(rows, feedback)
-        return scheme.storage(self._to_post(rows, lo), feedback) - before
-
     def _to_post(self, rows: np.ndarray, lo: int) -> np.ndarray:
         """The pre-jump rows of jumps lo.. turned, in place, into their
         post-jump rows."""
@@ -355,17 +354,25 @@ class SolutionTrace:
         """Apply jumps first[q]..end[q]-1 to the (m, 5n) rows[q], in place,
         oldest first, so that an agent's later jump in an instant wins."""
         log, z = self.events, rows.reshape(rows.shape[0], 5, self.n)
-        agent, what_w, eta = log.agent, log.what_w, log.eta
+        columns = log.agent, log.what_w, log.eta
         depth = end - first
         for d in range(int(depth.max(initial=0))):
             r = np.flatnonzero(depth > d)
-            k = first[r] + d
-            i = agent[k]
-            z[r, 1, i] = 0.0
-            z[r, 2, i] = what_w[k]
-            z[r, 3, i] = eta[k]
-            z[r, 4, i] = 0.0
+            _apply_logged(z, r, first[r] + d, *columns)
         return rows
+
+
+def _apply_logged(z: np.ndarray, r, k, agent: np.ndarray, what_w: np.ndarray,
+                  eta: np.ndarray) -> None:
+    """Apply logged jump k, a row of the log's agent, what_w and eta
+    columns, to row r of the (m, 5, n) rows z, in place: the sender's e
+    and tau are 0, its w_hat and eta the logged values. r and k are one
+    row and one jump, or index arrays of equal length with no row twice."""
+    i = agent[k]
+    z[r, 1, i] = 0.0
+    z[r, 2, i] = what_w[k]
+    z[r, 3, i] = eta[k]
+    z[r, 4, i] = 0.0
 
 
 class _Walk:
@@ -379,13 +386,14 @@ class _Walk:
     boundary asked; so a read from anywhere replays at most stride - 1
     blocks before it reaches its first boundary. Boundaries asked in
     nondecreasing order cost one replay per block; one below the boundary
-    reached starts again from the kept row before it. From a row it reached, it
-    rebuilds the next boundary's row as ``simulate`` commits it: the
-    instant's logged jumps are applied, the block is replayed (a static
-    rule's row flow alone, a dynamic rule's under its noise rows) and its
-    last row, eta clamped at 0, is the next boundary's row. The rows it
-    returns are its own buffers or the trace's kept rows: a reader copies
-    what it keeps past the next call."""
+    reached starts again from the kept row before it. From a row it
+    reached, it rebuilds the next boundary's row as ``simulate`` commits
+    it: the instant's logged jumps are applied (:func:`_apply_logged`),
+    the block is replayed (a static rule's row flow alone, a dynamic
+    rule's under its noise rows) and its last row, eta clamped at 0, is
+    the next boundary's row. The rows it returns are its own buffers or
+    the trace's kept rows: a reader copies what it keeps past the next
+    call."""
 
     def __init__(self, trace: SolutionTrace) -> None:
         s, log = trace.scenario, trace.events
@@ -393,14 +401,12 @@ class _Walk:
         self.log = log.t, log.agent, log.what_w, log.eta
         self.z = np.empty((5, self.n))  # the start row of the boundary reached
         self.row = self.z.reshape(-1)
-        # a static one-step block's increment and end, which a walk past it needs alone
-        self.inc, self.end = np.empty((5, self.n)), np.empty(5 * self.n)
         self.control = _control_law(s.feedback, self.z)
         self.noise = (_NoiseRows(s.noise, s.steps_per_window, trace.row_k.item(-1))
                       if s.scheme.mode == "dynamic" else None)
-        # the boundary reached, its row before the jumps and the first jump
-        # at or after its time; its start row and its block's rows once built
-        self.b, self.q, self._pre = -1, 0, None
+        # the boundary reached and its row before the jumps; its start row
+        # and its block's rows once built
+        self.b, self._pre = -1, None
         self._start = self._flow = None
 
     def pre(self, b: int) -> np.ndarray:
@@ -422,34 +428,22 @@ class _Walk:
         if not kept <= self.b <= b:
             # the last boundary's row is the last row, whether stride divides it or not
             self.b, self._pre = kept, tr.rows[(kept + tr.stride - 1) // tr.stride]
-            self.q = self.log[0].searchsorted(tr._row_t.item(kept))
             self._start = self._flow = None
-        eta, bounds, h = slice(3 * self.n, 4 * self.n), tr.row_k, tr.scenario.step
-        static = self.noise is None
+        eta = slice(3 * self.n, 4 * self.n)
         while self.b < b:
-            if static and self._flow is None and bounds.item(self.b + 1) - bounds.item(self.b) == 1:
-                # the one-step row flow's last row, without its (2, 5, n) rows
-                start = self._settle()
-                row = np.add(start, _step_increment(self.control(), h, self.inc).reshape(-1),
-                             out=self.end)
-            else:
-                row = self._replay()[-1]
+            row = self._replay()[-1]
             np.maximum(row[eta], 0.0, out=row[eta])  # as simulate commits it
             self.b, self._pre, self._start, self._flow = self.b + 1, row, None, None
 
     def _settle(self) -> np.ndarray:
         """The boundary's row with its instant's jumps applied in z, oldest
-        first, as :meth:`SolutionTrace._forward` applies them."""
+        first, one at a time."""
         if self._start is None:
-            log_t, agent, what_w, eta = self.log
-            t, q, n, row = self.trace._row_t.item(self.b), self.q, self.n, self.row
-            row[:] = self._pre
-            while q < log_t.size and log_t.item(q) == t:
-                i = agent.item(q)
-                row[n + i] = row[4 * n + i] = 0.0
-                row[2 * n + i], row[3 * n + i] = what_w.item(q), eta.item(q)
-                q += 1
-            self.q, self._start = q, row  # the next boundary's first jump
+            t, (log_t, *columns), z = self.trace._row_t.item(self.b), self.log, self.z[None]
+            self.row[:] = self._pre
+            for q in range(log_t.searchsorted(t), log_t.searchsorted(t, side="right")):
+                _apply_logged(z, 0, q, *columns)
+            self._start = self.row
         return self._start
 
     def _replay(self) -> np.ndarray:
@@ -526,24 +520,19 @@ def _block_limit(scheme: QuadraticTrigger, h: float) -> int:
     return max(1, min(BLOCK_MAX, int(math.log(2.0) / abs(math.log(gain)))))
 
 
-def _step_increment(u: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    """The (5, n) increment of one step of length h under u, in ``out``:
-    x by h u, e by -h u and tau by h; w_hat and eta do not flow, and
-    adding -0.0 keeps every value, -0.0 too."""
-    np.multiply(h, u, out=out[0])
-    np.negative(out[0], out=out[1])
-    out[2:4] = -0.0
-    out[4] = h
-    return out
-
-
 def _row_flow(row: np.ndarray, u: np.ndarray, h: float, k: int) -> np.ndarray:
     """The (K + 1, 5, n) rows at the step ends of flowing the state ``row``
     for K = k steps of length h with u frozen, row 0 being the start: x,
-    e and tau are one cumulative sum of the step increment."""
-    z = np.empty((k + 1, 5, u.shape[0]))
-    z[0] = row.reshape(z.shape[1:])
-    z[2:] = _step_increment(u, h, z[1])  # copied to every later row
+    e and tau are one cumulative sum, w_hat and eta are kept."""
+    n = u.shape[0]
+    z = np.empty((k + 1, 5, n))
+    z[0] = row.reshape(5, n)
+    inc = z[1]  # the increment of one step, copied to every later row
+    np.multiply(h, u, out=inc[0])
+    np.negative(inc[0], out=inc[1])
+    inc[2:4] = -0.0  # w_hat and eta do not flow; adding -0.0 keeps every value, -0.0 too
+    inc[4] = h
+    z[2:] = inc
     np.add.accumulate(z, axis=0, out=z)
     return z
 
@@ -727,17 +716,10 @@ def inter_event_stats(trace: SolutionTrace) -> dict[int, dict]:
 
 def jump_storage_change(trace: SolutionTrace) -> np.ndarray:
     """Per-event ΔU = U(post) - U(pre) of the run's storage function, its
-    scheme's under its feedback, evaluated in blocks of
-    ``STORAGE_BLOCK_ROWS`` events. Each block's pre-jump rows are rebuilt
-    once, by one walk over the trace's blocks, and then turned into its
-    post-jump rows; each event's value depends on its own rows only, so
-    the blocks do not change a bit."""
-    out = np.empty_like(trace.events.psi)
-    pre = _Walk(trace).pre
-    for lo in range(0, out.size, STORAGE_BLOCK_ROWS):
-        hi = min(lo + STORAGE_BLOCK_ROWS, out.size)
-        out[lo:hi] = trace._storage_change(trace._pre_rows(lo, hi, pre), lo)
-    return out
+    scheme's under its feedback: the ΔU of :meth:`SolutionTrace.chunks`,
+    from one walk over the trace's blocks, in chunks of
+    ``STORAGE_BLOCK_ROWS`` samples."""
+    return np.concatenate([du for _, _, du in trace.chunks(storage_change=True)])
 
 
 def _distance(x: np.ndarray, origin: bool) -> np.ndarray:

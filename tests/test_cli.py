@@ -583,6 +583,18 @@ def test_forked_writers_match_a_one_process_write(short_garcia_c0, tmp_path, mon
     assert not list(tmp_path.rglob("*.part"))
 
 
+@pytest.mark.parametrize("workers, bounds", [(2, [0, 71, 100]), (3, [0, 58, 82, 100])])
+def test_forked_writers_split_the_work_not_the_rows(tmp_path, monkeypatch, workers, bounds):
+    # rows [0, s) cost s**2: each range is the first rows that reach its
+    # share of the whole cost
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(cli, "_writer_count", lambda: workers)
+    path = tmp_path / "ranges.txt"
+    cli._write_rows([(path, "")], 100, lambda fh, lo, hi: fh.write(f"{lo} {hi}\n"),
+                    lambda s: s * s)()
+    assert path.read_text() == "".join(f"{lo} {hi}\n" for lo, hi in zip(bounds, bounds[1:]))
+
+
 def test_failed_writer_process_is_an_io_error(tmp_path, monkeypatch):
     import multiprocessing
 

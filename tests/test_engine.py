@@ -599,8 +599,9 @@ def test_garcia_jumps_leave_w_unchanged():
 
 @pytest.mark.parametrize("name", ["garcia-c2e-6", "dolk-c0", "garcia-c0"])
 def test_blocked_storage_change_matches_a_whole_log_evaluation(preset_runs, monkeypatch, name):
-    # dolk-c0 adds the certificate term to the storage function; on the
-    # garcia-c0 stretch, blocks of 3 rows start inside instants
+    # dolk-c0 adds the certificate term to the storage function; the
+    # garcia-c0 stretch has instants of several jumps, which blocks of 3
+    # jumps would cut, and its chunks of 3 samples take each one whole
     if name == "garcia-c0":
         sc = zeno_stretch()
         tr = simulate(sc)
