@@ -6,7 +6,11 @@ derived trigger constants and the robustness bound check per agent.
 
 With more than one CPU, forked writers format a run's states.csv and
 events.csv, each the samples of its own range and the jumps at their
-instants, from one walk over the trace's blocks. In a batch, or a
+instants. A writer reads its range in one ``trace.chunks(lo, hi, size,
+jumps=True)`` pass, one forward walk over the trace's blocks from the
+kept row at or before the range, with no skip-ahead; it forms each
+jump's delta_u = U(post) - U(pre) from the rows that pass gives around
+the jump. In a batch, or a
 preset with sub-runs, run k's writers format while run k+1 simulates;
 run k is joined when run k+1 is ready to write. So at most one run's
 writers run at a time, and each run's stdout line appears in run order,
@@ -363,7 +367,8 @@ def _write_rows(files: list[tuple[Path, str]], nrows: int, write_range,
 def _write_tables(out_dir: Path, trace: SolutionTrace) -> Callable[[], None]:
     """states.csv, one row per sample, and events.csv, one row per jump,
     from one walk over each range of samples: a range writes its samples
-    and the jumps at their instants, with their delta_u.
+    and the jumps at their instants, with their delta_u, the storage of
+    each jump's post row less that of its pre row.
 
     Each states.csv row is one ``%`` of t, j, x and e, with the w_hat, eta
     and tau texts inserted as ``%s``. Those columns repeat, so each
@@ -372,6 +377,7 @@ def _write_tables(out_dir: Path, trace: SolutionTrace) -> Callable[[], None]:
     -0.0 keeps its sign. The bytes are those of ``np.savetxt`` with
     ``%.17g`` for every float."""
     n, log, step = trace.n, trace.events, trace.scenario.step
+    scheme, feedback = trace.scenario.scheme, trace.scenario.feedback
     cols = (["t", "j"]
             + [f"x{i}" for i in range(n)] + [f"e{i}" for i in range(n)]
             + [f"what_w{i}" for i in range(n)] + [f"eta{i}" for i in range(n)]
@@ -379,8 +385,9 @@ def _write_tables(out_dir: Path, trace: SolutionTrace) -> Callable[[], None]:
     line = ",".join([_FMT, "%d"] + [_FMT] * (2 * n) + ["%s"] * (3 * n)) + "\n"
 
     def write_range(states, events, lo, hi):
-        # each writer replays the blocks of its own range
-        for k, rows, delta_u in trace.chunks(lo, hi, _TEXT_ROWS, storage_change=True):
+        # each writer walks the blocks of its own range
+        for k, rows, pre, post in trace.chunks(lo, hi, _TEXT_ROWS, jumps=True):
+            delta_u = scheme.storage(post, feedback) - scheme.storage(pre, feedback)
             times = k * step
             j = np.searchsorted(log.t, times, side="right")  # trace.jumps
             keys, at = np.unique(rows[:, 2 * n :].view(np.int64), return_inverse=True)

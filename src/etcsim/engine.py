@@ -48,12 +48,16 @@ row gives the block's start row, and replaying the block from there
 gives every step end inside it bit for bit, the last one with eta
 clamped being the next boundary's row: a block's rows depend only on
 its start row, its length and, for eta, its noise rows. So every other
-boundary's row is rebuilt by a forward walk from the kept row before it,
-and a trace grows with blocks, not with t_final / h, by one step number
-per block. Its samples are read through one chunked reader,
-:meth:`SolutionTrace.chunks`; ``states`` and ``x_series`` materialise
-them on each access, at O(samples) cost and memory, and decimation is
-only a choice of which samples a reader asks for.
+boundary's row is rebuilt by one forward walk (:func:`_walk`) from the
+kept row at or before the first boundary a read needs, replaying every
+block from there on once, with no skip-ahead; a trace grows with blocks,
+not with t_final / h, by one step number per block. Its samples, and
+the rows just before and just after the jumps at their instants, are
+read through one chunked reader on that walk,
+:meth:`SolutionTrace.chunks`; ``states``, ``x_series``, ``pre`` and
+``post`` materialise them on each access, at O(samples) cost and
+memory, and decimation is only a choice of which samples a reader asks
+for.
 
 A run holds its block steps and kept rows, the event log, one chunk of
 NOISE_CHUNK_STEPS rows of the noise's step table, and the temporaries of
@@ -191,16 +195,18 @@ class SolutionTrace:
     ``row_k[b]`` h, for ``row_k[b + 1] - row_k[b]`` steps. ``rows`` holds
     the state before the jumps at the kept boundaries, in order: every
     ``stride``-th one from t = 0 and the last. Every other boundary's row
-    is rebuilt forward from the kept row before it (:class:`_Walk`). Its
-    samples are every ``decimation``-th step end of the scenario, every
-    instant with jumps and the final step; each is a boundary's row after
-    its jumps or a row of a block replayed from its start (module
-    docstring). :meth:`chunks` reads them and ``sample_count`` counts
-    them, neither building a whole-run array; ``times``, ``jumps``,
+    is rebuilt by one forward walk from the kept row before it
+    (:func:`_walk`). Its samples are every ``decimation``-th step end of
+    the scenario, every instant with jumps and the final step; each is a
+    boundary's row after its jumps or a row of a block replayed from its
+    start (module docstring). :meth:`chunks` reads them, with the rows
+    around the jumps at their instants if asked, and ``sample_count``
+    counts them, neither building a whole-run array; ``times``, ``jumps``,
     ``states`` and ``x_series`` build whole-run arrays on each access.
     ``pre`` and ``post`` are the (E, 5n) rows just before and just after
     each logged jump, each its instant's boundary row with the instant's
-    jumps up to it applied, as a new array on each access."""
+    jumps up to it applied, filled from one :meth:`chunks` pass into a
+    new array on each access."""
 
     scenario: Scenario  # the run's setup, which replays its blocks and defines its metrics
     row_k: np.ndarray  # (B + 1,) first step of each block, then the step count
@@ -252,60 +258,66 @@ class SolutionTrace:
     @property
     def pre(self) -> np.ndarray:
         """(E, 5n) rows just before each jump."""
-        return self._pre_rows(0, len(self.events))
+        return self._gather(2, self.rows.shape[1])
 
     @property
     def post(self) -> np.ndarray:
         """(E, 5n) rows just after each jump: the transmitting agent's e
         and tau are 0, its w_hat and eta the logged values; x and every
         other agent are as before the jump."""
-        return self._to_post(self.pre, 0)
+        return self._gather(3, self.rows.shape[1])
 
     @property
     def states(self) -> np.ndarray:
         """(m, 5n) rows per sample: x, e, w_hat, eta, tau."""
-        return self._gather(self.rows.shape[1])
+        return self._gather(1, self.rows.shape[1])
 
     @property
     def x_series(self) -> np.ndarray:
         """(m, n) agent states per sample."""
-        return self._gather(self.n)
+        return self._gather(1, self.n)
 
     def chunks(self, lo: int = 0, hi: int | None = None, size: int | None = None,
-               storage_change: bool = False):
+               jumps: bool = False):
         """Yield samples lo..hi-1 in order, in chunks of at most ``size``
-        (default STORAGE_BLOCK_ROWS): each chunk's (c,) step numbers and
-        its (c, 5n) rows, and with ``storage_change`` also the ΔU =
-        U(post) - U(pre) of the run's storage function at the jumps at the
-        chunk's instants, the log's next ones. One walk over the blocks
-        serves every chunk: a sample at a block boundary is the boundary's
-        row after its jumps, every other one is read from its block's
-        replay, and the rows before the jumps are kept as it passes. Each
-        ΔU depends on its own rows only, so the chunks do not change a
-        bit of it."""
-        walk, log_t = _Walk(self), self.events.t
-        scheme, feedback = self.scenario.scheme, self.scenario.feedback
+        samples (default STORAGE_BLOCK_ROWS): each chunk's (c,) step
+        numbers and its (c, 5n) rows, and with ``jumps`` also the (J, 5n)
+        rows just before and just after the jumps at the chunk's instants,
+        the log's next J ones. One forward walk over the blocks
+        (:func:`_walk`) serves every chunk: a sample at a block boundary is
+        the boundary's row after its jumps, every other one is read from
+        its block's replay. Raises ValueError unless ``size`` is None or a
+        positive integer."""
+        if size is not None and (isinstance(size, bool) or not isinstance(size, (int, np.integer))
+                                 or size < 1):
+            raise ValueError(f"chunk size must be a positive integer, got {size!r}")
+        log_t, width, walk = self.events.t, self.rows.shape[1], None
         for k in self._step_chunks(lo, hi, size or STORAGE_BLOCK_ROWS):
             block = self.row_k.searchsorted(k, side="right") - 1  # the final step's is B
-            out = np.empty((k.size, self.rows.shape[1]))
-            jumped, pre = (), {}
-            if storage_change:  # each instant with jumps is the first sample of its block
-                t = k[[0, -1]] * self.scenario.step
-                first, end = log_t.searchsorted(t.item(0)), log_t.searchsorted(t.item(1), "right")
-                jumped = set(self._row_t.searchsorted(log_t[first:end]).tolist())
+            if walk is None:
+                walk = _walk(self, block.item(0))
+                b, pre, _, flow = next(walk)
+            out, heads = np.empty((k.size, width)), {}
             cuts = (np.flatnonzero(np.diff(block)) + 1).tolist()  # where the block changes
             for a, c in zip([0, *cuts], [*cuts, k.size]):
-                b = block.item(a)
-                if b in jumped:
-                    pre[b] = walk.pre(b).copy()
+                while b < block.item(a):
+                    b, pre, _, flow = next(walk)
                 m = k[a:c] - self.row_k.item(b)  # steps into the block
-                out[a:c] = walk.flow(b)[m] if m.item(-1) else walk.start(b)
-            if storage_change:
-                rows = self._pre_rows(first, end, pre.__getitem__)
-                before = scheme.storage(rows, feedback)
-                yield k, out, scheme.storage(self._to_post(rows, first), feedback) - before
-            else:
+                out[a:c] = flow[m]
+                if jumps and not m.item(0):  # the boundary is a sample: its jumps start here
+                    heads[b] = pre
+            if not jumps:
                 yield k, out
+                continue
+            # each instant with jumps is a sample, the first of its block
+            t = k[[0, -1]] * self.scenario.step
+            first, end = log_t.searchsorted(t.item(0)), log_t.searchsorted(t.item(1), "right")
+            t = log_t[first:end]
+            used, at = np.unique(self._row_t.searchsorted(t), return_inverse=True)
+            rows = np.array([heads[i] for i in used.tolist()]).reshape(used.size, width)[at]
+            q = np.arange(first, end)
+            before = self._forward(rows, log_t.searchsorted(t), q)
+            yield k, out, before, self._forward(before.copy(), q, q + 1)
 
     def _step_chunks(self, lo: int = 0, hi: int | None = None, size: int | None = None):
         """Yield the steps of samples lo..hi-1 (a slice of the samples), in
@@ -324,31 +336,17 @@ class SolutionTrace:
             grid = np.arange((a - p) * dec, (b - q) * dec, dec)
             yield np.insert(grid, off[p:q] // dec + 1 - (a - p), off[p:q]) if q > p else grid
 
-    def _gather(self, width: int) -> np.ndarray:
-        """The first ``width`` columns of every sample's row."""
-        out = np.empty((self.sample_count, width))
+    def _gather(self, part: int, width: int) -> np.ndarray:
+        """The first ``width`` columns of part 1 (the samples' rows), 2 (the
+        rows before each jump) or 3 (after) of every chunk of one
+        :meth:`chunks` pass, in one array."""
+        out = np.empty((self.sample_count if part == 1 else len(self.events), width))
         lo = 0
-        for _, rows in self.chunks():
+        for chunk in self.chunks(jumps=part > 1):
+            rows = chunk[part]
             out[lo : lo + rows.shape[0]] = rows[:, :width]
             lo += rows.shape[0]
         return out
-
-    def _pre_rows(self, lo: int, hi: int, pre=None) -> np.ndarray:
-        """The pre-jump rows of jumps lo..hi-1, and ``lo`` may fall inside
-        an instant: each is its instant's boundary row, ``pre(b)`` (a new
-        walk's by default), with the instant's jumps before it applied."""
-        t, pre = self.events.t[lo:hi], pre or _Walk(self).pre
-        used, at = np.unique(self._row_t.searchsorted(t), return_inverse=True)
-        rows = np.empty((used.size, self.rows.shape[1]))
-        for r, b in enumerate(used.tolist()):
-            rows[r] = pre(b)
-        return self._forward(rows[at], self.events.t.searchsorted(t), np.arange(lo, hi))
-
-    def _to_post(self, rows: np.ndarray, lo: int) -> np.ndarray:
-        """The pre-jump rows of jumps lo.. turned, in place, into their
-        post-jump rows."""
-        k = np.arange(lo, lo + rows.shape[0])
-        return self._forward(rows, k, k + 1)
 
     def _forward(self, rows: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray:
         """Apply jumps first[q]..end[q]-1 to the (m, 5n) rows[q], in place,
@@ -375,87 +373,50 @@ def _apply_logged(z: np.ndarray, r, k, agent: np.ndarray, what_w: np.ndarray,
     z[r, 4, i] = 0.0
 
 
-class _Walk:
-    """One forward walk over a trace's blocks: ``pre(b)`` is the row at
-    boundary b before its jumps, ``start(b)`` block b's start row after
-    them, and ``flow(b)`` block b's (m + 1, 5n) rows from its start to its
-    last step end, eta unclamped there, as the run flowed them.
+def _walk(trace: SolutionTrace, b0: int):
+    """One forward walk over a trace's blocks from boundary b0: yield
+    ``(b, pre, start, flow)`` for each boundary b = b0, b0 + 1, ..., in
+    order: its row before its instant's jumps, block b's start row after
+    them, and block b's (m + 1, 5n) rows from that start to its last step
+    end, eta unclamped there, as the run flowed them (the start row alone
+    at the last boundary, which starts no block).
 
-    The walk starts at the kept row at or before the first boundary asked,
-    and skips ahead to a later kept row whenever one lies at or before the
-    boundary asked; so a read from anywhere replays at most stride - 1
-    blocks before it reaches its first boundary. Boundaries asked in
-    nondecreasing order cost one replay per block; one below the boundary
-    reached starts again from the kept row before it. From a row it
-    reached, it rebuilds the next boundary's row as ``simulate`` commits
-    it: the instant's logged jumps are applied (:func:`_apply_logged`),
-    the block is replayed (a static rule's row flow alone, a dynamic
-    rule's under its noise rows) and its last row, eta clamped at 0, is
-    the next boundary's row. The rows it returns are its own buffers or
-    the trace's kept rows: a reader copies what it keeps past the next
-    call."""
-
-    def __init__(self, trace: SolutionTrace) -> None:
-        s, log = trace.scenario, trace.events
-        self.trace, self.n = trace, trace.n
-        self.log = log.t, log.agent, log.what_w, log.eta
-        self.z = np.empty((5, self.n))  # the start row of the boundary reached
-        self.row = self.z.reshape(-1)
-        self.control = _control_law(s.feedback, self.z)
-        self.noise = (_NoiseRows(s.noise, s.steps_per_window, trace.row_k.item(-1))
-                      if s.scheme.mode == "dynamic" else None)
-        # the boundary reached and its row before the jumps; its start row
-        # and its block's rows once built
-        self.b, self._pre = -1, None
-        self._start = self._flow = None
-
-    def pre(self, b: int) -> np.ndarray:
-        self._reach(b)
-        return self._pre
-
-    def start(self, b: int) -> np.ndarray:
-        self._reach(b)
-        return self._settle()
-
-    def flow(self, b: int) -> np.ndarray:
-        self._reach(b)
-        return self._replay()
-
-    def _reach(self, b: int) -> None:
-        tr = self.trace
-        last = tr.row_k.size - 1
-        kept = b if b == last else b - b % tr.stride  # the kept boundary at or before b
-        if not kept <= self.b <= b:
-            # the last boundary's row is the last row, whether stride divides it or not
-            self.b, self._pre = kept, tr.rows[(kept + tr.stride - 1) // tr.stride]
-            self._start = self._flow = None
-        eta = slice(3 * self.n, 4 * self.n)
-        while self.b < b:
-            row = self._replay()[-1]
-            np.maximum(row[eta], 0.0, out=row[eta])  # as simulate commits it
-            self.b, self._pre, self._start, self._flow = self.b + 1, row, None, None
-
-    def _settle(self) -> np.ndarray:
-        """The boundary's row with its instant's jumps applied in z, oldest
-        first, one at a time."""
-        if self._start is None:
-            t, (log_t, *columns), z = self.trace._row_t.item(self.b), self.log, self.z[None]
-            self.row[:] = self._pre
-            for q in range(log_t.searchsorted(t), log_t.searchsorted(t, side="right")):
-                _apply_logged(z, 0, q, *columns)
-            self._start = self.row
-        return self._start
-
-    def _replay(self) -> np.ndarray:
-        if self._flow is None:
-            start, s, bounds = self._settle(), self.trace.scenario, self.trace.row_k
-            k, m = bounds.item(self.b), bounds.item(self.b + 1) - bounds.item(self.b)
-            if self.noise is None:
-                self._flow = _row_flow(start, self.control(), s.step, m).reshape(m + 1, -1)
-            else:
-                self._flow = _flow_block(start, self.control(), s.step,
-                                         self.noise.rows(k, m), s.scheme)[0]
-        return self._flow
+    The walk starts at the kept row at or before b0, so it replays at most
+    stride - 1 blocks before it reaches b0, and then every block once: it
+    never skips ahead. At each boundary it applies the instant's logged
+    jumps (:func:`_apply_logged`) and replays the block (a static rule's
+    row flow alone, a dynamic rule's under its noise rows); the next
+    boundary's row is the kept one where the trace keeps it, else the
+    block's last row with eta clamped at 0, as ``simulate`` commits it.
+    ``start`` is the walk's buffer, rewritten at the next boundary; a
+    reader copies it to keep it."""
+    s, log, n, stride = trace.scenario, trace.events, trace.n, trace.stride
+    log_t, columns = log.t, (log.agent, log.what_w, log.eta)
+    row_k, last = trace.row_k, trace.row_k.size - 1
+    z = np.empty((1, 5, n))  # the start row, as a one-row (m, 5, n) stack
+    start, control, eta = z.reshape(-1), _control_law(s.feedback, z[0]), slice(3 * n, 4 * n)
+    noise = (_NoiseRows(s.noise, s.steps_per_window, row_k.item(-1))
+             if s.scheme.mode == "dynamic" else None)
+    b = b0 if b0 == last else b0 - b0 % stride
+    while True:
+        if b % stride == 0 or b == last:  # a kept row: the last one is the last row
+            pre = trace.rows[(b + stride - 1) // stride]
+        t = trace._row_t.item(b)
+        start[:] = pre
+        for q in range(log_t.searchsorted(t), log_t.searchsorted(t, side="right")):
+            _apply_logged(z, 0, q, *columns)
+        if b == last:
+            yield b, pre, start, z.reshape(1, -1)
+            return
+        k, m = row_k.item(b), row_k.item(b + 1) - row_k.item(b)
+        if noise is None:
+            flow = _row_flow(start, control(), s.step, m).reshape(m + 1, -1)
+        else:
+            flow = _flow_block(start, control(), s.step, noise.rows(k, m), s.scheme)[0]
+        if b >= b0:
+            yield b, pre, start, flow
+        b, pre = b + 1, flow[-1].copy()
+        np.maximum(pre[eta], 0.0, out=pre[eta])  # as simulate commits it
 
 
 class _NoiseRows:
@@ -716,10 +677,13 @@ def inter_event_stats(trace: SolutionTrace) -> dict[int, dict]:
 
 def jump_storage_change(trace: SolutionTrace) -> np.ndarray:
     """Per-event ΔU = U(post) - U(pre) of the run's storage function, its
-    scheme's under its feedback: the ΔU of :meth:`SolutionTrace.chunks`,
-    from one walk over the trace's blocks, in chunks of
-    ``STORAGE_BLOCK_ROWS`` samples."""
-    return np.concatenate([du for _, _, du in trace.chunks(storage_change=True)])
+    scheme's under its feedback, from the rows around the jumps that one
+    walk over the trace's blocks rebuilds (:meth:`SolutionTrace.chunks`),
+    in chunks of ``STORAGE_BLOCK_ROWS`` samples. Each ΔU depends on its
+    own rows only, so the chunks do not change a bit of it."""
+    scheme, feedback = trace.scenario.scheme, trace.scenario.feedback
+    return np.concatenate([scheme.storage(post, feedback) - scheme.storage(pre, feedback)
+                           for _, _, pre, post in trace.chunks(jumps=True)])
 
 
 def _distance(x: np.ndarray, origin: bool) -> np.ndarray:

@@ -2,8 +2,11 @@
 system (Goebel, Sanfelice & Teel, *Hybrid Dynamical Systems*, 2012). It
 flows only in the flow set C, jumps only from the jump set D, and jumps
 by the jump map g. :func:`check_arc` asserts all of it on a scenario and
-its trace. :func:`check_held_noise` and :func:`check_eta_flow` are two
-further clauses that the engine does not meet on every run yet.
+its trace, and the per-gap MIET certificate of the ungated rules
+(:func:`miet_ratios`). :func:`check_held_noise` and
+:func:`check_eta_flow` are two further clauses that the engine does not
+meet on every run yet. :func:`check_arc` and :func:`check_eta_flow`
+read a trace's rows once, through :func:`read_arc`.
 """
 
 import numpy as np
@@ -64,6 +67,51 @@ def _steps(states, jumps, k, pre):
     return slice(None) if one.all() else one, end
 
 
+def read_arc(tr):
+    """The trace's (m, 5n) sample rows and the (E, 5n) rows just before and
+    just after each jump, from one ``chunks(jumps=True)`` pass."""
+    width = tr.rows.shape[1]
+    states, pre, post = ([np.empty((0, width))] for _ in range(3))
+    for _, rows, before, after in tr.chunks(jumps=True):
+        states.append(rows)
+        pre.append(before)
+        post.append(after)
+    return np.concatenate(states), np.concatenate(pre), np.concatenate(post)
+
+
+def miet_ratios(sc, log, post):
+    """Per agent with an ungated rule (tau_miet_i = 0), a_i >= 0 and
+    c_i > b_i (2 w_bar_i)^2, gap / T_i for each of its gaps, by agent.
+
+    A jump by i at t_a zeroes e_i and latches w_hat_i, after which
+    e~_i = -int_{t_a}^t u_i + w_hat_i - w_i and |w_hat_i - w_i| <= 2 w_bar_i,
+    so psi_i >= c_i - b_i e~_i^2 stays positive, and i cannot jump, until
+    int_{t_a}^t |u_i| reaches R_i = sqrt(c_i / b_i) - 2 w_bar_i, at
+    t_a + T_i. u = -M (x + e + w_hat) holds between instants, since x + e
+    and w_hat hold along flow, at its value in the instant's last post
+    row; so the integral is a sum over instants and needs no other read."""
+    sch, n = sc.scheme, sc.scheme.n
+    ok = (sch.tau_miet == 0.0) & (sch.a >= 0.0) & (sch.b > 0.0) & \
+        (sch.c > sch.b * (2.0 * sch.w_bar) ** 2)
+    last = np.r_[log.t[1:] != log.t[:-1], True][: len(log)]  # each instant's last jump
+    t = log.t[last]
+    x, e, what_w = _split(post[last], n)[:3]
+    speed = np.abs((x + e + what_w) @ sc.feedback.T)  # |u| from each instant to the next
+    # area[j] = int |u| from the first instant to instant j, the last row on
+    # to the end of the run
+    area = np.cumsum(speed * np.diff(t, append=sc.t_final)[:, None], axis=0)
+    area = np.vstack([np.zeros(n), area])
+    out = {}
+    for i in np.flatnonzero(ok).tolist():
+        radius = np.sqrt(sch.c[i] / sch.b[i]) - 2.0 * sch.w_bar[i]
+        at = np.searchsorted(t, log.t[log.agent == i])  # the instants of i's jumps
+        target = area[at[:-1], i] + radius
+        j = np.minimum(np.searchsorted(area[:, i], target) - 1, t.size - 1)
+        reach = t[j] + (target - area[j, i]) / speed[j, i] - t[at[:-1]]
+        out[i] = (t[at[1:]] - t[at[:-1]]) / reach
+    return out
+
+
 def stored_trace(scheme, rows, log=None, feedback=None):
     """A trace of ``scheme`` whose samples are the (m, 5n) ``rows``, one
     unit step apart, each a stored block boundary, so nothing is replayed;
@@ -81,11 +129,10 @@ def stored_trace(scheme, rows, log=None, feedback=None):
 def check_arc(sc, tr, label="arc"):
     """Assert that the trace of scenario ``sc`` is a solution of the hybrid
     system: its held noise, its time domain, every jump and every flow
-    step."""
+    step. Returns the arc it read, :func:`read_arc`'s three arrays."""
     sch, log, n, h = sc.scheme, tr.events, tr.n, sc.step
     dynamic = sch.mode == "dynamic"
-    pre, post = tr.pre, tr.post
-    states = tr.states  # materialised on each access: read once
+    states, pre, post = arc = read_arc(tr)
     count = len(log)
 
     # held noise: the step divides the hold as the scenario says, and the
@@ -133,6 +180,10 @@ def check_arc(sc, tr, label="arc"):
     at = np.searchsorted(tr.times, log.t[last])
     assert np.array_equal(tr.times[at], log.t[last]), f"{label}: unsampled instant"
     assert np.array_equal(states[at], post[last]), f"{label}: instant sample"
+    # no gap of an ungated agent with c_i > b_i (2 w_bar_i)^2 is shorter than its T_i
+    for i, ratio in miet_ratios(sc, log, post).items():
+        short = np.flatnonzero(~(ratio >= 1.0))
+        assert short.size == 0, f"{label}: agent {i} gap {short[:1]} below T_i: {ratio[short[:1]]}"
 
     # flow along each step h: x moves by h u, x + e, tau + h and w_hat hold
     x, e, what_w, eta, tau = _split(states, n)
@@ -160,6 +211,7 @@ def check_arc(sc, tr, label="arc"):
         sums = x.sum(axis=1)
         drift = np.abs(sums - sums[0]).max()
         assert drift <= 1e-6 * (1 + np.linalg.norm(sc.x0)), f"{label}: mean drift {drift}"
+    return arc
 
 
 def check_held_noise(sc, tr):
@@ -177,8 +229,8 @@ def check_eta_flow(sc, tr):
     each side of the time where the timer gate opens."""
     sch, n, h = sc.scheme, tr.n, sc.step
     k, table = _grid(sc, tr)
-    states = tr.states
-    one, end = _steps(states, tr.jumps, k, tr.pre)
+    states, pre, _ = read_arc(tr)
+    one, end = _steps(states, tr.jumps, k, pre)
     x0, e0, what0, eta0, tau0 = _split(states[:-1], n)
     u, w = -(x0 + e0 + what0) @ sc.feedback.T, table[k[:-1]]
     e_tilde0 = e0 + what0 - w

@@ -11,7 +11,7 @@ from etcsim.engine import simulate
 from etcsim.etm import GarciaParams, GarciaScheme, gamma_sigma_from, tau_miet
 from etcsim.graph import benchmark_topology
 from etcsim.presets import PRESETS, build_preset
-from hybrid_arc import check_arc, check_eta_flow, check_held_noise
+from hybrid_arc import check_arc, check_eta_flow, check_held_noise, read_arc
 from test_engine import zeno_indicator
 
 H = 1e-4
@@ -109,14 +109,16 @@ def test_criterion_09_invariant_suite(preset_runs):
     for name in ALL_PRESETS:
         for sub, sc, tr in preset_runs(name):
             label = f"{name}/{sub}" if sub else name
-            check_arc(sc, tr, label)
+            states, *jumped = check_arc(sc, tr, label)
             # bit-exact determinism of the samples and of the whole event log
             tr2 = simulate(sc)
-            assert np.array_equal(tr.states, tr2.states), f"{label}: nondeterministic states"
+            states2, *jumped2 = read_arc(tr2)
+            assert np.array_equal(states, states2), f"{label}: nondeterministic states"
             assert np.array_equal(tr.times, tr2.times)
             assert len(tr.events) == len(tr2.events)
-            for col in ("agent", "t", "j", "gap", "psi", "what_w", "eta", "pre", "post"):
-                a, b = (getattr(r if col in ("pre", "post") else r.events, col) for r in (tr, tr2))
+            cols = ("agent", "t", "j", "gap", "psi", "what_w", "eta")
+            pairs = [(getattr(tr.events, c), getattr(tr2.events, c)) for c in cols]
+            for col, (a, b) in zip((*cols, "pre", "post"), [*pairs, *zip(jumped, jumped2)]):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
                     f"{label}: nondeterministic event {col}"
     report(9, "every preset run is a hybrid arc (tests/hybrid_arc.py) and replays bit-exactly")

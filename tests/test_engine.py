@@ -611,8 +611,9 @@ def test_blocked_storage_change_matches_a_whole_log_evaluation(preset_runs, monk
         [(_, sc, tr)] = preset_runs(name)
     log, M = tr.events, sc.feedback
     assert len(log) > 3 * 3
-    monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", 3)
+    # the reference reads the rows around the jumps at the default chunk size
     whole = sc.scheme.storage(tr.post, M) - sc.scheme.storage(tr.pre, M)
+    monkeypatch.setattr(engine_mod, "STORAGE_BLOCK_ROWS", 3)
     assert np.array_equal(engine_mod.jump_storage_change(tr), whole)
 
 
@@ -720,9 +721,8 @@ def test_chunked_reads_match_the_flowed_rows(monkeypatch, name, dec, size):
     # block flowed from: a kept row or the last one it rebuilt, with the
     # jumps there applied
     assert np.array_equal(tr.row_k[:-1], block_steps)
-    walk = engine_mod._Walk(tr)
-    rebuilt = np.array([walk.start(b).copy() for b in range(block_steps.size)])
-    assert rebuilt.tobytes() == starts.tobytes()
+    rebuilt = np.array([start.copy() for _, _, start, _ in engine_mod._walk(tr, 0)])
+    assert rebuilt[:-1].tobytes() == starts.tobytes()  # the last boundary starts no block
     steps = np.rint(tr.times / sc.step).astype(np.int64)
     states = tr.states
     assert np.array_equal(states, flowed[steps])
@@ -792,21 +792,51 @@ def test_walk_rebuilds_the_rows_around_jumps_across_a_kept_row(monkeypatch, name
     # the last jump before the kept boundary's instant, to the first after it
     lo, hi = log_t.searchsorted(t) - 1, log_t.searchsorted(t, side="right") + 1
     assert 0 <= lo and hi <= len(tr.events) and log_t[lo] < t < log_t[hi - 1]
-    for a, b in ((lo, hi), (lo + 1, hi), (lo, hi - 1), (lo + 1, lo + 2), (0, len(tr.events))):
-        assert tr._pre_rows(a, b).tobytes() == pre[a:b].tobytes(), (a, b)
     assert tr.pre.tobytes() == pre.tobytes()
     assert tr.post.tobytes() == post.tobytes()
-    # the storage change at each jump, from the metrics pass and from a
-    # chunked read that starts before, on or after the kept row
-    sch, fb = tr.scenario.scheme, tr.scenario.feedback
+    # the rows around the jumps and the storage change at each, from the
+    # metrics pass and from chunked reads that start before, on or after
+    # the kept row, or at or after the instants on either side of it, and
+    # end at or after them: every step is a sample, so sample k is step k
+    sch, fb, h = tr.scenario.scheme, tr.scenario.feedback, tr.scenario.step
     du = sch.storage(post, fb) - sch.storage(pre, fb)
     assert engine_mod.jump_storage_change(tr).tobytes() == du.tobytes()
+    before, after = (round(log_t[q] / h) for q in (lo, hi - 1))  # those instants' samples
+    starts = [tr.row_k.item(b) for b in (kept - 1, kept, kept + 1)]
+    ranges = [(before, after + 1), (before + 1, after + 1), (before, after),
+              (before + 1, before + 2), (0, None)]
+    for s_lo, s_hi in [(s, None) for s in starts] + ranges:
+        for size in (3, None):
+            got = list(tr.chunks(s_lo, s_hi, size, jumps=True))
+            first = log_t.searchsorted(s_lo * h)
+            end = len(tr.events) if s_hi is None else log_t.searchsorted(s_hi * h)
+            for part, want in ((2, pre), (3, post)):
+                rows = np.concatenate([c[part] for c in got])
+                assert rows.tobytes() == want[first:end].tobytes(), (s_lo, s_hi, size, part)
+            got = [sch.storage(c[3], fb) - sch.storage(c[2], fb) for c in got]
+            assert np.concatenate(got).tobytes() == du[first:end].tobytes(), (s_lo, s_hi, size)
+
+
+@pytest.mark.parametrize("name", ["garcia-c0-stretch", "small-dolk"])
+def test_a_read_from_boundary_b_replays_b_mod_the_stride_blocks_before_it(monkeypatch, name):
+    # one forward walk from the kept row at or before b, with no skip-ahead:
+    # b mod CHECKPOINT_BLOCKS blocks before block b, and block b itself
+    tr = simulate(_walk_scenario(name))
+    kept = engine_mod.CHECKPOINT_BLOCKS
+    assert tr.stride == kept and tr.row_k.size - 1 > kept + 1
+    replay = "_row_flow" if tr.scenario.scheme.mode == "static" else "_flow_block"
+    calls, flow = [], getattr(engine_mod, replay)
+
+    def counting(*args):
+        calls.append(1)
+        return flow(*args)
+
+    monkeypatch.setattr(engine_mod, replay, counting)
     for b in (kept - 1, kept, kept + 1):
         lo = tr.row_k.item(b)  # every step is a sample: sample k is step k
-        for size in (3, None):
-            got = [d for _, _, d in tr.chunks(lo, None, size, storage_change=True)]
-            first = log_t.searchsorted(lo * tr.scenario.step)
-            assert np.concatenate(got).tobytes() == du[first:].tobytes(), (b, size)
+        calls.clear()
+        [(k, _)] = tr.chunks(lo, lo + 1)
+        assert k.tolist() == [lo] and len(calls) == b % kept + 1, (b, len(calls))
 
 
 def test_zeno_stretch_matches_per_step_oracle():
@@ -871,6 +901,19 @@ def test_chunk_steps_are_the_grid_the_instants_and_the_final_step(dec):
         for size in (3, 64, None):
             got = [k for k, _ in tr.chunks(lo, hi, size)]
             assert np.array_equal(np.concatenate([np.empty(0, np.int64), *got]), want[lo:hi])
+
+
+def test_chunk_size_must_be_a_positive_integer():
+    sc = dataclasses.replace(build_preset("garcia-c2e-6")[0][1], t_final=0.05)
+    tr = simulate(sc)
+    assert tr.sample_count == 501
+    for size in (-3, 0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="positive integer"):
+            list(tr.chunks(0, None, size))
+    whole = [k for k, _ in tr.chunks()]  # None: one chunk of at most STORAGE_BLOCK_ROWS
+    assert len(whole) == 1 and whole[0].size == 501
+    for size in (3, np.int64(3)):
+        assert [k.size for k, _ in tr.chunks(0, 7, size)] == [3, 3, 1]
 
 
 @pytest.mark.parametrize("dec", [1, 7])

@@ -193,10 +193,15 @@ def test_event_log_chains_the_jumps_of_an_instant():
     # and the jump after it the second one's
     assert tr.pre[3].reshape(5, n)[2:4, 0].tolist() == [0.1, 0.2]
     assert tr.pre[4].reshape(5, n)[2:4, 0].tolist() == [0.5, 0.6]
-    # a block may start inside an instant, at any jump
-    for lo in range(len(want_pre)):
-        for hi in range(lo, len(want_pre) + 1):
-            assert np.array_equal(tr._pre_rows(lo, hi), want_pre[lo:hi])
+    # a read of samples lo..hi-1, in chunks of any size, gives the rows
+    # around the jumps at its instants: the jumps at steps lo..hi-1
+    for lo in range(7):
+        for hi in range(lo + 1, 8):
+            first, end = log.t.searchsorted([lo, hi])
+            for size in (1, 2, None):
+                got = list(tr.chunks(lo, hi, size, jumps=True))
+                assert np.array_equal(np.concatenate([c[2] for c in got]), want_pre[first:end])
+                assert np.array_equal(np.concatenate([c[3] for c in got]), want_post[first:end])
     # each access is a new array
     tr.pre[:] = 0.0
     tr.post[:] = 0.0
